@@ -7,9 +7,11 @@ descendants alive at generation n.  Its pmf has the closed form
 
     P(Z(m, n) = j) = (1 - q_{n-m})^j / j! * f_m^{(j)}(q_{n-m}),
 
-and joining it with a small terminal population {0 < Z(n) <= C} only
-needs truncated convolutions on top of the same derivative jets.  All
-three quantities below are exact up to the requested truncation error.
+which is the s^j coefficient of f_m(q + (1-q)s), q = q_{n-m}: m series
+composition steps give a whole row, at any order.  Joining it with a
+small terminal population {0 < Z(n) <= C} only needs truncated
+convolutions on top of the same rows.  All three quantities below are
+exact up to the requested truncation error.
 """
 
 import numpy as np

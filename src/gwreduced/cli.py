@@ -42,7 +42,6 @@ from .reduced import (
 )
 from .series import (
     derivative_jet,
-    enumerate_partitions,
     extinction_prob,
     iter_derivative_jets,
     pmf_Zn,
@@ -274,10 +273,14 @@ def _selftest_checks():
                 want = (r + 1) ** 2 / (n + r + 1) ** 2
                 assert abs(jet.values[1] - want) < 1e-12, (n, r)
 
-    def check_partitions():
-        counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
-        for k, want in enumerate(counts, start=1):
-            assert len(enumerate_partitions(k)) == want, k
+    def check_reduced_rows():
+        # P(Z(m,n) = j) = (1-q)^j m^(j-1) / (m+1-m q)^(j+1), q = q_{n-m}
+        m, n = 30, 40
+        q = (n - m) / (n - m + 1)
+        table = reduced_pmf(lf, m, n, J_max=64)
+        for j in range(1, 65):
+            want = (1 - q) ** j * m ** (j - 1) / (m + 1 - m * q) ** (j + 1)
+            assert abs(table.prob(j) - want) < 1e-12, j
 
     def check_jet_closed_form():
         n = 5
@@ -312,7 +315,7 @@ def _selftest_checks():
         ("extinction_closed_form", check_extinction),
         ("population_pmf_closed_form", check_population_pmf),
         ("iterate_derivative_closed_form", check_derivatives),
-        ("partition_counts", check_partitions),
+        ("reduced_row_closed_form", check_reduced_rows),
         ("jet_closed_form", check_jet_closed_form),
         ("limit_gf_pmf_duality", check_duality),
         ("joint_mass_decomposition", check_decomposition),

@@ -218,6 +218,7 @@ class ExperimentConfig:
             "seed": str(self.seed),
             "replicates": str(self.replicates),
             "max_replicates": str(self.max_replicates),
+            "s_grid": ",".join(repr(float(v)) for v in self.s_grid),
             "tv_threshold": repr(self.tv_threshold),
         }
         for key in ("x", "t", "a"):

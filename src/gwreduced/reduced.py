@@ -6,38 +6,44 @@ generation n.  Its unconditional pmf has the closed form
 
     P(count at m = j) = (1 - q_{n-m})^j / j! * f_m^(j)(q_{n-m}),
 
-with q_r the extinction probability at horizon r, so each table row
-comes from one derivative jet.  Joint laws with a smallness event
+with q_r the extinction probability at horizon r.  That is the s^j
+coefficient of f_m(q + (1-q)s), so a table of J rows is m composition
+steps started from q + (1-q)s at degree J: no derivatives, no
+factorials and no cap on J, which grows by doubling until the rows hold
+all but epsilon of their total.  Joint laws with a smallness event
 {0 < Z(n) <= C} use the subtree decomposition: given j reduced lines at
 m, the terminal population is a sum of j iid copies of Z(n-m)
 conditioned positive, so the joint pmf is the unconditional pmf times
-a C-truncated convolution mass.  The most recent common ancestor of
-the survivors sits at distance <= u from the terminal time exactly
-when the reduced count at n-u is 1, which turns the ancestor-distance
-cdf into a family of single-line probabilities.
+a C-truncated convolution mass, and rows past j = C vanish.  The event
+probability and the subtree pmf come from one streamed pass over
+f_0..f_n at degree C.  The most recent common ancestor of the
+survivors sits at distance <= u from the terminal time exactly when the
+reduced count at n-u is 1, which turns the ancestor-distance cdf into
+a family of single-line probabilities, each a one-row table.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningImpossibleError
-from .offspring import OffspringLaw, pgf_derivatives
+from .errors import ConditioningImpossibleError, SeriesBudgetError
+from .offspring import OffspringLaw
 from .series import (
-    PARTITION_CAP,
     TruncatedSeries,
+    check_budget,
     compose_step,
-    derivative_jet,
     extinction_prob,
+    iter_population_pmfs,
     pmf_Zn,
 )
 
 EPSILON_DEFAULT = 1e-9
+# first order tried by the adaptive tables; each retry doubles it
+J_START = 8
 
 
 @dataclass(frozen=True)
@@ -47,9 +53,13 @@ class ReducedLawTable:
     ``pmf[j-1]`` is the probability of j reduced lines, j = 1..J_max.
     ``kind`` records which law the rows are: "unconditional" for
     P(count=j), "joint" for P(count=j, 0<Z(n)<=C), "conditional" for
-    P(count=j | 0<Z(n)<=C).  ``mass_accounted`` is the row sum; J_max
-    is chosen so the remainder against the relevant total is below
-    ``epsilon`` unless the derivative-order cap bites first.
+    P(count=j | 0<Z(n)<=C).  ``mass_accounted`` is the row sum; unless
+    the caller fixes it, J_max is the first order, doubling from
+    J_START, at which the remainder against the relevant total is below
+    ``epsilon``.  Joint and conditional tables stop at J_max = C at the
+    latest, since rows past C are exactly zero; an unconditional table
+    that would need more than the composition budget raises
+    SeriesBudgetError instead of coming back short.
     """
 
     law: str
@@ -99,16 +109,20 @@ def write_table_csv(table: ReducedLawTable, path) -> None:
             writer.writerow([j, repr(float(p))])
 
 
+def _positive_part(series_coeffs: np.ndarray) -> TruncatedSeries:
+    # condition a population pmf on being positive
+    K = len(series_coeffs) - 1
+    coeffs = series_coeffs / (1.0 - series_coeffs[0])
+    coeffs[0] = 0.0
+    tail = 1.0 - float(coeffs.sum())
+    return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))
+
+
 def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeries:
     """pmf of the generation-r population conditioned on being positive."""
     if r < 1:
         raise ValueError("horizon must be at least 1")
-    series = pmf_Zn(law, r, K)
-    survival = 1.0 - series.coeffs[0]
-    coeffs = series.coeffs / survival
-    coeffs[0] = 0.0
-    tail = 1.0 - float(coeffs.sum())
-    return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))
+    return _positive_part(pmf_Zn(law, r, K).coeffs)
 
 
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
@@ -121,38 +135,55 @@ def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     return float(series.coeffs[1:].sum())
 
 
-def _reduced_row_probs(law, m, q, J):
-    """Unconditional reduced pmf p_1..p_J at intermediate generation m."""
-    if m == 0:
-        out = np.zeros(J)
-        out[0] = 1.0 - q
-        return out
-    jet = derivative_jet(law, m, q, J)
-    out = np.empty(J)
-    factor = 1.0
-    for j in range(1, J + 1):
-        factor *= (1.0 - q) / j
-        out[j - 1] = factor * jet.values[j]
-    return out
+def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
+    """Unconditional reduced pmf p_1..p_J at intermediate generation m.
+
+    p_j is the s^j coefficient of f_m(q + (1-q)s), reached by m
+    composition steps from q + (1-q)s at degree J.
+    """
+    g = np.zeros(J + 1)
+    g[0] = q
+    g[1] = 1.0 - q
+    for _ in range(m):
+        g = compose_step(law, g)
+    return g[1:]
 
 
-def _order_schedule(J_max: int | None):
+def _table_rows(build, J_max, total: float, tol: float, steps: int, J_cap=None):
+    """Rows p_1..p_J from ``build(J)``, which costs ``steps`` composition
+    steps at degree J.
+
+    A caller-fixed ``J_max`` is used as given.  Otherwise J doubles from
+    J_START until the remainder against ``total`` is below ``tol`` or J
+    reaches ``J_cap``, and the table is cut at the first order that
+    meets ``tol``.  A build whose steps * J^2 work exceeds the budget
+    raises SeriesBudgetError, stating the mass accounted so far, rather
+    than return a short table.
+    """
     if J_max is not None:
-        if not 1 <= J_max <= PARTITION_CAP:
-            raise ValueError(f"J_max must lie in [1, {PARTITION_CAP}]")
-        return (J_max,)
-    return (8, 14, PARTITION_CAP)
-
-
-def _trim(probs: np.ndarray, total: float, epsilon: float, adaptive: bool):
-    """Cut the table at the first order whose remainder is below epsilon."""
-    if not adaptive:
-        return probs
-    partial = np.cumsum(probs)
-    small = np.nonzero(total - partial < epsilon)[0]
-    if len(small):
-        return probs[: small[0] + 1]
-    return probs
+        if J_max < 1:
+            raise ValueError("J_max must be at least 1")
+        check_budget(steps, J_max)
+        return build(J_max)
+    J, rows = J_START, np.zeros(0)
+    while True:
+        if J_cap is not None:
+            J = min(J, J_cap)
+        try:
+            # counting one step even at m = 0 bounds the loop when
+            # rounding keeps the remainder from ever dropping below tol
+            check_budget(max(steps, 1), J)
+        except SeriesBudgetError as exc:
+            raise SeriesBudgetError(
+                f"{exc}; at order {len(rows)} the rows account for mass "
+                f"{rows.sum():.6g} of {total:.6g}, short of epsilon"
+            ) from None
+        rows = build(J)
+        if total - rows.sum() < tol or J == J_cap:
+            break
+        J *= 2
+    small = np.nonzero(total - np.cumsum(rows) < tol)[0]
+    return rows[: small[0] + 1] if len(small) else rows
 
 
 def reduced_pmf(
@@ -164,26 +195,18 @@ def reduced_pmf(
 ) -> ReducedLawTable:
     """Unconditional pmf of the reduced count at generation m out of n.
 
-    At m = n the reduced count equals the terminal population, so the
-    table is the positive part of the population pmf.  The remainder
-    criterion is absolute: the rows approach the survival probability
-    P(Z(n) > 0) to within epsilon when the order cap permits.
+    At m = n the reduced count equals the terminal population (q_0 = 0,
+    so the rows are the coefficients of f_n).  The remainder criterion
+    is absolute: the rows approach the survival probability P(Z(n) > 0)
+    to within epsilon, or SeriesBudgetError is raised.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    adaptive = J_max is None
     survival = 1.0 - extinction_prob(law, n)
-    if m == n:
-        J = PARTITION_CAP if adaptive else J_max
-        series = pmf_Zn(law, n, max(J, 1))
-        probs = series.coeffs[1 : J + 1].copy()
-    else:
-        q = extinction_prob(law, n - m)
-        for J in _order_schedule(J_max):
-            probs = _reduced_row_probs(law, m, q, J)
-            if survival - probs.sum() < epsilon:
-                break
-    probs = _trim(probs, survival, epsilon, adaptive)
+    q = extinction_prob(law, n - m)
+    probs = _table_rows(
+        lambda J: _reduced_rows(law, m, q, J), J_max, survival, epsilon, steps=m
+    )
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -213,6 +236,30 @@ def _bounded_sum_masses(s1: np.ndarray, J: int) -> np.ndarray:
     return masses
 
 
+def _joint_rows(law, m, n, C, J_max, epsilon):
+    """Joint rows and the event probability P(0 < Z(n) <= C).
+
+    One streamed pass over f_0..f_n at degree C gives both the subtree
+    pmf, from f_{n-m}, and the event probability, from f_n.
+    """
+    if not 0 <= m < n:
+        raise ValueError("need 0 <= m < n")
+    r = n - m
+    for gen, coeffs in enumerate(iter_population_pmfs(law, n, C)):
+        if gen == r:
+            subtree = coeffs
+    event_prob = float(coeffs[1:].sum())
+    q = float(subtree[0])
+    s1 = _positive_part(subtree).coeffs
+
+    def build(J):
+        return _reduced_rows(law, m, q, J) * _bounded_sum_masses(s1, J)
+
+    tol = epsilon * event_prob
+    rows = _table_rows(build, J_max, event_prob, tol, steps=m, J_cap=C)
+    return rows, event_prob
+
+
 def joint_reduced_bounded(
     law: OffspringLaw,
     m: int,
@@ -229,21 +276,9 @@ def joint_reduced_bounded(
     probability, so the conditional table derived from this one sums
     to 1 within epsilon.
     """
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
     if C < 1:
         raise ValueError("bound must be at least 1")
-    r = n - m
-    q = extinction_prob(law, r)
-    s1 = conditioned_positive_pmf(law, r, C).coeffs
-    event_prob = bounded_survival_prob(law, n, C)
-    adaptive = J_max is None
-    for J in _order_schedule(J_max):
-        rows = _reduced_row_probs(law, m, q, J)
-        rows = rows * _bounded_sum_masses(s1, J)
-        if event_prob - rows.sum() < epsilon * event_prob:
-            break
-    rows = _trim(rows, event_prob, epsilon * event_prob, adaptive)
+    rows, _ = _joint_rows(law, m, n, C, J_max, epsilon)
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -265,43 +300,22 @@ def conditional_reduced_pmf(
     epsilon: float = EPSILON_DEFAULT,
 ) -> ReducedLawTable:
     """pmf rows P(reduced count at m = j | 0 < Z(n) <= C)."""
-    event_prob = bounded_survival_prob(law, n, C)
+    impossible = f"conditioning event 0 < Z({n}) <= {C} has probability zero"
+    if C < 1:
+        raise ConditioningImpossibleError(impossible)
+    rows, event_prob = _joint_rows(law, m, n, C, J_max, epsilon)
     if event_prob <= 0.0:
-        raise ConditioningImpossibleError(
-            f"conditioning event 0 < Z({n}) <= {C} has probability zero"
-        )
-    joint = joint_reduced_bounded(law, m, n, C, J_max=J_max, epsilon=epsilon)
+        raise ConditioningImpossibleError(impossible)
     return ReducedLawTable(
-        law=joint.law,
+        law=law.label,
         n=n,
         m=m,
         bound=C,
         epsilon=epsilon,
-        pmf=joint.pmf / event_prob,
-        mass_accounted=float(joint.pmf.sum() / event_prob),
+        pmf=rows / event_prob,
+        mass_accounted=float(rows.sum() / event_prob),
         kind="conditional",
     )
-
-
-def _population_history(law: OffspringLaw, n: int, K: int):
-    """Coefficient vectors of f_0 .. f_n, each truncated at K."""
-    coeffs = np.zeros(K + 1)
-    coeffs[1] = 1.0
-    history = [coeffs]
-    for _ in range(n):
-        coeffs = compose_step(law, coeffs)
-        history.append(coeffs)
-    return history
-
-
-def _single_line_prob(law: OffspringLaw, m: int, q: float) -> float:
-    """(1-q) f_m'(q): probability the reduced count at m is exactly 1."""
-    value, deriv = q, 1.0
-    for _ in range(m):
-        step = pgf_derivatives(law, value, 1)
-        deriv *= step[1]
-        value = step[0]
-    return (1.0 - q) * deriv
 
 
 def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarray:
@@ -317,8 +331,12 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     grid = np.atleast_1d(np.asarray(distances, dtype=int))
     if grid.size and (grid.min() < 0 or grid.max() > n):
         raise ValueError("distances must lie in [0, n]")
-    history = _population_history(law, n, C)
-    event_prob = float(history[n][1 : C + 1].sum())
+    wanted = {int(u) for u in grid}
+    kept = {}
+    for u, coeffs in enumerate(iter_population_pmfs(law, n, C)):
+        if u in wanted:
+            kept[u] = coeffs
+    event_prob = float(coeffs[1 : C + 1].sum())
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
@@ -327,11 +345,11 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     for i, u in enumerate(grid):
         u = int(u)
         if u == 0:
-            out[i] = history[n][1] / event_prob
+            out[i] = coeffs[1] / event_prob
             continue
-        coeffs_u = history[u]
+        coeffs_u = kept[u]
         survival_u = 1.0 - coeffs_u[0]
         single_subtree_mass = float(coeffs_u[1 : C + 1].sum()) / survival_u
-        joint = _single_line_prob(law, n - u, coeffs_u[0]) * single_subtree_mass
-        out[i] = joint / event_prob
+        single_line = _reduced_rows(law, n - u, coeffs_u[0], 1)[0]
+        out[i] = single_line * single_subtree_mass / event_prob
     return out

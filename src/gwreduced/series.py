@@ -1,32 +1,33 @@
 """Truncated power-series iteration of critical Galton-Watson pgfs.
 
-The pgf of generation n is f_n = f(f_{n-1}).  Three computations share
-that recursion: the extinction sequence q_n = f_n(0), the pmf of Z(n)
-as the coefficients of f_n truncated at a chosen degree, and derivative
-jets (f_n(q), f_n'(q), ..., f_n^(J)(q)) propagated with the partition
-form of the chain rule for higher derivatives.
+The pgf of generation n is f_n = f(f_{n-1}).  The extinction sequence
+q_n = f_n(0) iterates the pgf at 0.  Everything else applies that
+recursion to a starting series g, one composition step g -> f(g) at a
+time, truncated at the degree of g:
 
-Every composition step writes the inner series as g = g_0 + ghat with
-ghat(0) = 0 and evaluates f(g) = sum_j f^(j)(g_0)/j! ghat^j, which is
-exact at every degree <= K.  For the linear-fractional and Poisson
-families that sum is collapsed into an O(K^2) coefficient recurrence
-(reciprocal and exponential of a series); finite-support laws use the
-finite sum directly.
+- g = s gives the coefficients of f_n, the pmf of Z(n);
+- g = q + s gives the Taylor coefficients of f_n(q + s), so the
+  derivative jet (f_n(q), f_n'(q), ..., f_n^(J)(q)) is k! times the
+  k-th coefficient, at any order J.
+
+Each step is exact at every degree <= K.  For the linear-fractional
+and Poisson families f(g) is an O(K^2) coefficient recurrence
+(reciprocal and exponential of a series); finite-support laws evaluate
+the polynomial f at g by Horner's rule.  Every coefficient involved is
+nonnegative, so no step cancels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import JetOverflowError, SeriesBudgetError
-from .offspring import Family, OffspringLaw, pgf_derivatives, pgf_value
+from .offspring import Family, OffspringLaw, pgf_value
 
 CLAMP_TOL = 1e-14
-PARTITION_CAP = 20
 # composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
 # turning into an hour of convolutions
 DEFAULT_COST_CAP = 1e11
@@ -115,32 +116,14 @@ def _step_exponential(g: np.ndarray) -> np.ndarray:
 
 
 def _step_finite(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
-    # finite support: the centered sum has max_support + 1 terms
+    # finite support: Horner's rule, max_support truncated products
     K = len(g) - 1
-    d = law.max_support
-    derivs = pgf_derivatives(law, g[0], d)
-    ghat = g.copy()
-    ghat[0] = 0.0
+    pmf = law.support_pmf
     h = np.zeros(K + 1)
-    h[0] = derivs[d] / math.factorial(d)
-    for j in range(d - 1, -1, -1):
-        h = np.convolve(h, ghat)[: K + 1]
-        h[0] += derivs[j] / math.factorial(j)
-    return h
-
-
-def _step_centered_generic(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
-    # reference implementation of the centered composition step; cost
-    # O(K^3), kept for cross-checking the family recurrences
-    K = len(g) - 1
-    derivs = pgf_derivatives(law, g[0], K)
-    ghat = g.copy()
-    ghat[0] = 0.0
-    h = np.zeros(K + 1)
-    h[0] = derivs[K] / math.factorial(K)
-    for j in range(K - 1, -1, -1):
-        h = np.convolve(h, ghat)[: K + 1]
-        h[0] += derivs[j] / math.factorial(j)
+    h[0] = pmf[-1]
+    for p in pmf[-2::-1]:
+        h = np.convolve(h, g)[: K + 1]
+        h[0] += p
     return h
 
 
@@ -155,6 +138,42 @@ def compose_step(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
     return _clamp(h)
 
 
+def check_budget(steps: int, K: int, cost_cap: float | None = None) -> None:
+    """Refuse a composition pass whose n*K^2 work exceeds the cap
+    (DEFAULT_COST_CAP unless given)."""
+    if cost_cap is None:
+        cost_cap = DEFAULT_COST_CAP
+    cost = steps * float(K) ** 2
+    if cost > cost_cap:
+        raise SeriesBudgetError(
+            f"composition cost n*K^2 = {cost:.3g} exceeds cap {cost_cap:.3g}"
+        )
+
+
+def iter_population_pmfs(
+    law: OffspringLaw,
+    n: int,
+    K: int,
+    cost_cap: float = DEFAULT_COST_CAP,
+):
+    """Yield the coefficients of f_0, f_1, ..., f_n, each truncated at K.
+
+    Each yielded array is fresh, so a caller may keep the ones it needs
+    and let the rest go.
+    """
+    if n < 0:
+        raise ValueError("generation must be nonnegative")
+    if K < 1:
+        raise ValueError("truncation degree must be at least 1")
+    check_budget(n, K, cost_cap)
+    coeffs = np.zeros(K + 1)
+    coeffs[1] = 1.0
+    yield coeffs
+    for _ in range(n):
+        coeffs = compose_step(law, coeffs)
+        yield coeffs
+
+
 def pmf_Zn(
     law: OffspringLaw,
     n: int,
@@ -162,115 +181,39 @@ def pmf_Zn(
     cost_cap: float = DEFAULT_COST_CAP,
 ) -> TruncatedSeries:
     """Exact pmf of the generation size Z(n) up to degree K."""
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
-    if K < 1:
-        raise ValueError("truncation degree must be at least 1")
-    if n * float(K) ** 2 > cost_cap:
-        raise SeriesBudgetError(
-            f"composition cost n*K^2 = {n * float(K)**2:.3g} exceeds cap {cost_cap:.3g}"
-        )
-    coeffs = np.zeros(K + 1)
-    coeffs[1] = 1.0
-    for _ in range(n):
-        coeffs = compose_step(law, coeffs)
+    for coeffs in iter_population_pmfs(law, n, K, cost_cap):
+        pass
     tail = 1.0 - float(coeffs.sum())
     return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))
 
 
-def enumerate_partitions(k: int) -> tuple:
-    """All (i_1, ..., i_k) with 1*i_1 + 2*i_2 + ... + k*i_k = k."""
-    if k < 1:
-        raise ValueError("order must be at least 1")
-    if k > PARTITION_CAP:
-        raise JetOverflowError(
-            f"derivative order {k} above the partition enumeration cap {PARTITION_CAP}"
-        )
-    return _partitions(k)
-
-
-@lru_cache(maxsize=None)
-def _partitions(k: int) -> tuple:
-    sols = []
-    vec = [0] * k
-
-    def descend(r: int, rem: int) -> None:
-        if r == 1:
-            vec[0] = rem
-            sols.append(tuple(vec))
-            vec[0] = 0
-            return
-        for i in range(rem // r, -1, -1):
-            vec[r - 1] = i
-            descend(r - 1, rem - r * i)
-        vec[r - 1] = 0
-
-    descend(k, k)
-    return tuple(sols)
-
-
-@lru_cache(maxsize=None)
-def _chain_terms(k: int) -> tuple:
-    """Precompiled chain-rule terms: (coefficient, outer order, factors).
-
-    The coefficient k!/(prod i_r! (r!)^i_r) counts set partitions of a
-    k-set into blocks of the given sizes, hence is an exact integer.
-    """
-    terms = []
-    for part in _partitions(k):
-        coef = math.factorial(k)
-        for r, i in enumerate(part, start=1):
-            if i:
-                coef //= math.factorial(i) * math.factorial(r) ** i
-        outer_order = sum(part)
-        factors = tuple((r, i) for r, i in enumerate(part, start=1) if i)
-        terms.append((float(coef), outer_order, factors))
-    return tuple(terms)
-
-
-def _jet_step(law: OffspringLaw, values: np.ndarray, J: int) -> np.ndarray:
-    outer = pgf_derivatives(law, float(values[0]), J)
-    new = np.empty(J + 1)
-    new[0] = outer[0]
-    for k in range(1, J + 1):
-        acc = 0.0
-        for coef, outer_order, factors in _chain_terms(k):
-            term = coef * outer[outer_order]
-            for r, i in factors:
-                term *= values[r] ** i
-            acc += term
-        new[k] = acc
-    return new
-
-
-def _identity_jet(q: float, J: int) -> np.ndarray:
-    values = np.zeros(J + 1)
-    values[0] = q
-    values[1] = 1.0
-    return values
-
-
 def iter_derivative_jets(law: OffspringLaw, n: int, q: float, J: int):
-    """Yield the jet of f_m at q for m = 0, 1, ..., n."""
+    """Yield the jet of f_m at q for m = 0, 1, ..., n.
+
+    The jet is read off the composition started from q + s: the k-th
+    coefficient of f_m(q + s) is f_m^(k)(q)/k!.
+    """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"jet evaluation point {q} outside [0, 1)")
     if J < 1:
         raise ValueError("jet order must be at least 1")
-    if J > PARTITION_CAP:
-        raise JetOverflowError(
-            f"jet order {J} above the partition enumeration cap {PARTITION_CAP}"
-        )
     if n < 0:
         raise ValueError("generation must be nonnegative")
-    values = _identity_jet(q, J)
-    yield DerivativeJet(q=q, values=values.copy(), n=0)
-    for m in range(1, n + 1):
-        values = _jet_step(law, values, J)
+    with np.errstate(over="ignore"):
+        scale = np.cumprod(np.concatenate([[1.0], np.arange(1.0, J + 1)]))
+    g = np.zeros(J + 1)
+    g[0] = q
+    g[1] = 1.0
+    for m in range(n + 1):
+        if m:
+            g = compose_step(law, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = g * scale
         if not np.all(np.isfinite(values)):
             raise JetOverflowError(
                 f"jet of order {J} overflowed at generation {m} (point {q})"
             )
-        yield DerivativeJet(q=q, values=values.copy(), n=m)
+        yield DerivativeJet(q=q, values=values, n=m)
 
 
 def derivative_jet(law: OffspringLaw, n: int, q: float, J: int) -> DerivativeJet:

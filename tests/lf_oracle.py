@@ -8,12 +8,20 @@ All formulas follow by induction from f_n(s) = (n - (n-1)s)/(n+1 - ns):
     f_n^(k)(s)    = k! n^(k-1) / (n+1 - ns)^(k+1)    for k >= 1
     f_n'(q_r)     = (r+1)^2 / (n+r+1)^2
 
+The reduced count at m out of n has P(Z(m,n)=j) = (1-q)^j/j! f_m^(j)(q)
+with q = q_{n-m}.  Given Z(n) > 0 the generation-r population is
+geometric on {1, 2, ...} with success probability 1/(r+1), so a sum of
+j such subtrees stays <= C exactly when C Bernoulli(1/(r+1)) trials
+have at least j successes; the binomial tail is summed in exact
+rational arithmetic.
+
 These are computed independently of the package and are the ground
 truth the series engine and the reduced-process tables are checked
 against.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,3 +61,31 @@ def derivative(n: int, k: int, s: float) -> float:
 def derivative_at_extinction(n: int, k: int, r: int) -> float:
     """f_n^(k) evaluated at q_r."""
     return derivative(n, k, extinction(r))
+
+
+def reduced_pmf(m: int, n: int, jmax: int) -> np.ndarray:
+    """P(Z(m,n) = j) for j = 1..jmax."""
+    q = extinction(n - m)
+    j = np.arange(1, jmax + 1)
+    if m == 0:
+        return np.where(j == 1, 1.0 - q, 0.0)
+    return (1.0 - q) ** j * m ** (j - 1.0) / (m + 1 - m * q) ** (j + 1.0)
+
+
+def event_prob(n: int, C: int) -> float:
+    """P(0 < Z(n) <= C)."""
+    return float((1 - Fraction(n, n + 1) ** C) / (n + 1))
+
+
+def bounded_sum_prob(r: int, j: int, C: int) -> float:
+    """P(S_j <= C), S_j a sum of j iid copies of Z(r) given Z(r) > 0."""
+    p = Fraction(1, r + 1)
+    tail = sum(math.comb(C, i) * p**i * (1 - p) ** (C - i) for i in range(j, C + 1))
+    return float(tail)
+
+
+def conditional_reduced_pmf(m: int, n: int, C: int) -> np.ndarray:
+    """P(Z(m,n) = j | 0 < Z(n) <= C) for j = 1..C."""
+    rows = reduced_pmf(m, n, C)
+    fits = np.array([bounded_sum_prob(n - m, j, C) for j in range(1, C + 1)])
+    return rows * fits / event_prob(n, C)

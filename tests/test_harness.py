@@ -1,5 +1,6 @@
 """Distances, config plumbing, comparison reports, and the CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from gwreduced import (
     tv_distance,
 )
 from gwreduced.cli import cli_main
+from gwreduced.harness import CONFIG_HASH_EXCLUDE
 
 
 class TestTVDistance:
@@ -132,6 +134,41 @@ class TestConfigHash:
     def test_key_order_irrelevant(self):
         reordered = dict(reversed(list(self.BASE.items())))
         assert config_hash(reordered) == config_hash(dict(self.BASE))
+
+    def test_every_semantic_field_changes_the_hash(self):
+        # one changed value per dataclass field; a new field without an
+        # entry here fails the test until its effect on the hash is known
+        base = ExperimentConfig(
+            regime=Regime.SMALL_PHI,
+            law_label="linear_fractional",
+            n_grid=(100, 200),
+            x=1.0,
+            t=0.5,
+            a=1.0,
+        )
+        changed = {
+            "regime": Regime.LINEAR_BAND,
+            "law_label": "poisson",
+            "n_grid": (100, 300),
+            "x": 2.0,
+            "t": 0.25,
+            "a": 2.0,
+            "phi": parse_phi("n^0.4"),
+            "epsilon": 1e-8,
+            "seed": 1,
+            "replicates": 10,
+            "max_replicates": 1000,
+            "workers": 2,
+            "s_grid": (0.99,),
+            "tv_threshold": 0.1,
+        }
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert fields == set(changed)
+        base_hash = config_hash(base.to_mapping())
+        for name in sorted(fields):
+            other = dataclasses.replace(base, **{name: changed[name]})
+            same = config_hash(other.to_mapping()) == base_hash
+            assert same == (name in CONFIG_HASH_EXCLUDE), name
 
 
 class TestConfigParsing:

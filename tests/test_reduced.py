@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 import brute_force
 import lf_oracle
-from gwreduced import ConditioningImpossibleError, make_builtin, make_custom
+from gwreduced import (
+    ConditioningImpossibleError,
+    SeriesBudgetError,
+    make_builtin,
+    make_custom,
+    series,
+)
 from gwreduced.reduced import (
     ReducedLawTable,
     bounded_survival_prob,
@@ -25,6 +32,7 @@ from gwreduced.series import extinction_prob, pmf_Zn
 ORACLE_TOL = 1e-12
 
 LF = make_builtin("linear_fractional")
+POIS = make_builtin("poisson")
 TERNARY = make_builtin("ternary_uniform")
 TPMF = brute_force.TERNARY
 
@@ -69,6 +77,54 @@ class TestReducedPmf:
     def test_bad_generations(self):
         with pytest.raises(ValueError):
             reduced_pmf(LF, 5, 4)
+
+    @pytest.mark.parametrize("m,n", [(3, 6), (40, 50), (300, 310)])
+    def test_lf_rows_order_64_closed_form(self, m, n):
+        table = reduced_pmf(LF, m, n, J_max=64)
+        want = lf_oracle.reduced_pmf(m, n, 64)
+        assert table.j_max == 64
+        assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
+        assert np.max(np.abs(table.pmf - want) / want) < 1e-11
+
+    def test_poisson_rows_match_high_precision_cauchy_integral(self):
+        # coefficients of f_m(q + (1-q)s) by the trapezoid rule on the
+        # unit circle, pgf iterated in 40-digit complex arithmetic; the
+        # aliasing error is below 1e-60 at this many nodes
+        m, n, J, nodes = 10, 30, 30, 128
+        mpmath.mp.dps = 40
+        q = mpmath.mpf(0)
+        for _ in range(n - m):
+            q = mpmath.exp(q - 1)
+        values = []
+        for k in range(nodes):
+            x = q + (1 - q) * mpmath.expjpi(mpmath.mpf(2 * k) / nodes)
+            for _ in range(m):
+                x = mpmath.exp(x - 1)
+            values.append(x)
+        want = np.array([
+            float(mpmath.re(mpmath.fsum(
+                v * mpmath.expjpi(mpmath.mpf(-2 * j * k) / nodes)
+                for k, v in enumerate(values)
+            )) / nodes)
+            for j in range(1, J + 1)
+        ])
+        table = reduced_pmf(POIS, m, n, J_max=J)
+        assert np.max(np.abs(table.pmf - want) / want) < 1e-12
+
+    def test_terminal_table_meets_epsilon(self):
+        # about 850 rows are needed; a fixed order of 20 holds a third
+        n = 50
+        table = reduced_pmf(LF, n, n)
+        survival = 1.0 - lf_oracle.extinction(n)
+        assert survival - table.mass_accounted < 1e-9
+        want = lf_oracle.pmf(n, table.j_max)[1:]
+        assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
+
+    @pytest.mark.parametrize("m", [30, 50])
+    def test_budget_error_instead_of_short_table(self, monkeypatch, m):
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e4)
+        with pytest.raises(SeriesBudgetError, match="account for mass"):
+            reduced_pmf(LF, m, 50)
 
 
 class TestConditionedPositive:
@@ -165,6 +221,14 @@ class TestConditionalTable:
         cond = conditional_reduced_pmf(LF, 3, 7, C=4, J_max=5)
         event = bounded_survival_prob(LF, 7, 4)
         assert np.allclose(cond.pmf, joint.pmf / event, atol=1e-12)
+
+    def test_lf_late_generation_meets_epsilon(self):
+        # about 27 rows are needed, more than a fixed order of 20 gives
+        m, n, C = 90, 100, 100
+        table = conditional_reduced_pmf(LF, m, n, C)
+        assert 1.0 - table.mass_accounted < 1e-9
+        want = lf_oracle.conditional_reduced_pmf(m, n, C)
+        assert np.max(np.abs(table.pmf - want[: table.j_max])) < ORACLE_TOL
 
     def test_impossible_event(self):
         with pytest.raises(ConditioningImpossibleError):

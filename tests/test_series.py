@@ -12,16 +12,15 @@ from gwreduced import (
     make_builtin,
     make_custom,
 )
+from gwreduced.offspring import pgf_derivatives
 from gwreduced.series import (
     compose_step,
     default_truncation,
     derivative_jet,
-    enumerate_partitions,
     extinction_prob,
     iter_derivative_jets,
     iter_extinction_probs,
     pmf_Zn,
-    _step_centered_generic,
 )
 
 TOL = 1e-10
@@ -105,6 +104,21 @@ class TestPmfZn:
             pmf_Zn(LF, 3, 0)
 
 
+def _step_centered_generic(law, g):
+    # reference implementation of the centered composition step; cost
+    # O(K^3), kept for cross-checking the family recurrences
+    K = len(g) - 1
+    derivs = pgf_derivatives(law, g[0], K)
+    ghat = g.copy()
+    ghat[0] = 0.0
+    h = np.zeros(K + 1)
+    h[0] = derivs[K] / math.factorial(K)
+    for j in range(K - 1, -1, -1):
+        h = np.convolve(h, ghat)[: K + 1]
+        h[0] += derivs[j] / math.factorial(j)
+    return h
+
+
 class TestComposeStepCrossCheck:
     """Family recurrences against the direct centered-sum evaluation."""
 
@@ -120,30 +134,6 @@ class TestComposeStepCrossCheck:
             slow = _step_centered_generic(law, g)
             assert np.max(np.abs(fast - slow)) < 1e-13
             g = fast
-
-
-class TestPartitions:
-    def test_order_one(self):
-        assert enumerate_partitions(1) == ((1,),)
-
-    def test_order_three(self):
-        got = set(enumerate_partitions(3))
-        assert got == {(3, 0, 0), (1, 1, 0), (0, 0, 1)}
-
-    @pytest.mark.parametrize("k,count", [(5, 7), (10, 42), (20, 627)])
-    def test_partition_counts(self, k, count):
-        parts = enumerate_partitions(k)
-        assert len(parts) == count
-        for vec in parts:
-            assert sum((r + 1) * i for r, i in enumerate(vec)) == k
-
-    def test_cap(self):
-        with pytest.raises(JetOverflowError):
-            enumerate_partitions(21)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            enumerate_partitions(0)
 
 
 class TestJets:
@@ -187,9 +177,18 @@ class TestJets:
                 assert np.all(jet.values >= 0.0)
                 assert 0.2 <= jet.values[0] < 1.0
 
-    def test_order_cap(self):
+    def test_lf_order_40_closed_form(self):
+        # no order cap: every derivative up to 40 against the closed form
+        for n, q in ((5, 0.3), (40, 0.9), (200, 0.99)):
+            jet = derivative_jet(LF, n, q, 40)
+            for k in range(41):
+                want = lf_oracle.derivative(n, k, q)
+                assert jet.values[k] == pytest.approx(want, rel=1e-10, abs=TOL)
+
+    def test_overflow_is_reported(self):
+        # 400! is beyond double range, so the jet cannot be represented
         with pytest.raises(JetOverflowError):
-            derivative_jet(LF, 3, 0.1, 21)
+            derivative_jet(LF, 3, 0.1, 400)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
