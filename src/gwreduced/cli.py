@@ -14,7 +14,6 @@ invariant violation (full diagnostic dump on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from math import factorial
@@ -26,19 +25,16 @@ from .harness import (
     format_report_summary,
     parse_config_file,
     run_experiment,
-    write_report_csv,
-    write_report_json,
 )
 from .limits import LimitQuery, Regime
 from .offspring import law_from_name
+from .output import write_output
 from .reduced import (
     bounded_survival_prob,
     conditional_reduced_pmf,
     joint_reduced_bounded,
     mrca_distance_cdf,
     reduced_pmf,
-    write_table_csv,
-    write_table_json,
 )
 from .series import (
     derivative_jet,
@@ -46,11 +42,13 @@ from .series import (
     iter_derivative_jets,
     pmf_Zn,
 )
-from .simulate import run_conditioned_batch, write_batch_csv, write_batch_json
+from .simulate import run_conditioned_batch
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output path (default: stdout)")
+def _add_common(
+    parser: argparse.ArgumentParser, out_help: str = "output path (default: stdout)"
+) -> None:
+    parser.add_argument("--out", help=out_help)
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
@@ -112,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-replicates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
-    _add_common(p)
+    _add_common(p, "report path (the report is written only here; the summary "
+                   "always goes to stdout)")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("selftest", help="closed-form consistency checks")
@@ -121,13 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict, out) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _serialised(result, fmt: str):
+    """The JSON dict or the CSV rows of a table, batch or report."""
+    return result.to_json_dict() if fmt == "json" else result.csv_rows()
 
 
 def _cmd_exact(args) -> int:
@@ -138,16 +133,7 @@ def _cmd_exact(args) -> int:
         )
     else:
         table = reduced_pmf(law, args.m, args.n, epsilon=args.epsilon, J_max=args.j_max)
-    if args.out and args.format == "csv":
-        write_table_csv(table, args.out)
-    elif args.out:
-        write_table_json(table, args.out)
-    elif args.format == "csv":
-        print("j,p")
-        for j, p in enumerate(table.pmf, start=1):
-            print(f"{j},{float(p)!r}")
-    else:
-        print(json.dumps(table.to_json_dict(), indent=2))
+    write_output(_serialised(table, args.format), args.out)
     return 0
 
 
@@ -164,24 +150,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    if args.out and args.format == "csv":
-        write_batch_csv(batch, args.out)
-    elif args.out:
-        write_batch_json(batch, args.out)
-    elif args.format == "csv":
-        header = ["replicate_id", "terminal_size", "mrca_distance"]
-        header += [f"reduced_at_{m}" for m in batch.query_generations]
-        print(",".join(header))
-        for i in range(batch.accepted):
-            cells = [
-                str(batch.replicate_ids[i]),
-                str(batch.terminal_sizes[i]),
-                str(batch.mrca_distances[i]),
-            ]
-            cells += [str(v) for v in batch.reduced_counts[i]]
-            print(",".join(cells))
-    else:
-        print(json.dumps(batch.to_json_dict(), indent=2))
+    write_output(_serialised(batch, args.format), args.out)
     return 0
 
 
@@ -207,16 +176,8 @@ def _cmd_limits(args) -> int:
         "pmf": pmf,
         "gf": {repr(s): query.gf(s) for s in DEFAULT_S_GRID},
     }
-    if args.format == "csv":
-        lines = ["j,p"] + [f"{j},{p!r}" for j, p in enumerate(pmf, start=1)]
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-    else:
-        _emit_json(payload, args.out)
+    rows = [("j", "p"), *enumerate(pmf, start=1)]
+    write_output(payload if args.format == "json" else rows, args.out)
     return 0
 
 
@@ -241,10 +202,8 @@ def _cmd_compare(args) -> int:
             raw[key] = value
     config = ExperimentConfig.from_mapping(raw)
     report = run_experiment(config)
-    if args.out and args.format == "csv":
-        write_report_csv(report, args.out)
-    elif args.out:
-        write_report_json(report, args.out)
+    if args.out:
+        write_output(_serialised(report, args.format), args.out)
     print(format_report_summary(report))
     return 0 if all(v["passed"] for v in report.verdicts) else 1
 

@@ -11,9 +11,7 @@ influence a number, and both are excluded from the config hash.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 import re
 import time
@@ -23,7 +21,7 @@ import numpy as np
 
 from .limits import LimitQuery, Regime
 from .offspring import OffspringLaw, law_from_name
-from .reduced import bounded_survival_prob, conditional_reduced_pmf
+from .reduced import conditional_reduced_pmf
 from .simulate import run_conditioned_batch
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(11))
@@ -118,6 +116,10 @@ def parse_phi(expression: str) -> PhiSpec:
 
 
 CONFIG_HASH_EXCLUDE = {"out", "format", "workers", "timestamp"}
+CONFIG_KEYS = frozenset(
+    ("regime", "law", "n_grid", "x", "t", "a", "phi", "epsilon", "seed",
+     "replicates", "max_replicates", "workers", "s_grid", "tv_threshold")
+)
 
 
 def parse_config_file(path) -> dict:
@@ -171,6 +173,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
+        if not self.s_grid:
+            raise ValueError("s_grid must be nonempty")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("horizons must be at least 2")
         if self.regime is Regime.SMALL_PHI:
@@ -186,16 +190,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
+        """Config from a flat mapping of strings, the form ``to_mapping``
+        writes plus ``workers``; an unknown key is a ValueError."""
+        unknown = sorted(set(raw) - CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+
         def get_float(key):
             return float(raw[key]) if raw.get(key) is not None else None
 
-        regime = Regime(str(raw.get("regime", "small_phi")))
-        grid_text = str(raw.get("n_grid", "")).strip()
-        n_grid = tuple(int(tok) for tok in grid_text.split(",") if tok.strip())
+        def get_list(key, convert):
+            text = str(raw.get(key, "")).strip()
+            return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+
         return cls(
-            regime=regime,
+            regime=Regime(str(raw.get("regime", "small_phi"))),
             law_label=str(raw.get("law", "linear_fractional")),
-            n_grid=n_grid,
+            n_grid=get_list("n_grid", int),
             x=get_float("x"),
             t=get_float("t"),
             a=get_float("a"),
@@ -205,6 +216,7 @@ class ExperimentConfig:
             replicates=int(raw.get("replicates", 0)),
             max_replicates=int(raw.get("max_replicates", 100_000_000)),
             workers=int(raw.get("workers", 1)),
+            s_grid=get_list("s_grid", float) if "s_grid" in raw else DEFAULT_S_GRID,
             tv_threshold=float(raw.get("tv_threshold", TV_THRESHOLD_DEFAULT)),
         )
 
@@ -255,6 +267,11 @@ class ComparisonReport:
             "timestamp": self.timestamp,
         }
 
+    def csv_rows(self):
+        yield REPORT_CSV_COLUMNS
+        for row in self.rows:
+            yield [row.get(col, "") for col in REPORT_CSV_COLUMNS]
+
 
 REPORT_CSV_COLUMNS = (
     "n",
@@ -271,20 +288,6 @@ REPORT_CSV_COLUMNS = (
     "acceptance_rate",
     "acceptance_expected",
 )
-
-
-def write_report_json(report: ComparisonReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def write_report_csv(report: ComparisonReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow([row.get(col, "") for col in REPORT_CSV_COLUMNS])
 
 
 def format_report_summary(report: ComparisonReport) -> str:
@@ -402,7 +405,6 @@ def run_experiment(config: ExperimentConfig | dict) -> ComparisonReport:
                 workers=config.workers,
             )
             samples = batch.reduced_counts[:, 0]
-            expected_rate = bounded_survival_prob(law, n, C)
             row.update(
                 mc_replicates=int(batch.replicates),
                 mc_accepted=int(batch.accepted),
@@ -412,7 +414,7 @@ def run_experiment(config: ExperimentConfig | dict) -> ComparisonReport:
                 ),
                 tv_mc_se=bootstrap_tv_se(samples, table.pmf, seed),
                 acceptance_rate=float(batch.acceptance_rate),
-                acceptance_expected=float(expected_rate),
+                acceptance_expected=table.event_prob,
             )
         rows.append(row)
 

@@ -24,8 +24,6 @@ a family of single-line probabilities, each a one-row table.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +57,9 @@ class ReducedLawTable:
     ``epsilon``.  Joint and conditional tables stop at J_max = C at the
     latest, since rows past C are exactly zero; an unconditional table
     that would need more than the composition budget raises
-    SeriesBudgetError instead of coming back short.
+    SeriesBudgetError instead of coming back short.  Joint and
+    conditional tables also carry ``event_prob`` = P(0 < Z(n) <= C),
+    from the same pass that built the rows; it is not serialised.
     """
 
     law: str
@@ -70,6 +70,7 @@ class ReducedLawTable:
     pmf: np.ndarray
     mass_accounted: float
     kind: str
+    event_prob: float | None = None
 
     @property
     def j_max(self) -> int:
@@ -94,19 +95,9 @@ class ReducedLawTable:
             "mass_accounted": self.mass_accounted,
         }
 
-
-def write_table_json(table: ReducedLawTable, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(table.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def write_table_csv(table: ReducedLawTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "p"])
-        for j, p in enumerate(table.pmf, start=1):
-            writer.writerow([j, repr(float(p))])
+    def csv_rows(self):
+        yield ("j", "p")
+        yield from enumerate(map(float, self.pmf), start=1)
 
 
 def _positive_part(series_coeffs: np.ndarray) -> TruncatedSeries:
@@ -278,7 +269,7 @@ def joint_reduced_bounded(
     """
     if C < 1:
         raise ValueError("bound must be at least 1")
-    rows, _ = _joint_rows(law, m, n, C, J_max, epsilon)
+    rows, event_prob = _joint_rows(law, m, n, C, J_max, epsilon)
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -288,6 +279,7 @@ def joint_reduced_bounded(
         pmf=rows,
         mass_accounted=float(rows.sum()),
         kind="joint",
+        event_prob=event_prob,
     )
 
 
@@ -315,6 +307,7 @@ def conditional_reduced_pmf(
         pmf=rows / event_prob,
         mass_accounted=float(rows.sum() / event_prob),
         kind="conditional",
+        event_prob=event_prob,
     )
 
 

@@ -14,8 +14,6 @@ accepted target is met, always in chunk-index order.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,19 +102,45 @@ def simulate_tree(
     )
 
 
-def _reduced_profile(record: GenealogyRecord) -> np.ndarray:
-    """Reduced counts at every generation 0..n of one record."""
-    n = record.horizon
-    profile = np.empty(n + 1, dtype=np.int64)
-    profile[n] = record.sizes[n]
-    marked = np.ones(record.sizes[n], dtype=bool)
+def _mark_backward(draws_per_gen, owners, size, kept):
+    """Backward marking pass over a chunk of ``size`` replicates.
+
+    ``draws_per_gen[g]`` holds the child counts of generation g, whose
+    children form contiguous blocks of generation g+1, and
+    ``owners[g]`` the replicate of each individual of generation g, for
+    g = 0..n.  Marking every ancestor of the generation-n individuals
+    gives each replicate's reduced count at every generation.  Returns
+    the counts at the ``kept`` generations, one column each, and per
+    replicate the number of generations g < n with one reduced line.
+    """
+    n = len(draws_per_gen)
+    rows = {}
+    if n in kept:
+        rows[n] = np.bincount(owners[n], minlength=size)
+    marked = np.ones(len(owners[n]), dtype=bool)
+    single_line_gens = np.zeros(size, dtype=np.int64)
     for g in range(n - 1, -1, -1):
-        draws = record.offspring_counts[g]
+        draws = draws_per_gen[g]
         parent_idx = np.repeat(np.arange(len(draws)), draws)
         marked_children = np.bincount(parent_idx, weights=marked, minlength=len(draws))
         marked = marked_children > 0
-        profile[g] = int(marked.sum())
-    return profile
+        red = np.bincount(owners[g][marked], minlength=size)
+        single_line_gens += red == 1
+        if g in kept:
+            rows[g] = red
+        del red
+    if not kept:
+        return np.zeros((size, 0), dtype=np.int64), single_line_gens
+    return np.stack([rows[g] for g in kept], axis=1), single_line_gens
+
+
+def _mark_record(record: GenealogyRecord, kept):
+    # one tree is a one-replicate chunk: every individual is owned by 0
+    owners = [np.zeros(z, dtype=np.int64) for z in record.sizes]
+    reduced, single_line_gens = _mark_backward(
+        record.offspring_counts, owners, 1, kept
+    )
+    return reduced[0], int(single_line_gens[0])
 
 
 def reduced_counts(record: GenealogyRecord, query_generations) -> np.ndarray:
@@ -125,8 +149,7 @@ def reduced_counts(record: GenealogyRecord, query_generations) -> np.ndarray:
     queries = np.atleast_1d(np.asarray(query_generations, dtype=int))
     if queries.size and (queries.min() < 0 or queries.max() > n):
         raise ValueError("queried generations must lie in [0, n]")
-    profile = _reduced_profile(record)
-    return profile[queries]
+    return _mark_record(record, tuple(int(m) for m in queries))[0]
 
 
 def mrca_distance(record: GenealogyRecord) -> int | None:
@@ -134,14 +157,12 @@ def mrca_distance(record: GenealogyRecord) -> int | None:
 
     None when the tree is extinct at the horizon.  The reduced profile
     is nondecreasing, so the ancestor generation is the last one whose
-    reduced count is still 1.
+    reduced count is still 1: (number of single-line generations) - 1.
     """
     n = record.horizon
     if record.sizes[n] == 0:
         return None
-    profile = _reduced_profile(record)
-    beta = int(np.nonzero(profile[:n] == 1)[0].max())
-    return n - beta
+    return n - (_mark_record(record, ())[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -192,29 +213,18 @@ class SimBatch:
             "low_confidence": self.low_confidence,
         }
 
-
-def write_batch_json(batch: SimBatch, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(batch.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def write_batch_csv(batch: SimBatch, path) -> None:
-    """One row per accepted replicate: id, terminal size, ancestor
-    distance, then one reduced count per queried generation."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    def csv_rows(self):
+        """One row per accepted replicate: id, terminal size, ancestor
+        distance, then one reduced count per queried generation."""
         header = ["replicate_id", "terminal_size", "mrca_distance"]
-        header += [f"reduced_at_{m}" for m in batch.query_generations]
-        writer.writerow(header)
-        for i in range(batch.accepted):
-            row = [
-                int(batch.replicate_ids[i]),
-                int(batch.terminal_sizes[i]),
-                int(batch.mrca_distances[i]),
+        yield header + [f"reduced_at_{m}" for m in self.query_generations]
+        for i in range(self.accepted):
+            yield [
+                int(self.replicate_ids[i]),
+                int(self.terminal_sizes[i]),
+                int(self.mrca_distances[i]),
+                *(int(v) for v in self.reduced_counts[i]),
             ]
-            row += [int(v) for v in batch.reduced_counts[i]]
-            writer.writerow(row)
 
 
 def _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget):
@@ -252,36 +262,17 @@ def _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget):
     terminal = np.bincount(owners[n], minlength=size)
     accept = (terminal > 0) & (terminal <= C) & budget_ok
 
-    # backward marking over the whole chunk at once
-    marked = np.ones(len(owners[n]), dtype=bool)
-    single_line_gens = np.zeros(size, dtype=np.int64)
-    query_rows = {}
-    for m in queries:
-        if m == n:
-            query_rows[m] = terminal.copy()
-    for g in range(n - 1, -1, -1):
-        draws = draws_per_gen[g]
-        parent_idx = np.repeat(np.arange(len(draws)), draws)
-        marked_children = np.bincount(parent_idx, weights=marked, minlength=len(draws))
-        marked = marked_children > 0
-        red = np.bincount(owners[g][marked], minlength=size)
-        single_line_gens += red == 1
-        if g in queries:
-            query_rows[g] = red
-        del red
+    reduced, single_line_gens = _mark_backward(draws_per_gen, owners, size, queries)
     # reduced profiles are nondecreasing, so the ancestor generation of
     # a surviving replicate is (number of single-line generations) - 1
     distances = n - (single_line_gens - 1)
 
     idx = np.nonzero(accept)[0]
-    reduced = np.stack([query_rows[m][idx] for m in queries], axis=1) if queries else (
-        np.zeros((len(idx), 0), dtype=np.int64)
-    )
     return {
         "chunk_index": chunk_index,
         "size": size,
         "accepted_idx": idx,
-        "reduced": reduced,
+        "reduced": reduced[idx],
         "distances": distances[idx],
         "terminal": terminal[idx],
         "budget_rejected": int((~budget_ok).sum()),

@@ -1,0 +1,48 @@
+"""The CLI writes the same bytes to stdout and to ``--out``."""
+
+import pytest
+
+from gwreduced.cli import cli_main
+
+COMMANDS = {
+    "exact": ["exact", "--law", "poisson", "--n", "12", "--m", "6"],
+    "exact_bound": [
+        "exact", "--law", "ternary_uniform", "--n", "12", "--m", "6", "--bound", "4",
+    ],
+    "simulate": [
+        "simulate", "--law", "ternary_uniform", "--n", "8", "--bound", "3",
+        "--m", "2,5", "--replicates", "40", "--seed", "3",
+    ],
+    "limits_small_phi": ["limits", "--regime", "small_phi", "--x", "1.0"],
+    "limits_band": ["limits", "--regime", "linear_band", "--t", "0.5", "--a", "1.0"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_out_file(name, fmt, tmp_path, capsys):
+    argv = COMMANDS[name] + ["--format", fmt]
+    assert cli_main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    path = tmp_path / f"{name}.{fmt}"
+    assert cli_main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    written = path.read_bytes()
+    assert printed == written
+    assert b"\r" not in written
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compare_writes_report_only_to_out(fmt, tmp_path, capsys):
+    argv = ["compare", "--regime", "small_phi", "--law", "linear_fractional",
+            "--n", "100", "--x", "1.0", "--format", fmt]
+    cli_main(argv)
+    bare = capsys.readouterr().out
+    path = tmp_path / f"report.{fmt}"
+    cli_main(argv + ["--out", str(path)])
+    assert capsys.readouterr().out == bare
+    assert bare.startswith("experiment ")
+    written = path.read_bytes()
+    assert b"\r" not in written
+    assert written.startswith(b"{" if fmt == "json" else b"n,m,C,epsilon")

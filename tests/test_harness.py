@@ -214,6 +214,31 @@ class TestConfigParsing:
                 {"regime": "linear_band", "n_grid": "100", "t": "0.5"}
             )
 
+    def test_unknown_key_is_rejected(self):
+        raw = {"regime": "small_phi", "n_grid": "100", "x": "1",
+               "replicatse": "500", "s_grid": "0.5"}
+        with pytest.raises(ValueError, match="replicatse"):
+            ExperimentConfig.from_mapping(raw)
+
+    def test_mapping_round_trips(self):
+        # every field but workers (absent from to_mapping) off its default
+        config = ExperimentConfig(
+            regime=Regime.LINEAR_BAND,
+            law_label="poisson",
+            n_grid=(100, 300),
+            x=2.0,
+            t=0.25,
+            a=2.0,
+            phi=parse_phi("n^0.4"),
+            epsilon=1e-8,
+            seed=1,
+            replicates=10,
+            max_replicates=1000,
+            s_grid=(0.25, 0.99),
+            tv_threshold=0.1,
+        )
+        assert ExperimentConfig.from_mapping(config.to_mapping()) == config
+
     def test_rejects_tiny_horizons(self):
         with pytest.raises(ValueError, match="at least 2"):
             ExperimentConfig.from_mapping(
@@ -318,13 +343,13 @@ class TestRunExperiment:
         assert abs(row["acceptance_rate"] - row["acceptance_expected"]) < 0.05
 
     def test_report_json_round_trips(self, tmp_path):
-        from gwreduced import write_report_csv, write_report_json
+        from gwreduced import write_output
 
         report = run_experiment(_small_phi_config(n_grid="100"))
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "report.csv"
-        write_report_json(report, jpath)
-        write_report_csv(report, cpath)
+        write_output(report.to_json_dict(), jpath)
+        write_output(report.csv_rows(), cpath)
         payload = json.loads(jpath.read_text())
         assert payload["config_hash"] == report.config_hash
         assert payload["rows"][0]["n"] == 100
@@ -500,6 +525,12 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert [row["n"] for row in payload["rows"]] == [100, 200, 400]
         assert "tv_exact_vs_limit_final" in capsys.readouterr().out
+
+    def test_config_typo_is_user_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("regime=small_phi\nn_grid=100\nx=1\nreplicatse=500\n")
+        assert cli_main(["compare", "--config", str(cfg)]) == 1
+        assert "replicatse" in capsys.readouterr().err
 
     def test_compare_reruns_identically_across_workers(self, tmp_path):
         args = [

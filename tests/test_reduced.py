@@ -16,6 +16,7 @@ from gwreduced import (
     make_custom,
     series,
 )
+from gwreduced.output import write_output
 from gwreduced.reduced import (
     ReducedLawTable,
     bounded_survival_prob,
@@ -24,8 +25,6 @@ from gwreduced.reduced import (
     joint_reduced_bounded,
     mrca_distance_cdf,
     reduced_pmf,
-    write_table_csv,
-    write_table_json,
 )
 from gwreduced.series import extinction_prob, pmf_Zn
 
@@ -234,6 +233,14 @@ class TestConditionalTable:
         with pytest.raises(ConditioningImpossibleError):
             conditional_reduced_pmf(LF, 2, 5, C=0)
 
+    @pytest.mark.parametrize("law,m,n,C", [(LF, 3, 7, 4), (TERNARY, 10, 40, 6)])
+    def test_event_prob_is_the_bounded_survival_prob(self, law, m, n, C):
+        # same f_n pass at the same degree, so equal to the last bit
+        want = bounded_survival_prob(law, n, C)
+        assert conditional_reduced_pmf(law, m, n, C).event_prob == want
+        assert joint_reduced_bounded(law, m, n, C).event_prob == want
+        assert reduced_pmf(law, m, n).event_prob is None
+
 
 class TestMrcaDistance:
     @pytest.mark.parametrize("n,C", [(3, 2), (4, 3), (4, 1)])
@@ -278,7 +285,7 @@ class TestSerialization:
     def test_json_schema(self, tmp_path):
         table = self._table()
         path = tmp_path / "table.json"
-        write_table_json(table, path)
+        write_output(table.to_json_dict(), path)
         data = json.loads(path.read_text())
         assert set(data) == {"law", "n", "m", "C", "epsilon", "pmf", "mass_accounted"}
         assert data["law"] == "ternary_uniform"
@@ -290,13 +297,13 @@ class TestSerialization:
     def test_json_null_bound_for_unconditional(self, tmp_path):
         table = reduced_pmf(LF, 2, 4)
         path = tmp_path / "table.json"
-        write_table_json(table, path)
+        write_output(table.to_json_dict(), path)
         assert json.loads(path.read_text())["C"] is None
 
     def test_csv_roundtrip(self, tmp_path):
         table = self._table()
         path = tmp_path / "table.csv"
-        write_table_csv(table, path)
+        write_output(table.csv_rows(), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "j,p"
         rows = [line.split(",") for line in lines[1:]]

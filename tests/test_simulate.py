@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from gwreduced import (
     NodeBudgetExceededError,
     make_builtin,
 )
+from gwreduced.output import write_output
 from gwreduced.reduced import (
     bounded_survival_prob,
     conditional_reduced_pmf,
@@ -24,8 +26,6 @@ from gwreduced.simulate import (
     reduced_counts,
     run_conditioned_batch,
     simulate_tree,
-    write_batch_csv,
-    write_batch_json,
 )
 
 LF = make_builtin("linear_fractional")
@@ -150,6 +150,22 @@ class TestConditionedBatch:
         assert np.array_equal(a.replicate_ids, b.replicate_ids)
         assert a.stream_ids == b.stream_ids
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_digest_is_pinned(self, workers):
+        # digest of the batch arrays as the sampler produced them before
+        # its backward marking pass was shared with reduced_counts
+        batch = run_conditioned_batch(
+            TERNARY, 8, 3, [2, 4], 200, seed=42, workers=workers
+        )
+        h = hashlib.sha256()
+        for arr in (batch.reduced_counts, batch.mrca_distances,
+                    batch.terminal_sizes, batch.replicate_ids):
+            h.update(str(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+        assert h.hexdigest() == (
+            "e18a9f5bc7cfae6c608feb39a0360b69b4a86252e416e6f7d381571179cfcb47"
+        )
+
     def test_worker_count_does_not_change_output(self):
         a = run_conditioned_batch(TERNARY, 6, 2, [3], 500, seed=7, workers=1)
         b = run_conditioned_batch(TERNARY, 6, 2, [3], 500, seed=7, workers=2)
@@ -268,7 +284,7 @@ class TestSerialization:
     def test_json_and_csv(self, tmp_path):
         batch = run_conditioned_batch(TERNARY, 6, 2, [0, 3, 6], 50, seed=51)
         jpath = tmp_path / "batch.json"
-        write_batch_json(batch, jpath)
+        write_output(batch.to_json_dict(), jpath)
         import json
 
         data = json.loads(jpath.read_text())
@@ -277,7 +293,7 @@ class TestSerialization:
         assert data["query_generations"] == [0, 3, 6]
 
         cpath = tmp_path / "batch.csv"
-        write_batch_csv(batch, cpath)
+        write_output(batch.csv_rows(), cpath)
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == (
             "replicate_id,terminal_size,mrca_distance,"
