@@ -4,24 +4,29 @@ small terminal population.
 
 Genealogies are stored as per-generation offspring-count arrays, never
 as node objects: the backward marking pass that extracts reduced
-counts only needs the counts and their prefix layout.  The batch
-sampler simulates replicates in fixed-size chunks, each chunk driven
-by its own child stream of the master seed (spawn key = chunk index),
-so results are reproducible bit for bit regardless of worker count or
-scheduling order; a run is cut at the first chunk boundary where the
-accepted target is met, always in chunk-index order.
+counts only needs the counts and their prefix layout.  One forward
+pass (``_grow``) and one backward pass (``_mark_backward``) serve both
+batches and single trees; a single tree is a one-replicate chunk.  The
+batch sampler simulates replicates in fixed-size chunks, each chunk
+driven by its own child stream of the master seed (spawn key = chunk
+index), and one loop takes chunk results in index order, serially or
+from a process pool, so results are reproducible bit for bit
+regardless of worker count; a run is cut at the first chunk boundary
+where the accepted target is met.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import AcceptanceBudgetExhausted, NodeBudgetExceededError
-from .offspring import OffspringLaw, law_from_name, sample_offspring
+from .offspring import OffspringLaw, sample_offspring
 
 NODE_BUDGET_DEFAULT = 10_000_000
 # chunks sized to hold about this many expected nodes (a critical tree
@@ -44,61 +49,70 @@ class GenealogyRecord:
     individual of generation g (individuals are ordered so that the
     children of individual i occupy a contiguous block of g+1).
     ``sizes`` are the generation sizes, starting at sizes[0] = 1.
-    ``oversize`` flags a tree whose growth tripped an explicit size cap
-    before the horizon; such a record ends at the offending generation.
     """
 
     offspring_counts: tuple
     sizes: np.ndarray
-    oversize: bool = False
 
     @property
     def horizon(self) -> int:
         return len(self.sizes) - 1
 
 
+def _grow(law, n, rng, size, node_budget):
+    """Forward pass: grow ``size`` trees to generation n from ``rng``.
+
+    All replicates advance generation by generation in one flat array;
+    an individual's replicate is tracked through ownership indices.
+    Returns ``draws_per_gen`` (the child counts of generations 0..n-1),
+    ``owners`` (the replicate of each individual of generations 0..n)
+    and ``budget_ok``.  A replicate whose node count passes
+    ``node_budget`` stops producing children and is flagged false in
+    ``budget_ok``.
+    """
+    owners = [np.arange(size, dtype=np.int64)]
+    draws_per_gen = []
+    nodes_used = np.ones(size, dtype=np.int64)
+    budget_ok = np.ones(size, dtype=bool)
+    current = owners[0]
+    for _ in range(n):
+        draws = np.zeros(0, dtype=np.int64)
+        if len(current):
+            draws = sample_offspring(law, rng, len(current)).astype(np.int64)
+            nodes_used += np.bincount(
+                current, weights=draws, minlength=size
+            ).astype(np.int64)
+            breached = (nodes_used > node_budget) & budget_ok
+            if breached.any():
+                budget_ok &= ~breached
+                draws = np.where(budget_ok[current], draws, 0)
+        draws_per_gen.append(draws)
+        current = np.repeat(current, draws)
+        owners.append(current)
+    return draws_per_gen, owners, budget_ok
+
+
 def simulate_tree(
     law: OffspringLaw,
     n: int,
     rng: np.random.Generator,
-    size_cap: int | None = None,
     node_budget: int = NODE_BUDGET_DEFAULT,
 ) -> GenealogyRecord:
-    """Sample one tree to generation n.
+    """Sample one tree to generation n, drawing from ``rng``.
 
-    Simulates to completion by default.  A ``size_cap`` makes the walk
-    stop early (record flagged oversize) once a generation exceeds the
-    cap; the node budget guards pathological growth and raises instead
-    of returning a partial record.
+    The tree is a one-replicate run of the batch forward pass.  The
+    node budget guards pathological growth: a tree with more than
+    ``node_budget`` nodes raises NodeBudgetExceededError instead of
+    returning a partial record.
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    counts = []
-    sizes = [1]
-    z = 1
-    total = 1
-    for _ in range(n):
-        if z == 0:
-            counts.append(np.zeros(0, dtype=np.int64))
-            sizes.append(0)
-            continue
-        draws = sample_offspring(law, rng, z)
-        total += int(draws.sum())
-        if total > node_budget:
-            raise NodeBudgetExceededError(
-                f"tree exceeded the node budget {node_budget}"
-            )
-        counts.append(draws)
-        z = int(draws.sum())
-        sizes.append(z)
-        if size_cap is not None and z > size_cap:
-            return GenealogyRecord(
-                offspring_counts=tuple(counts),
-                sizes=np.asarray(sizes, dtype=np.int64),
-                oversize=True,
-            )
+    draws_per_gen, owners, budget_ok = _grow(law, n, rng, 1, node_budget)
+    if not budget_ok[0]:
+        raise NodeBudgetExceededError(f"tree exceeded the node budget {node_budget}")
     return GenealogyRecord(
-        offspring_counts=tuple(counts), sizes=np.asarray(sizes, dtype=np.int64)
+        offspring_counts=tuple(draws_per_gen),
+        sizes=np.array([len(o) for o in owners], dtype=np.int64),
     )
 
 
@@ -111,7 +125,8 @@ def _mark_backward(draws_per_gen, owners, size, kept):
     g = 0..n.  Marking every ancestor of the generation-n individuals
     gives each replicate's reduced count at every generation.  Returns
     the counts at the ``kept`` generations, one column each, and per
-    replicate the number of generations g < n with one reduced line.
+    replicate the distance from generation n back to the survivors'
+    common ancestor.
     """
     n = len(draws_per_gen)
     rows = {}
@@ -129,18 +144,19 @@ def _mark_backward(draws_per_gen, owners, size, kept):
         if g in kept:
             rows[g] = red
         del red
+    # reduced profiles are nondecreasing, so the ancestor generation of
+    # a surviving replicate is (number of single-line generations g < n) - 1
+    distances = n - (single_line_gens - 1)
     if not kept:
-        return np.zeros((size, 0), dtype=np.int64), single_line_gens
-    return np.stack([rows[g] for g in kept], axis=1), single_line_gens
+        return np.zeros((size, 0), dtype=np.int64), distances
+    return np.stack([rows[g] for g in kept], axis=1), distances
 
 
 def _mark_record(record: GenealogyRecord, kept):
     # one tree is a one-replicate chunk: every individual is owned by 0
     owners = [np.zeros(z, dtype=np.int64) for z in record.sizes]
-    reduced, single_line_gens = _mark_backward(
-        record.offspring_counts, owners, 1, kept
-    )
-    return reduced[0], int(single_line_gens[0])
+    reduced, distances = _mark_backward(record.offspring_counts, owners, 1, kept)
+    return reduced[0], int(distances[0])
 
 
 def reduced_counts(record: GenealogyRecord, query_generations) -> np.ndarray:
@@ -155,14 +171,11 @@ def reduced_counts(record: GenealogyRecord, query_generations) -> np.ndarray:
 def mrca_distance(record: GenealogyRecord) -> int | None:
     """Distance from the horizon back to the survivors' common ancestor.
 
-    None when the tree is extinct at the horizon.  The reduced profile
-    is nondecreasing, so the ancestor generation is the last one whose
-    reduced count is still 1: (number of single-line generations) - 1.
+    None when the tree is extinct at the horizon.
     """
-    n = record.horizon
-    if record.sizes[n] == 0:
+    if record.sizes[record.horizon] == 0:
         return None
-    return n - (_mark_record(record, ())[1] - 1)
+    return _mark_record(record, ())[1]
 
 
 @dataclass(frozen=True)
@@ -230,43 +243,14 @@ class SimBatch:
 def _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget):
     """Simulate one chunk of replicates; returns per-chunk accept data.
 
-    All replicates advance generation by generation in one flat array;
-    an individual's replicate is tracked through ownership indices.
-    Budget-breaching replicates stop producing children and are
-    reported separately so they are never confused with rejections.
+    Budget-breaching replicates are reported separately so they are
+    never confused with rejections.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    owners = [np.arange(size, dtype=np.int64)]
-    draws_per_gen = []
-    nodes_used = np.ones(size, dtype=np.int64)
-    budget_ok = np.ones(size, dtype=bool)
-    current = owners[0]
-    for _ in range(n):
-        if len(current) == 0:
-            draws_per_gen.append(np.zeros(0, dtype=np.int64))
-            owners.append(np.zeros(0, dtype=np.int64))
-            current = owners[-1]
-            continue
-        draws = sample_offspring(law, rng, len(current)).astype(np.int64)
-        nodes_used += np.bincount(current, weights=draws, minlength=size).astype(
-            np.int64
-        )
-        breached = (nodes_used > node_budget) & budget_ok
-        if breached.any():
-            budget_ok &= ~breached
-            draws = np.where(budget_ok[current], draws, 0)
-        draws_per_gen.append(draws)
-        current = np.repeat(current, draws)
-        owners.append(current)
-
+    draws_per_gen, owners, budget_ok = _grow(law, n, rng, size, node_budget)
     terminal = np.bincount(owners[n], minlength=size)
     accept = (terminal > 0) & (terminal <= C) & budget_ok
-
-    reduced, single_line_gens = _mark_backward(draws_per_gen, owners, size, queries)
-    # reduced profiles are nondecreasing, so the ancestor generation of
-    # a surviving replicate is (number of single-line generations) - 1
-    distances = n - (single_line_gens - 1)
-
+    reduced, distances = _mark_backward(draws_per_gen, owners, size, queries)
     idx = np.nonzero(accept)[0]
     return {
         "chunk_index": chunk_index,
@@ -277,12 +261,6 @@ def _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget):
         "terminal": terminal[idx],
         "budget_rejected": int((~budget_ok).sum()),
     }
-
-
-def _chunk_worker(args):
-    label, n, C, queries, seed, chunk_index, size, node_budget = args
-    law = law_from_name(label)
-    return _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget)
 
 
 def run_conditioned_batch(
@@ -299,12 +277,13 @@ def run_conditioned_batch(
 ) -> SimBatch:
     """Rejection-sample replicates conditioned on 0 < Z(n) <= C.
 
-    Chunks are processed in index order (possibly in parallel) and the
-    run is cut at the first chunk whose cumulative acceptances reach
-    ``target_accepted``, so output is a pure function of the seed, the
-    parameters, and the chunk size.  If the replicate budget runs out
-    with fewer than 10 acceptances the batch is returned anyway and a
-    low-confidence warning is emitted.
+    Chunks are taken in index order, computed serially or in waves of
+    ``4 * workers`` on a process pool, and the run is cut at the first
+    chunk whose cumulative acceptances reach ``target_accepted``, so
+    output is a pure function of the seed, the parameters, and the
+    chunk size.  If the replicate budget runs out with fewer than 10
+    acceptances the batch is returned anyway and a low-confidence
+    warning is emitted.
     """
     if n < 1:
         raise ValueError("horizon must be at least 1")
@@ -312,67 +291,38 @@ def run_conditioned_batch(
         raise ValueError("bound must be at least 1")
     if target_accepted < 1:
         raise ValueError("target_accepted must be at least 1")
+    if max_replicates < 1:
+        raise ValueError("max_replicates must be at least 1")
     queries = tuple(int(m) for m in query_generations)
     if queries and (min(queries) < 0 or max(queries) > n):
         raise ValueError("queried generations must lie in [0, n]")
     if chunk_size is None:
         chunk_size = default_chunk_size(n)
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
 
-    chunk_sizes = []
-    remaining = max_replicates
-    while remaining > 0:
-        chunk_sizes.append(min(chunk_size, remaining))
-        remaining -= chunk_sizes[-1]
+    n_chunks = -(-max_replicates // chunk_size)
+    wave = 4 * max(workers, 1)
+    job = partial(_simulate_chunk, law, n, C, queries, seed, node_budget=node_budget)
+
+    def chunk_results(chunk_map):
+        # one wave is mapped at a time; results come in chunk-index order
+        for start in range(0, n_chunks, wave):
+            indices = range(start, min(start + wave, n_chunks))
+            sizes = [min(chunk_size, max_replicates - c * chunk_size) for c in indices]
+            yield from chunk_map(job, indices, sizes)
 
     results = []
     accepted_total = 0
     consumed = 0
-
-    def handle(res):
-        nonlocal accepted_total, consumed
-        results.append(res)
-        accepted_total += len(res["accepted_idx"])
-        consumed += res["size"]
-
-    label = law.label
-    if workers <= 1:
-        for c, sz in enumerate(chunk_sizes):
-            handle(
-                _simulate_chunk(law, n, C, queries, seed, c, sz, node_budget)
-            )
-            if accepted_total >= target_accepted:
-                break
-    else:
-        wave = workers * 4
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            c = 0
-            done = False
-            while c < len(chunk_sizes) and not done:
-                batch_args = [
-                    (label, n, C, queries, seed, ci, chunk_sizes[ci], node_budget)
-                    for ci in range(c, min(c + wave, len(chunk_sizes)))
-                ]
-                for res in pool.map(_chunk_worker, batch_args):
-                    handle(res)
-                    if accepted_total >= target_accepted:
-                        done = True
-                        break
-                c += len(batch_args)
-        # a wave may overshoot the cutoff chunk; drop any chunk past the
-        # first boundary where the target was already met
-        results.sort(key=lambda r: r["chunk_index"])
-        accepted_total = 0
-        consumed = 0
-        kept = []
-        for res in results:
-            kept.append(res)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for res in chunk_results(map if pool is None else pool.map):
+            results.append(res)
             accepted_total += len(res["accepted_idx"])
             consumed += res["size"]
             if accepted_total >= target_accepted:
                 break
-        results = kept
 
-    results.sort(key=lambda r: r["chunk_index"])
     reduced = np.concatenate([r["reduced"] for r in results], axis=0)
     distances = np.concatenate([r["distances"] for r in results])
     terminal = np.concatenate([r["terminal"] for r in results])
@@ -389,7 +339,7 @@ def run_conditioned_batch(
             )
         )
     return SimBatch(
-        law_id=label,
+        law_id=law.label,
         n=n,
         C=C,
         query_generations=queries,

@@ -29,6 +29,7 @@ from gwreduced.simulate import (
 )
 
 LF = make_builtin("linear_fractional")
+POISSON = make_builtin("poisson")
 TERNARY = make_builtin("ternary_uniform")
 TPMF = brute_force.TERNARY
 
@@ -65,22 +66,29 @@ class TestSimulateTree:
         se = math.sqrt(0.25 * 0.75 / 20_000)
         assert abs(extinct / 20_000 - 0.25) < 4 * se
 
-    def test_size_cap_flags_oversize(self):
-        rng = np.random.default_rng(11)
-        saw_oversize = False
-        for _ in range(500):
-            record = simulate_tree(LF, 30, rng, size_cap=3)
-            if record.oversize:
-                saw_oversize = True
-                assert record.sizes[-1] > 3
-                assert record.horizon <= 30
-        assert saw_oversize
-
     def test_node_budget(self):
         rng = np.random.default_rng(13)
         with pytest.raises(NodeBudgetExceededError):
             for _ in range(2000):
                 simulate_tree(LF, 50, rng, node_budget=20)
+
+    def test_output_digest_is_pinned(self):
+        # digest of the records as simulate_tree produced them with its
+        # own per-tree loop, before it became a one-replicate forward pass
+        rng = np.random.default_rng(99)
+        h = hashlib.sha256()
+        for name in ("linear_fractional", "poisson", "ternary_uniform"):
+            law = make_builtin(name)
+            for _ in range(300):
+                record = simulate_tree(law, 12, rng)
+                for arr in (record.sizes, *record.offspring_counts,
+                            reduced_counts(record, [0, 6, 12])):
+                    h.update(str(arr.shape).encode())
+                    h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+                h.update(repr(mrca_distance(record)).encode())
+        assert h.hexdigest() == (
+            "b2c0eefa033b54dbbb4f7ffeaaf9348229452dd0c8ef9c2fa0c9ce277b7e3db1"
+        )
 
 
 class TestReducedCounts:
@@ -166,12 +174,37 @@ class TestConditionedBatch:
             "e18a9f5bc7cfae6c608feb39a0360b69b4a86252e416e6f7d381571179cfcb47"
         )
 
-    def test_worker_count_does_not_change_output(self):
-        a = run_conditioned_batch(TERNARY, 6, 2, [3], 500, seed=7, workers=1)
-        b = run_conditioned_batch(TERNARY, 6, 2, [3], 500, seed=7, workers=2)
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("law, n, C, queries, target, kwargs", [
+        pytest.param(TERNARY, 6, 2, [3], 500, {"seed": 7}, id="ternary"),
+        # met at chunk 49, mid-way through the seventh wave of 8 chunks
+        pytest.param(POISSON, 30, 4, [15], 200, {"seed": 5, "chunk_size": 300},
+                     id="poisson_mid_wave"),
+    ])
+    def test_worker_count_does_not_change_output(self, law, n, C, queries,
+                                                 target, kwargs, workers):
+        # workers <= 1 runs serially
+        a = run_conditioned_batch(law, n, C, queries, target, workers=1, **kwargs)
+        b = run_conditioned_batch(law, n, C, queries, target, workers=workers,
+                                  **kwargs)
         assert a.replicates == b.replicates
+        assert a.stream_ids == b.stream_ids
         assert np.array_equal(a.reduced_counts, b.reduced_counts)
         assert np.array_equal(a.replicate_ids, b.replicate_ids)
+
+    def test_node_budget_rejects_and_is_worker_independent(self):
+        args = (LF, 10, 1000, [5], 200)
+        kwargs = {"max_replicates": 4096, "chunk_size": 256, "seed": 4}
+        serial = run_conditioned_batch(*args, node_budget=30, **kwargs)
+        pooled = run_conditioned_batch(*args, node_budget=30, workers=2, **kwargs)
+        assert serial.budget_rejected == pooled.budget_rejected == 367
+        assert serial.replicates == pooled.replicates == 4096
+        assert serial.accepted == pooled.accepted
+        assert serial.stream_ids == pooled.stream_ids
+        assert np.array_equal(serial.reduced_counts, pooled.reduced_counts)
+        assert np.array_equal(serial.mrca_distances, pooled.mrca_distances)
+        assert np.array_equal(serial.replicate_ids, pooled.replicate_ids)
+        assert run_conditioned_batch(*args, **kwargs).budget_rejected == 0
 
     def test_acceptance_event(self):
         batch = run_conditioned_batch(TERNARY, 8, 3, [8], 300, seed=1)
@@ -205,13 +238,17 @@ class TestConditionedBatch:
         se = math.sqrt(2 * TERNARY.half_variance * n / batch.replicates)
         assert abs(mean - 1.0) < 4 * se
 
-    def test_low_confidence_warning(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_low_confidence_warning(self, workers):
+        # the 40-replicate budget ends on a short third chunk of 8
         with pytest.warns(AcceptanceBudgetExhausted):
             batch = run_conditioned_batch(
-                TERNARY, 12, 1, [], 10_000, max_replicates=40, seed=2
+                TERNARY, 12, 1, [], 10_000, max_replicates=40, seed=2,
+                chunk_size=16, workers=workers,
             )
         assert batch.low_confidence
         assert batch.replicates == 40
+        assert batch.stream_ids == (0, 1, 2)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -220,6 +257,12 @@ class TestConditionedBatch:
             run_conditioned_batch(TERNARY, 5, 0, [], 10)
         with pytest.raises(ValueError):
             run_conditioned_batch(TERNARY, 5, 2, [9], 10)
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 10, chunk_size=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 10, chunk_size=-3)
+        with pytest.raises(ValueError, match="max_replicates"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 10, max_replicates=0)
 
     def test_chunk_size_default_shrinks_with_horizon(self):
         assert default_chunk_size(10) == 8192
