@@ -158,26 +158,14 @@ def _cmd_limits(args) -> int:
     regime = Regime(args.regime)
     if regime is Regime.SMALL_PHI:
         query = LimitQuery(regime=regime, x=args.x if args.x is not None else 1.0)
-        params = {"x": query.x}
     else:
         query = LimitQuery(
             regime=regime,
             t=args.t if args.t is not None else 0.5,
             a=args.a if args.a is not None else 1.0,
         )
-        params = {"t": query.t, "a": query.a}
-    if args.j_max is not None:
-        pmf = [query.pmf(j) for j in range(1, args.j_max + 1)]
-    else:
-        pmf = [float(p) for p in query.pmf_values()]
-    payload = {
-        "regime": regime.value,
-        **params,
-        "pmf": pmf,
-        "gf": {repr(s): query.gf(s) for s in DEFAULT_S_GRID},
-    }
-    rows = [("j", "p"), *enumerate(pmf, start=1)]
-    write_output(payload if args.format == "json" else rows, args.out)
+    table = query.table(DEFAULT_S_GRID, j_max=args.j_max)
+    write_output(_serialised(table, args.format), args.out)
     return 0
 
 

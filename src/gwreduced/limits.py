@@ -192,6 +192,38 @@ class LimitQuery:
             return small_phi_pmf_values(self.x, term_ratio)
         return band_pmf_values(self.t, self.a, term_ratio)
 
+    def table(self, s_grid, j_max: int | None = None) -> LimitTable:
+        """pmf rows 1..j_max (by default until terms stop mattering) and
+        gf values at each s of ``s_grid``."""
+        if j_max is None:
+            pmf = [float(p) for p in self.pmf_values()]
+        else:
+            pmf = [self.pmf(j) for j in range(1, j_max + 1)]
+        return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in s_grid})
+
+
+@dataclass(frozen=True)
+class LimitTable:
+    """A limiting law's pmf p_1, p_2, ... and its gf on a grid."""
+
+    query: LimitQuery
+    pmf: list
+    gf: dict
+
+    def to_json_dict(self) -> dict:
+        q = self.query
+        params = {"x": q.x} if q.regime is Regime.SMALL_PHI else {"t": q.t, "a": q.a}
+        return {
+            "regime": q.regime.value,
+            **params,
+            "pmf": self.pmf,
+            "gf": {repr(s): v for s, v in self.gf.items()},
+        }
+
+    def csv_rows(self):
+        yield ("j", "p")
+        yield from enumerate(self.pmf, start=1)
+
 
 def _check_s(s: float) -> None:
     if not 0.0 <= s <= 1.0:

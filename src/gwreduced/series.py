@@ -11,10 +11,18 @@ time, truncated at the degree of g:
   k-th coefficient, at any order J.
 
 Each step is exact at every degree <= K.  For the linear-fractional
-and Poisson families f(g) is an O(K^2) coefficient recurrence
-(reciprocal and exponential of a series); finite-support laws evaluate
-the polynomial f at g by Horner's rule.  Every coefficient involved is
-nonnegative, so no step cancels.
+and Poisson families h = f(g) solves a triangular Toeplitz-like system
+d_k h_k = sum_{i=1..k} w_i h_{k-i}: w = g and d_k = 2 - g_0 for the
+reciprocal 1/(2 - g), w_i = i g_i and d_k = k for the exponential
+e^(g-1).  Degrees up to PREFIX are solved one coefficient at a time.
+Above it the solve goes in blocks of BLOCK coefficients: one
+correlation for the contribution of all earlier coefficients, then
+one matvec with the block's inverse, and the inverses are built for all
+blocks at once from a nilpotent Neumann product before the loop.
+Finite-support laws evaluate the polynomial f at g by Horner's rule.
+Every coefficient involved is nonnegative and no step subtracts, so
+nothing cancels and each coefficient keeps its relative accuracy, deep
+in the tail too.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ CLAMP_TOL = 1e-14
 # composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
 # turning into an hour of convolutions
 DEFAULT_COST_CAP = 1e11
+# degrees up to PREFIX are solved one coefficient at a time; above it,
+# BLOCK coefficients at a time (a power of two, see _solve_blocked)
+PREFIX = 64
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -92,15 +104,46 @@ def _clamp(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _solve_blocked(w: np.ndarray, d, h: np.ndarray) -> None:
+    # fill h_k for k > PREFIX from d_k h_k = sum_{i=1..k} w_i h_{k-i};
+    # d holds d_k for every k, or one value shared by all k.  Within a
+    # block the system is (D - L) h_block = r, r from the earlier h.
+    K = len(h) - 1
+    starts = range(PREFIX + 1, K + 1, BLOCK)
+    idx = np.arange(BLOCK)
+    lag = idx[:, None] - idx[None, :]
+    L = np.where(lag > 0, w[np.maximum(lag, 0)], 0.0)
+    if np.ndim(d):
+        dblk = d[np.minimum(np.array(starts)[:, None] + idx, K)]
+    else:
+        dblk = np.full((1, BLOCK), d)
+    # N = D^-1 L is nilpotent of order BLOCK, so the Neumann series
+    # (D - L)^-1 = (I + N)(I + N^2)(I + N^4)(I + N^8) D^-1 is exact;
+    # every term is nonnegative, so nothing cancels
+    N = L / dblk[:, :, None]
+    inv = np.eye(BLOCK) + N
+    for _ in range(BLOCK.bit_length() - 2):
+        N = N @ N
+        inv += inv @ N
+    inv /= dblk[:, None, :]
+    inv = np.broadcast_to(inv, (len(starts), BLOCK, BLOCK))
+    for a, M in zip(starts, inv):
+        e = min(a + BLOCK, K + 1)
+        r = np.correlate(w[1:e], h[a - 1 :: -1], "valid")
+        h[a:e] = M[: e - a, : e - a] @ r
+
+
 def _step_reciprocal(g: np.ndarray) -> np.ndarray:
-    # f(s) = 1/(2-s): solve (2 - g) h = 1 coefficient by coefficient
+    # f(s) = 1/(2-s): solve (2 - g) h = 1, i.e. (2 - g_0) h_k = sum g_i h_{k-i}
     K = len(g) - 1
     h = np.empty_like(g)
     base = 1.0 / (2.0 - g[0])
     h[0] = base
     grev = g[::-1]
-    for k in range(1, K + 1):
+    for k in range(1, min(K, PREFIX) + 1):
         h[k] = base * np.dot(grev[K - k : K], h[:k])
+    if K > PREFIX:
+        _solve_blocked(g, 2.0 - g[0], h)
     return h
 
 
@@ -109,9 +152,12 @@ def _step_exponential(g: np.ndarray) -> np.ndarray:
     K = len(g) - 1
     h = np.empty_like(g)
     h[0] = math.exp(g[0] - 1.0)
-    wrev = (g * np.arange(K + 1))[::-1]
-    for k in range(1, K + 1):
+    w = g * np.arange(K + 1)
+    wrev = w[::-1]
+    for k in range(1, min(K, PREFIX) + 1):
         h[k] = np.dot(wrev[K - k : K], h[:k]) / k
+    if K > PREFIX:
+        _solve_blocked(w, np.arange(K + 1.0), h)
     return h
 
 

@@ -228,3 +228,20 @@ class TestLimitQuery:
             LimitQuery(regime=Regime.LINEAR_BAND, t=1.0, a=1.0)
         with pytest.raises(ValueError):
             LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=0.0)
+
+    def test_table_serialises_pmf_and_gf(self):
+        query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)
+        table = query.table((0.0, 0.5, 1.0), j_max=3)
+        assert table.pmf == [query.pmf(j) for j in (1, 2, 3)]
+        payload = table.to_json_dict()
+        assert list(payload) == ["regime", "t", "a", "pmf", "gf"]
+        assert payload["regime"] == "linear_band"
+        assert payload["gf"] == {"0.0": 0.0, "0.5": query.gf(0.5), "1.0": 1.0}
+        assert list(table.csv_rows()) == [("j", "p"), *enumerate(table.pmf, start=1)]
+
+    def test_table_default_length_is_pmf_values(self):
+        query = LimitQuery(regime=Regime.SMALL_PHI, x=1.0)
+        table = query.table(())
+        assert table.pmf == [float(p) for p in query.pmf_values()]
+        assert table.to_json_dict()["x"] == 1.0
+        assert table.gf == {}

@@ -36,6 +36,34 @@ TERNARY = make_builtin("ternary_uniform")
 TPMF = brute_force.TERNARY
 
 
+def _poisson_rows_by_cauchy_integral(m, n, J, nodes):
+    """P(Z(m,n)=j) for j = 1..J as coefficients of f_m(q + (1-q)s).
+
+    Trapezoid rule on the unit circle, with the pgf iterated in 40-digit
+    complex arithmetic.  Aliasing adds the coefficients j + nodes,
+    j + 2*nodes, ... to coefficient j.
+    """
+    with mpmath.workdps(40):
+        q = mpmath.mpf(0)
+        for _ in range(n - m):
+            q = mpmath.exp(q - 1)
+        roots = [mpmath.expjpi(mpmath.mpf(2 * k) / nodes) for k in range(nodes)]
+        # real coefficients: the lower half circle is the conjugate image
+        values = []
+        for root in roots[: nodes // 2 + 1]:
+            x = q + (1 - q) * root
+            for _ in range(m):
+                x = mpmath.exp(x - 1)
+            values.append(x)
+        values += [mpmath.conj(v) for v in values[-2:0:-1]]
+        return np.array([
+            float(mpmath.re(mpmath.fsum(
+                v * roots[-j * k % nodes] for k, v in enumerate(values)
+            )) / nodes)
+            for j in range(1, J + 1)
+        ])
+
+
 class TestReducedPmf:
     def test_single_ancestor(self):
         table = reduced_pmf(LF, 0, 12)
@@ -86,27 +114,17 @@ class TestReducedPmf:
         assert np.max(np.abs(table.pmf - want) / want) < 1e-11
 
     def test_poisson_rows_match_high_precision_cauchy_integral(self):
-        # coefficients of f_m(q + (1-q)s) by the trapezoid rule on the
-        # unit circle, pgf iterated in 40-digit complex arithmetic; the
-        # aliasing error is below 1e-60 at this many nodes
-        m, n, J, nodes = 10, 30, 30, 128
-        mpmath.mp.dps = 40
-        q = mpmath.mpf(0)
-        for _ in range(n - m):
-            q = mpmath.exp(q - 1)
-        values = []
-        for k in range(nodes):
-            x = q + (1 - q) * mpmath.expjpi(mpmath.mpf(2 * k) / nodes)
-            for _ in range(m):
-                x = mpmath.exp(x - 1)
-            values.append(x)
-        want = np.array([
-            float(mpmath.re(mpmath.fsum(
-                v * mpmath.expjpi(mpmath.mpf(-2 * j * k) / nodes)
-                for k, v in enumerate(values)
-            )) / nodes)
-            for j in range(1, J + 1)
-        ])
+        # rows fall by about 1/3 per degree, so aliasing is below 1e-60
+        m, n, J = 10, 30, 30
+        want = _poisson_rows_by_cauchy_integral(m, n, J, nodes=128)
+        table = reduced_pmf(POIS, m, n, J_max=J)
+        assert np.max(np.abs(table.pmf - want) / want) < 1e-12
+
+    def test_poisson_rows_past_scalar_prefix_match_cauchy_integral(self):
+        # J = 150 reaches the blocked part of the composition kernel;
+        # rows fall by about 0.89 per degree, so aliasing is below 1e-25
+        m, n, J = 100, 110, 150
+        want = _poisson_rows_by_cauchy_integral(m, n, J, nodes=512)
         table = reduced_pmf(POIS, m, n, J_max=J)
         assert np.max(np.abs(table.pmf - want) / want) < 1e-12
 

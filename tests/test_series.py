@@ -82,6 +82,14 @@ class TestPmfZn:
         series = pmf_Zn(LF, n, 200)
         assert np.max(np.abs(series.coeffs - lf_oracle.pmf(n, 200))) < TOL
 
+    @pytest.mark.parametrize("n", [50, 800])
+    def test_lf_tail_relative_to_degree_800(self, n):
+        # every coefficient past the scalar prefix, down to 1e-7 of the
+        # head at n = 50, against the closed form
+        series = pmf_Zn(LF, n, 800)
+        want = lf_oracle.pmf(n, 800)
+        assert np.max(np.abs(series.coeffs[1:] - want[1:]) / want[1:]) < 1e-12
+
     @pytest.mark.parametrize("law", [LF, POIS, TERNARY])
     def test_mass_accounting(self, law):
         series = pmf_Zn(law, 25, 80)
@@ -133,6 +141,22 @@ class TestComposeStepCrossCheck:
             fast = compose_step(law, g)
             slow = _step_centered_generic(law, g)
             assert np.max(np.abs(fast - slow)) < 1e-13
+            g = fast
+
+    # degrees up to 64 are solved one at a time, the rest in blocks of
+    # 16; these orders land on, just past and between the block seams
+    @pytest.mark.parametrize("K", [64, 65, 80, 81, 97, 150])
+    @pytest.mark.parametrize("start", [0.0, 0.7])
+    @pytest.mark.parametrize("law", [LF, POIS])
+    def test_blocked_kernel_matches_generic_per_coefficient(self, law, start, K):
+        g = np.zeros(K + 1)
+        g[0] = start
+        g[1] = 1.0
+        for _ in range(4):
+            fast = compose_step(law, g)
+            slow = _step_centered_generic(law, g)
+            assert np.all(slow > 0.0)
+            assert np.max(np.abs(fast - slow) / slow) < 1e-13
             g = fast
 
 
