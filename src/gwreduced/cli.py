@@ -20,6 +20,7 @@ from math import factorial
 
 from .errors import GWReducedError
 from .harness import (
+    CONFIG_KEYS,
     DEFAULT_S_GRID,
     ExperimentConfig,
     format_report_summary,
@@ -30,6 +31,7 @@ from .limits import LimitQuery, Regime
 from .offspring import law_from_name
 from .output import write_output
 from .reduced import (
+    EPSILON_DEFAULT,
     bounded_survival_prob,
     conditional_reduced_pmf,
     joint_reduced_bounded,
@@ -42,7 +44,7 @@ from .series import (
     iter_derivative_jets,
     pmf_Zn,
 )
-from .simulate import run_conditioned_batch
+from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
 
 
 def _add_common(
@@ -67,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, help="condition on 0 < Z(n) <= bound")
     p.add_argument("--j-max", type=int, help="fixed table length (default adaptive)")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=EPSILON_DEFAULT)
     _add_common(p)
     p.set_defaults(handler=_cmd_exact)
 
@@ -77,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--m", default="", help="comma-separated query generations")
     p.add_argument("--replicates", type=int, default=1000, help="accepted target")
-    p.add_argument("--max-replicates", type=int, default=100_000_000)
+    p.add_argument("--max-replicates", type=int, default=MAX_REPLICATES_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_common(p)
@@ -89,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(r.value for r in Regime),
         default=Regime.SMALL_PHI.value,
     )
-    p.add_argument("--x", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--a", type=float)
+    p.add_argument("--x", type=float, default=1.0)
+    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--j-max", type=int, help="pmf rows (default adaptive)")
     _add_common(p)
     p.set_defaults(handler=_cmd_limits)
@@ -155,15 +157,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    regime = Regime(args.regime)
-    if regime is Regime.SMALL_PHI:
-        query = LimitQuery(regime=regime, x=args.x if args.x is not None else 1.0)
-    else:
-        query = LimitQuery(
-            regime=regime,
-            t=args.t if args.t is not None else 0.5,
-            a=args.a if args.a is not None else 1.0,
-        )
+    query = LimitQuery(Regime(args.regime), x=args.x, t=args.t, a=args.a)
     table = query.table(DEFAULT_S_GRID, j_max=args.j_max)
     write_output(_serialised(table, args.format), args.out)
     return 0
@@ -171,23 +165,8 @@ def _cmd_limits(args) -> int:
 
 def _cmd_compare(args) -> int:
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "regime": args.regime,
-        "law": args.law,
-        "n_grid": args.n_grid,
-        "x": args.x,
-        "t": args.t,
-        "a": args.a,
-        "phi": args.phi,
-        "epsilon": args.epsilon,
-        "replicates": args.replicates,
-        "max_replicates": args.max_replicates,
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
+    flags = vars(args)
+    raw.update({key: flags[key] for key in CONFIG_KEYS if flags.get(key) is not None})
     config = ExperimentConfig.from_mapping(raw)
     report = run_experiment(config)
     if args.out:

@@ -21,12 +21,11 @@ import numpy as np
 
 from .limits import LimitQuery, Regime
 from .offspring import OffspringLaw, law_from_name
-from .reduced import conditional_reduced_pmf
-from .simulate import run_conditioned_batch
+from .reduced import EPSILON_DEFAULT, conditional_reduced_pmf
+from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 BOOTSTRAP_RESAMPLES = 200
-TV_THRESHOLD_DEFAULT = 0.05
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -116,10 +115,35 @@ def parse_phi(expression: str) -> PhiSpec:
 
 
 CONFIG_HASH_EXCLUDE = {"out", "format", "workers", "timestamp"}
-CONFIG_KEYS = frozenset(
-    ("regime", "law", "n_grid", "x", "t", "a", "phi", "epsilon", "seed",
-     "replicates", "max_replicates", "workers", "s_grid", "tv_threshold")
-)
+
+
+def _grid_text(to_text, convert):
+    """(to text, from text) of a comma-separated grid."""
+    return (
+        lambda grid: ",".join(map(to_text, grid)),
+        lambda text: tuple(convert(tok) for tok in text.split(",") if tok.strip()),
+    )
+
+
+# ExperimentConfig field -> (flat key, to text, from text), in the order
+# to_mapping writes the keys; report parameters keep this order
+_FIELD_TEXT = {
+    "regime": ("regime", lambda regime: regime.value, Regime),
+    "law_label": ("law", str, str),
+    "n_grid": ("n_grid", *_grid_text(str, int)),
+    "phi": ("phi", lambda phi: phi.expression, parse_phi),
+    "epsilon": ("epsilon", repr, float),
+    "seed": ("seed", str, int),
+    "replicates": ("replicates", str, int),
+    "max_replicates": ("max_replicates", str, int),
+    "s_grid": ("s_grid", *_grid_text(lambda v: repr(float(v)), float)),
+    "tv_threshold": ("tv_threshold", repr, float),
+    "x": ("x", repr, float),
+    "t": ("t", repr, float),
+    "a": ("a", repr, float),
+    "workers": ("workers", str, int),
+}
+CONFIG_KEYS = frozenset(key for key, _, _ in _FIELD_TEXT.values())
 
 
 def parse_config_file(path) -> dict:
@@ -155,20 +179,20 @@ def config_hash(config: dict) -> str:
 class ExperimentConfig:
     """Validated comparison-experiment settings."""
 
-    regime: Regime
-    law_label: str
-    n_grid: tuple
+    regime: Regime = Regime.SMALL_PHI
+    law_label: str = "linear_fractional"
+    n_grid: tuple = ()
     x: float | None = None
     t: float | None = None
     a: float | None = None
     phi: PhiSpec = field(default_factory=lambda: parse_phi("sqrt"))
-    epsilon: float = 1e-9
+    epsilon: float = EPSILON_DEFAULT
     seed: int = 0
     replicates: int = 0
-    max_replicates: int = 100_000_000
+    max_replicates: int = MAX_REPLICATES_DEFAULT
     workers: int = 1
     s_grid: tuple = DEFAULT_S_GRID
-    tv_threshold: float = TV_THRESHOLD_DEFAULT
+    tv_threshold: float = 0.05
 
     def __post_init__(self):
         if not self.n_grid:
@@ -177,66 +201,38 @@ class ExperimentConfig:
             raise ValueError("s_grid must be nonempty")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("horizons must be at least 2")
-        if self.regime is Regime.SMALL_PHI:
-            if self.x is None:
-                raise ValueError("sublinear-window regime needs x")
-            if not self.phi.sublinear:
-                raise ValueError(
-                    "sublinear-window regime needs a sublinear window expression"
-                )
-        else:
-            if self.t is None or self.a is None:
-                raise ValueError("linear-band regime needs t and a")
+        self.limit_query  # checks the regime's limit parameters
+        if self.regime is Regime.SMALL_PHI and not self.phi.sublinear:
+            raise ValueError(
+                "sublinear-window regime needs a sublinear window expression"
+            )
+
+    @property
+    def limit_query(self) -> LimitQuery:
+        """The limit law this experiment compares against."""
+        return LimitQuery(self.regime, x=self.x, t=self.t, a=self.a)
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Config from a flat mapping of strings, the form ``to_mapping``
-        writes plus ``workers``; an unknown key is a ValueError."""
+        writes plus ``workers``; an unknown key is a ValueError, and a
+        missing or None entry keeps the field's default."""
         unknown = sorted(set(raw) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-
-        def get_float(key):
-            return float(raw[key]) if raw.get(key) is not None else None
-
-        def get_list(key, convert):
-            text = str(raw.get(key, "")).strip()
-            return tuple(convert(tok) for tok in text.split(",") if tok.strip())
-
-        return cls(
-            regime=Regime(str(raw.get("regime", "small_phi"))),
-            law_label=str(raw.get("law", "linear_fractional")),
-            n_grid=get_list("n_grid", int),
-            x=get_float("x"),
-            t=get_float("t"),
-            a=get_float("a"),
-            phi=parse_phi(str(raw.get("phi", "sqrt"))),
-            epsilon=float(raw.get("epsilon", 1e-9)),
-            seed=int(raw.get("seed", 0)),
-            replicates=int(raw.get("replicates", 0)),
-            max_replicates=int(raw.get("max_replicates", 100_000_000)),
-            workers=int(raw.get("workers", 1)),
-            s_grid=get_list("s_grid", float) if "s_grid" in raw else DEFAULT_S_GRID,
-            tv_threshold=float(raw.get("tv_threshold", TV_THRESHOLD_DEFAULT)),
-        )
+        return cls(**{
+            name: parse(str(raw[key]))
+            for name, (key, _, parse) in _FIELD_TEXT.items()
+            if raw.get(key) is not None
+        })
 
     def to_mapping(self) -> dict:
-        out = {
-            "regime": self.regime.value,
-            "law": self.law_label,
-            "n_grid": ",".join(str(n) for n in self.n_grid),
-            "phi": self.phi.expression,
-            "epsilon": repr(self.epsilon),
-            "seed": str(self.seed),
-            "replicates": str(self.replicates),
-            "max_replicates": str(self.max_replicates),
-            "s_grid": ",".join(repr(float(v)) for v in self.s_grid),
-            "tv_threshold": repr(self.tv_threshold),
-        }
-        for key in ("x", "t", "a"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = repr(value)
+        """Flat text form of every set field outside CONFIG_HASH_EXCLUDE."""
+        out = {}
+        for name, (key, text, _) in _FIELD_TEXT.items():
+            value = getattr(self, name)
+            if key not in CONFIG_HASH_EXCLUDE and value is not None:
+                out[key] = text(value)
         return out
 
 
@@ -373,10 +369,7 @@ def run_experiment(config: ExperimentConfig | dict) -> ComparisonReport:
     if not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_mapping(dict(config))
     law = law_from_name(config.law_label)
-    if config.regime is Regime.SMALL_PHI:
-        query = LimitQuery(regime=Regime.SMALL_PHI, x=config.x)
-    else:
-        query = LimitQuery(regime=Regime.LINEAR_BAND, t=config.t, a=config.a)
+    query = config.limit_query
     limit_pmf = query.pmf_values()
 
     rows = []

@@ -34,7 +34,7 @@ from .series import (
     TruncatedSeries,
     check_budget,
     compose_step,
-    extinction_prob,
+    iter_extinction_probs,
     iter_population_pmfs,
     pmf_Zn,
 )
@@ -116,14 +116,22 @@ def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeri
     return _positive_part(pmf_Zn(law, r, K).coeffs)
 
 
+def _population_pass(law: OffspringLaw, n: int, K: int, keep):
+    """Coefficients of f_r for each r in ``keep``, and of f_n, all from
+    one streamed pass over f_0..f_n at degree K."""
+    kept = {}
+    for r, coeffs in enumerate(iter_population_pmfs(law, n, K)):
+        if r in keep:
+            kept[r] = coeffs
+    return kept, coeffs
+
+
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     """P(0 < Z(n) <= C), the probability of the small-survival event."""
     if C <= 0:
         return 0.0
-    if n == 0:
-        return 1.0 if C >= 1 else 0.0
-    series = pmf_Zn(law, n, C)
-    return float(series.coeffs[1:].sum())
+    _, f_n = _population_pass(law, n, C, ())
+    return float(f_n[1:].sum())
 
 
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
@@ -193,8 +201,8 @@ def reduced_pmf(
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    survival = 1.0 - extinction_prob(law, n)
-    q = extinction_prob(law, n - m)
+    qs = list(iter_extinction_probs(law, n))
+    q, survival = qs[n - m], 1.0 - qs[n]
     probs = _table_rows(
         lambda J: _reduced_rows(law, m, q, J), J_max, survival, epsilon, steps=m
     )
@@ -227,25 +235,26 @@ def _bounded_sum_masses(s1: np.ndarray, J: int) -> np.ndarray:
     return masses
 
 
+def _joint_row_builder(law, m, subtree):
+    """``build(J)``: joint rows p_1..p_J at generation m, given the pmf
+    of the subtree size Z(n-m) on 0..C.  Row j is the reduced row times
+    the chance that j surviving subtrees keep the total at or below C."""
+    q = float(subtree[0])
+    s1 = _positive_part(subtree).coeffs
+    return lambda J: _reduced_rows(law, m, q, J) * _bounded_sum_masses(s1, J)
+
+
 def _joint_rows(law, m, n, C, J_max, epsilon):
     """Joint rows and the event probability P(0 < Z(n) <= C).
 
-    One streamed pass over f_0..f_n at degree C gives both the subtree
-    pmf, from f_{n-m}, and the event probability, from f_n.
+    One population pass at degree C gives both the subtree pmf, from
+    f_{n-m}, and the event probability, from f_n.
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    r = n - m
-    for gen, coeffs in enumerate(iter_population_pmfs(law, n, C)):
-        if gen == r:
-            subtree = coeffs
-    event_prob = float(coeffs[1:].sum())
-    q = float(subtree[0])
-    s1 = _positive_part(subtree).coeffs
-
-    def build(J):
-        return _reduced_rows(law, m, q, J) * _bounded_sum_masses(s1, J)
-
+    kept, f_n = _population_pass(law, n, C, (n - m,))
+    event_prob = float(f_n[1:].sum())
+    build = _joint_row_builder(law, m, kept[n - m])
     tol = epsilon * event_prob
     rows = _table_rows(build, J_max, event_prob, tol, steps=m, J_cap=C)
     return rows, event_prob
@@ -324,25 +333,16 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     grid = np.atleast_1d(np.asarray(distances, dtype=int))
     if grid.size and (grid.min() < 0 or grid.max() > n):
         raise ValueError("distances must lie in [0, n]")
-    wanted = {int(u) for u in grid}
-    kept = {}
-    for u, coeffs in enumerate(iter_population_pmfs(law, n, C)):
-        if u in wanted:
-            kept[u] = coeffs
-    event_prob = float(coeffs[1 : C + 1].sum())
+    kept, f_n = _population_pass(law, n, C, {int(u) for u in grid})
+    event_prob = float(f_n[1:].sum())
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
         )
-    out = np.empty(len(grid))
-    for i, u in enumerate(grid):
-        u = int(u)
-        if u == 0:
-            out[i] = coeffs[1] / event_prob
-            continue
-        coeffs_u = kept[u]
-        survival_u = 1.0 - coeffs_u[0]
-        single_subtree_mass = float(coeffs_u[1 : C + 1].sum()) / survival_u
-        single_line = _reduced_rows(law, n - u, coeffs_u[0], 1)[0]
-        out[i] = single_line * single_subtree_mass / event_prob
-    return out
+    # one reduced line at n-u: for u > 0 the one-row joint table at
+    # m = n-u, for u = 0 the event Z(n) = 1
+    single = {
+        u: _joint_row_builder(law, n - u, f_u)(1)[0] if u else f_n[1]
+        for u, f_u in kept.items()
+    }
+    return np.array([single[int(u)] for u in grid]) / event_prob

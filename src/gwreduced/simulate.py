@@ -29,6 +29,8 @@ from .errors import AcceptanceBudgetExhausted, NodeBudgetExceededError
 from .offspring import OffspringLaw, sample_offspring
 
 NODE_BUDGET_DEFAULT = 10_000_000
+# replicates drawn at most before a batch stops short of its target
+MAX_REPLICATES_DEFAULT = 100_000_000
 # chunks sized to hold about this many expected nodes (a critical tree
 # carries n+1 of them on average)
 CHUNK_TARGET_NODES = 1 << 22
@@ -269,7 +271,7 @@ def run_conditioned_batch(
     C: int,
     query_generations,
     target_accepted: int,
-    max_replicates: int = 100_000_000,
+    max_replicates: int = MAX_REPLICATES_DEFAULT,
     seed: int = 0,
     workers: int = 1,
     chunk_size: int | None = None,

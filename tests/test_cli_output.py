@@ -15,6 +15,8 @@ COMMANDS = {
     ],
     "limits_small_phi": ["limits", "--regime", "small_phi", "--x", "1.0"],
     "limits_band": ["limits", "--regime", "linear_band", "--t", "0.5", "--a", "1.0"],
+    "limits_small_phi_defaults": ["limits", "--regime", "small_phi"],
+    "limits_band_defaults": ["limits", "--regime", "linear_band"],
 }
 
 
@@ -46,3 +48,14 @@ def test_compare_writes_report_only_to_out(fmt, tmp_path, capsys):
     written = path.read_bytes()
     assert b"\r" not in written
     assert written.startswith(b"{" if fmt == "json" else b"n,m,C,epsilon")
+
+
+@pytest.mark.parametrize(
+    "regime, flags",
+    [("small_phi", ["--x", "1.0"]), ("linear_band", ["--t", "0.5", "--a", "1.0"])],
+)
+def test_limits_parameters_default_to_x1_t05_a1(regime, flags, capsys):
+    assert cli_main(["limits", "--regime", regime]) == 0
+    bare = capsys.readouterr().out
+    assert cli_main(["limits", "--regime", regime] + flags) == 0
+    assert capsys.readouterr().out == bare

@@ -1,5 +1,6 @@
 """Distances, config plumbing, comparison reports, and the CLI."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -22,8 +23,9 @@ from gwreduced import (
     table_gf,
     tv_distance,
 )
+from gwreduced import cli
 from gwreduced.cli import cli_main
-from gwreduced.harness import CONFIG_HASH_EXCLUDE
+from gwreduced.harness import CONFIG_HASH_EXCLUDE, CONFIG_KEYS
 
 
 class TestTVDistance:
@@ -171,6 +173,70 @@ class TestConfigHash:
             assert same == (name in CONFIG_HASH_EXCLUDE), name
 
 
+    # to_mapping text and config_hash recorded before the text form was
+    # derived from the field table; a change here changes every report
+    PINNED = [
+        (
+            ExperimentConfig(
+                regime=Regime.SMALL_PHI,
+                law_label="ternary_uniform",
+                n_grid=(100, 400),
+                x=2.0,
+                phi=parse_phi("n^0.6"),
+                s_grid=(0.25, 0.5, 0.75),
+            ),
+            [
+                ("regime", "small_phi"),
+                ("law", "ternary_uniform"),
+                ("n_grid", "100,400"),
+                ("phi", "n^0.6"),
+                ("epsilon", "1e-09"),
+                ("seed", "0"),
+                ("replicates", "0"),
+                ("max_replicates", "100000000"),
+                ("s_grid", "0.25,0.5,0.75"),
+                ("tv_threshold", "0.05"),
+                ("x", "2.0"),
+            ],
+            "a3a93be2d901407d39696fa0b593f96f16075c7029c43852bab3719511709ad1",
+        ),
+        (
+            ExperimentConfig(
+                regime=Regime.LINEAR_BAND,
+                law_label="poisson",
+                n_grid=(60, 120),
+                t=0.5,
+                a=1.5,
+                replicates=200,
+                seed=3,
+                workers=2,
+            ),
+            [
+                ("regime", "linear_band"),
+                ("law", "poisson"),
+                ("n_grid", "60,120"),
+                ("phi", "sqrt"),
+                ("epsilon", "1e-09"),
+                ("seed", "3"),
+                ("replicates", "200"),
+                ("max_replicates", "100000000"),
+                ("s_grid", "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
+                ("tv_threshold", "0.05"),
+                ("t", "0.5"),
+                ("a", "1.5"),
+            ],
+            "55e884c6fcb5dcb9c3631642f19e06068060f0a21ad764601dd8d9819aa48eb4",
+        ),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(PINNED)))
+    def test_text_form_and_hash_are_pinned(self, index):
+        config, items, digest = self.PINNED[index]
+        mapping = config.to_mapping()
+        assert list(mapping.items()) == items
+        assert config_hash(mapping) == digest
+
+
 class TestConfigParsing:
     def test_key_value_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -213,6 +279,19 @@ class TestConfigParsing:
             ExperimentConfig.from_mapping(
                 {"regime": "linear_band", "n_grid": "100", "t": "0.5"}
             )
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"regime": "small_phi", "x": "0"}, "x must be positive"),
+            ({"regime": "linear_band", "t": "1.0", "a": "1"}, "outside"),
+            ({"regime": "linear_band", "t": "0.5", "a": "-1"}, "a must be positive"),
+        ],
+    )
+    def test_from_mapping_checks_limit_parameters(self, raw, message):
+        # checked when the config is built, not first in run_experiment
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_mapping(dict(raw, n_grid="100"))
 
     def test_unknown_key_is_rejected(self):
         raw = {"regime": "small_phi", "n_grid": "100", "x": "1",
@@ -525,6 +604,51 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert [row["n"] for row in payload["rows"]] == [100, 200, 400]
         assert "tv_exact_vs_limit_final" in capsys.readouterr().out
+
+    def test_every_compare_flag_reaches_the_config(self, monkeypatch):
+        argv = [
+            "compare", "--regime", "linear_band", "--law", "poisson",
+            "--n", "50,60", "--x", "2.0", "--t", "0.25", "--a", "3.0",
+            "--phi", "n^0.4", "--epsilon", "1e-7", "--replicates", "5",
+            "--max-replicates", "99", "--seed", "4", "--workers", "2",
+        ]
+        compare = next(
+            action.choices["compare"]
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        config_flags = [
+            action
+            for action in compare._actions
+            if action.dest not in ("help", "config", "out", "format")
+        ]
+        for action in config_flags:
+            assert action.dest in CONFIG_KEYS, action.dest
+            assert action.option_strings[0] in argv, action.option_strings
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert cli_main(argv) == 1
+        assert seen == [
+            ExperimentConfig(
+                regime=Regime.LINEAR_BAND,
+                law_label="poisson",
+                n_grid=(50, 60),
+                x=2.0,
+                t=0.25,
+                a=3.0,
+                phi=parse_phi("n^0.4"),
+                epsilon=1e-7,
+                replicates=5,
+                max_replicates=99,
+                seed=4,
+                workers=2,
+            )
+        ]
 
     def test_config_typo_is_user_error(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
