@@ -15,8 +15,6 @@ from gwreduced import (
     LimitQuery,
     Regime,
     classical_reduced_gf,
-    limit_mrca_cdf_band,
-    limit_mrca_cdf_small_phi,
     tv_distance,
 )
 
@@ -56,6 +54,9 @@ print("\ntv distance between the two x/t=0.5 laws:",
                         LimitQuery(Regime.LINEAR_BAND, t=0.5, a=1.0).pmf_values()), 4))
 
 # Limiting distances to the most recent common ancestor, one per regime.
+# The ancestor is within look-back u exactly when a single reduced line
+# is left there, so the cdf at u is p_1 of the law at that look-back:
+# x = u in the window, t = 1 - u in the band.
 print("\nmrca limit cdfs:")
-print("  sublinear x=1   :", round(limit_mrca_cdf_small_phi(1.0), 6))
-print("  band t=0.5, a=1 :", round(limit_mrca_cdf_band(0.5, 1.0), 6))
+print("  sublinear x=1   :", round(small.pmf(1), 6))
+print("  band t=0.5, a=1 :", round(band.pmf(1), 6))

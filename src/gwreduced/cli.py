@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float)
     p.add_argument("--t", type=float)
     p.add_argument("--a", type=float)
-    p.add_argument("--phi", help="window growth: sqrt, n^p, or c*n")
+    p.add_argument("--phi", help="sublinear window growth: sqrt or n^p, 0<p<1")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--replicates", type=int)
     p.add_argument("--max-replicates", type=int)

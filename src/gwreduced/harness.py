@@ -72,45 +72,29 @@ def gf_supnorm(exact_gf, limit_gf, s_grid=DEFAULT_S_GRID) -> float:
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Restricted window-growth expression: sqrt, n^p (0<p<1), or c*n."""
+    """Sublinear window growth phi(n) = n^param: sqrt or n^p, 0<p<1."""
 
     expression: str
-    kind: str
     param: float
-
-    def raw(self, n: int) -> float:
-        if self.kind == "power":
-            return float(n) ** self.param
-        return self.param * n
 
     def window(self, n: int) -> int:
         """Integer window width, rounded up."""
-        return int(math.ceil(self.raw(n)))
-
-    @property
-    def sublinear(self) -> bool:
-        return self.kind == "power"
+        return int(math.ceil(float(n) ** self.param))
 
 
 def parse_phi(expression: str) -> PhiSpec:
     text = expression.strip().lower().replace(" ", "")
     if text == "sqrt":
-        return PhiSpec(expression="sqrt", kind="power", param=0.5)
+        return PhiSpec(expression="sqrt", param=0.5)
     m = re.fullmatch(r"n\^([0-9]*\.?[0-9]+)", text)
     if m:
         p = float(m.group(1))
         if not 0.0 < p < 1.0:
             raise ValueError(f"window exponent {p} outside (0, 1)")
-        return PhiSpec(expression=text, kind="power", param=p)
-    m = re.fullmatch(r"([0-9]*\.?[0-9]+)\*n", text)
-    if m:
-        c = float(m.group(1))
-        if not c > 0.0:
-            raise ValueError("window slope must be positive")
-        return PhiSpec(expression=text, kind="linear", param=c)
+        return PhiSpec(expression=text, param=p)
     raise ValueError(
         f"cannot parse window expression {expression!r}; "
-        "expected sqrt, n^p with 0<p<1, or c*n"
+        "expected a sublinear window: sqrt or n^p with 0<p<1"
     )
 
 
@@ -201,11 +185,21 @@ class ExperimentConfig:
             raise ValueError("s_grid must be nonempty")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("horizons must be at least 2")
-        self.limit_query  # checks the regime's limit parameters
-        if self.regime is Regime.SMALL_PHI and not self.phi.sublinear:
+        if not all(0.0 <= s <= 1.0 for s in self.s_grid):
+            raise ValueError(f"s_grid values must lie in [0, 1], got {self.s_grid}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.replicates < 0:
+            raise ValueError(f"replicates must be nonnegative, got {self.replicates}")
+        if self.max_replicates < 1:
             raise ValueError(
-                "sublinear-window regime needs a sublinear window expression"
+                f"max_replicates must be at least 1, got {self.max_replicates}"
             )
+        if not 0.0 < self.tv_threshold < math.inf:
+            raise ValueError(
+                f"tv_threshold must be positive and finite, got {self.tv_threshold}"
+            )
+        self.limit_query  # checks the regime's limit parameters
 
     @property
     def limit_query(self) -> LimitQuery:

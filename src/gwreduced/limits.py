@@ -9,6 +9,14 @@ geometric factor in t.  Both regimes reduce to Poisson tail identities,
 so everything here is elementary: regularized incomplete gamma with
 integer shape via its exact finite sum, plus expm1 for the generating
 functions near s = 1.
+
+``LimitQuery`` pins a regime and its parameters, validates them once,
+and is the one way to evaluate a law: ``gf``, ``pmf``, ``pmf_values``
+and ``table``.  The limiting cdf of the ancestor distance needs no
+formula of its own.  The most recent common ancestor of the survivors
+is within look-back u exactly when one reduced line is left there, so
+the cdf at u is ``pmf(1)`` of the law at that look-back, as it is for
+the exact tables in ``reduced.mrca_distance_cdf``.
 """
 
 from __future__ import annotations
@@ -57,61 +65,6 @@ def gamma_reg_lower(j: int, u: float) -> float:
     return acc
 
 
-def limit_gf_small_phi(s: float, x: float) -> float:
-    """Limiting gf of the reduced count, sublinear-window regime."""
-    _check_s(s)
-    _check_positive("x", x)
-    if s == 1.0:
-        return 1.0
-    return s * x * -math.expm1(-(1.0 - s) / x) / (1.0 - s)
-
-
-def limit_reduced_small_pmf(x: float, j: int) -> float:
-    """Limiting pmf of the reduced count, sublinear-window regime."""
-    _check_positive("x", x)
-    if j < 1:
-        raise ValueError("reduced counts start at 1")
-    return x * gamma_reg_lower(j, 1.0 / x)
-
-
-def limit_mrca_cdf_small_phi(x: float) -> float:
-    """Limiting cdf of the ancestor distance in window widths."""
-    _check_positive("x", x)
-    return x * -math.expm1(-1.0 / x)
-
-
-def limit_gf_linear_band(s: float, t: float, a: float) -> float:
-    """Limiting gf of the reduced count, linear-band regime."""
-    _check_s(s)
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"time fraction {t} outside [0, 1)")
-    _check_positive("a", a)
-    if s == 1.0:
-        return 1.0
-    geometric = s * (1.0 - t) / (1.0 - t * s)
-    window = math.expm1(-(1.0 - t * s) * a / (1.0 - t)) / math.expm1(-a)
-    return geometric * window
-
-
-def limit_band_pmf(t: float, a: float, j: int) -> float:
-    """Limiting pmf of the reduced count, linear-band regime."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"time fraction {t} outside [0, 1)")
-    _check_positive("a", a)
-    if j < 1:
-        raise ValueError("reduced counts start at 1")
-    scale = (1.0 - t) / -math.expm1(-a)
-    return scale * t ** (j - 1) * gamma_reg_lower(j, a / (1.0 - t))
-
-
-def limit_mrca_cdf_band(t: float, a: float) -> float:
-    """Limiting cdf of the ancestor distance as a fraction of n."""
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"distance fraction {t} outside (0, 1]")
-    _check_positive("a", a)
-    return t * math.expm1(-a / t) / math.expm1(-a)
-
-
 def yaglom_cdf(y: float) -> float:
     """Limiting cdf of Z(n)/(Bn) given survival: standard exponential."""
     if y < 0.0:
@@ -127,28 +80,6 @@ def classical_reduced_gf(s: float, t: float) -> float:
     if s == 1.0:
         return 1.0
     return s * (1.0 - t) / (1.0 - t * s)
-
-
-def small_phi_pmf_values(x: float, term_ratio: float = TERM_RATIO) -> np.ndarray:
-    """pmf values p_1, p_2, ... truncated once terms stop mattering."""
-    return _truncated_values(lambda j: limit_reduced_small_pmf(x, j), term_ratio)
-
-
-def band_pmf_values(t: float, a: float, term_ratio: float = TERM_RATIO) -> np.ndarray:
-    """pmf values p_1, p_2, ... truncated once terms stop mattering."""
-    return _truncated_values(lambda j: limit_band_pmf(t, a, j), term_ratio)
-
-
-def _truncated_values(term_fn, term_ratio: float) -> np.ndarray:
-    values = []
-    acc = 0.0
-    for j in range(1, MAX_TERMS + 1):
-        v = term_fn(j)
-        values.append(v)
-        acc += v
-        if v < term_ratio * acc:
-            break
-    return np.asarray(values)
 
 
 class Regime(str, Enum):
@@ -178,19 +109,46 @@ class LimitQuery:
             _check_positive("a", self.a)
 
     def gf(self, s: float) -> float:
+        """Limiting gf of the reduced count at ``s`` in [0, 1]."""
+        _check_s(s)
+        if s == 1.0:
+            return 1.0
         if self.regime is Regime.SMALL_PHI:
-            return limit_gf_small_phi(s, self.x)
-        return limit_gf_linear_band(s, self.t, self.a)
+            x = self.x
+            return s * x * -math.expm1(-(1.0 - s) / x) / (1.0 - s)
+        t, a = self.t, self.a
+        geometric = s * (1.0 - t) / (1.0 - t * s)
+        window = math.expm1(-(1.0 - t * s) * a / (1.0 - t)) / math.expm1(-a)
+        return geometric * window
 
     def pmf(self, j: int) -> float:
-        if self.regime is Regime.SMALL_PHI:
-            return limit_reduced_small_pmf(self.x, j)
-        return limit_band_pmf(self.t, self.a, j)
+        """Limiting probability of j reduced lines, j >= 1.
 
-    def pmf_values(self, term_ratio: float = TERM_RATIO) -> np.ndarray:
+        ``pmf(1)``, the probability of a single line, is also the
+        limiting cdf of the ancestor distance at the look-back the
+        query sits at: u window widths is ``x = u``, and a fraction u
+        of n is ``t = 1 - u``.
+        """
+        if j < 1:
+            raise ValueError("reduced counts start at 1")
         if self.regime is Regime.SMALL_PHI:
-            return small_phi_pmf_values(self.x, term_ratio)
-        return band_pmf_values(self.t, self.a, term_ratio)
+            x = self.x
+            return x * gamma_reg_lower(j, 1.0 / x)
+        t, a = self.t, self.a
+        scale = (1.0 - t) / -math.expm1(-a)
+        return scale * t ** (j - 1) * gamma_reg_lower(j, a / (1.0 - t))
+
+    def pmf_values(self) -> np.ndarray:
+        """pmf values p_1, p_2, ... truncated once terms stop mattering."""
+        values = []
+        acc = 0.0
+        for j in range(1, MAX_TERMS + 1):
+            v = self.pmf(j)
+            values.append(v)
+            acc += v
+            if v < TERM_RATIO * acc:
+                break
+        return np.asarray(values)
 
     def table(self, s_grid, j_max: int | None = None) -> LimitTable:
         """pmf rows 1..j_max (by default until terms stop mattering) and

@@ -89,11 +89,6 @@ def extinction_prob(law: OffspringLaw, n: int) -> float:
     return q
 
 
-def default_truncation(law: OffspringLaw, bound: int) -> int:
-    """Truncation degree sized to a conditioning bound on the population."""
-    return max(int(math.ceil(4.0 * law.half_variance * bound)), 64)
-
-
 def _clamp(coeffs: np.ndarray) -> np.ndarray:
     # tiny negative rounding must not feed into later convolutions
     low = coeffs.min()
@@ -184,24 +179,16 @@ def compose_step(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
     return _clamp(h)
 
 
-def check_budget(steps: int, K: int, cost_cap: float | None = None) -> None:
-    """Refuse a composition pass whose n*K^2 work exceeds the cap
-    (DEFAULT_COST_CAP unless given)."""
-    if cost_cap is None:
-        cost_cap = DEFAULT_COST_CAP
+def check_budget(steps: int, K: int) -> None:
+    """Refuse a composition pass whose n*K^2 work exceeds DEFAULT_COST_CAP."""
     cost = steps * float(K) ** 2
-    if cost > cost_cap:
+    if cost > DEFAULT_COST_CAP:
         raise SeriesBudgetError(
-            f"composition cost n*K^2 = {cost:.3g} exceeds cap {cost_cap:.3g}"
+            f"composition cost n*K^2 = {cost:.3g} exceeds cap {DEFAULT_COST_CAP:.3g}"
         )
 
 
-def iter_population_pmfs(
-    law: OffspringLaw,
-    n: int,
-    K: int,
-    cost_cap: float = DEFAULT_COST_CAP,
-):
+def iter_population_pmfs(law: OffspringLaw, n: int, K: int):
     """Yield the coefficients of f_0, f_1, ..., f_n, each truncated at K.
 
     Each yielded array is fresh, so a caller may keep the ones it needs
@@ -211,7 +198,7 @@ def iter_population_pmfs(
         raise ValueError("generation must be nonnegative")
     if K < 1:
         raise ValueError("truncation degree must be at least 1")
-    check_budget(n, K, cost_cap)
+    check_budget(n, K)
     coeffs = np.zeros(K + 1)
     coeffs[1] = 1.0
     yield coeffs
@@ -220,14 +207,9 @@ def iter_population_pmfs(
         yield coeffs
 
 
-def pmf_Zn(
-    law: OffspringLaw,
-    n: int,
-    K: int,
-    cost_cap: float = DEFAULT_COST_CAP,
-) -> TruncatedSeries:
+def pmf_Zn(law: OffspringLaw, n: int, K: int) -> TruncatedSeries:
     """Exact pmf of the generation size Z(n) up to degree K."""
-    for coeffs in iter_population_pmfs(law, n, K, cost_cap):
+    for coeffs in iter_population_pmfs(law, n, K):
         pass
     tail = 1.0 - float(coeffs.sum())
     return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))

@@ -27,15 +27,11 @@ from gwreduced import (
     iter_derivative_jets,
     iter_extinction_probs,
     joint_reduced_bounded,
-    limit_gf_linear_band,
-    limit_mrca_cdf_band,
-    limit_mrca_cdf_small_phi,
     make_builtin,
     mrca_distance_cdf,
     pmf_Zn,
     reduced_pmf,
     run_conditioned_batch,
-    small_phi_pmf_values,
     table_gf,
     tv_distance,
 )
@@ -200,7 +196,7 @@ def test_a06_small_event_probability_scale(verdict):
 
 def test_a07_small_window_tv_convergence(verdict):
     start = time.time()
-    limit = small_phi_pmf_values(1.0)
+    limit = LimitQuery(regime=Regime.SMALL_PHI, x=1.0).pmf_values()
     tvs = []
     for n in (500, 1000, 2000):
         width = math.ceil(math.sqrt(n))
@@ -248,14 +244,15 @@ def test_a09_mrca_distance_limits(verdict):
     for x in (0.5, 1.0, 2.0):
         u = int(x * width)
         got = float(mrca_distance_cdf(LF, n, C, [u])[0])
-        dev = abs(got - limit_mrca_cdf_small_phi(x))
+        dev = abs(got - LimitQuery(regime=Regime.SMALL_PHI, x=x).pmf(1))
         worst = max(worst, dev)
         details.append(f"x={x}: {dev:.4f}")
     n, a = 1000, 1.0
     C = int(a * LF.half_variance * n)
     cdf = mrca_distance_cdf(LF, n, C, [250, 500, 750])
     for t, got in zip((0.25, 0.5, 0.75), cdf):
-        dev = abs(float(got) - limit_mrca_cdf_band(t, a))
+        limit = LimitQuery(regime=Regime.LINEAR_BAND, t=1.0 - t, a=a).pmf(1)
+        dev = abs(float(got) - limit)
         worst = max(worst, dev)
         details.append(f"t={t}: {dev:.4f}")
     ok = worst < 0.05
@@ -371,7 +368,7 @@ def test_a12_limit_law_consistency(verdict):
     worst_wide = 0.0
     for t in (0.2, 0.5, 0.8):
         for s in s_grid:
-            wide = limit_gf_linear_band(s, t, 50.0)
+            wide = LimitQuery(regime=Regime.LINEAR_BAND, t=t, a=50.0).gf(s)
             worst_wide = max(worst_wide, abs(wide - classical_reduced_gf(s, t)))
     ok = worst_dual < 1e-10 and worst_wide < 1e-10
     verdict(

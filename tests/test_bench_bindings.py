@@ -1,0 +1,72 @@
+"""Every name the benchmark in ``perfbench/`` uses still exists.
+
+The benchmark's trace mode wraps functions by name, and its workloads
+and checks call the package through ``gw.<name>``.  A rename or a
+deletion in ``gwreduced`` should fail here rather than there.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+import gwreduced
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+SOURCES = sorted(PERFBENCH.glob("*.py"))
+
+
+def _package_names(path):
+    """(module, name) of every package attribute the file reaches by name:
+    ``from gwreduced[.mod] import name`` and ``gw.name`` after
+    ``import gwreduced as gw``."""
+    tree = ast.parse(path.read_text())
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "gwreduced"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "gwreduced"
+        ):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            yield "gwreduced", node.attr
+
+
+def test_benchmark_sources_found():
+    assert {"tracer.py", "workloads.py", "checks.py"} <= {p.name for p in SOURCES}
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", PERFBENCH / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for span_name, owner, attr in tracer.TARGETS:
+        assert callable(getattr(owner, attr)), span_name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_names_used_by_benchmark_resolve(path):
+    for module, name in _package_names(path):
+        assert hasattr(importlib.import_module(module), name), (
+            f"{path.name} uses {module}.{name}"
+        )
+
+
+def test_all_names_resolve():
+    missing = [name for name in gwreduced.__all__ if not hasattr(gwreduced, name)]
+    assert missing == []

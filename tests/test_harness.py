@@ -89,24 +89,21 @@ class TestGfSupnorm:
 class TestPhiSpec:
     def test_sqrt_window(self):
         phi = parse_phi("sqrt")
-        assert phi.sublinear
+        assert phi.param == 0.5
         assert phi.window(100) == 10
         assert phi.window(2000) == 45  # ceil(44.72)
 
     def test_power_window(self):
         phi = parse_phi("n^0.6")
-        assert phi.sublinear
+        assert phi.param == 0.6
         assert phi.window(1000) == math.ceil(1000 ** 0.6)
-
-    def test_linear_window(self):
-        phi = parse_phi("0.5*n")
-        assert not phi.sublinear
-        assert phi.raw(200) == pytest.approx(100.0)
 
     def test_whitespace_tolerated(self):
         assert parse_phi(" n^0.5 ").param == 0.5
 
-    @pytest.mark.parametrize("bad", ["n^1.2", "n^0", "n^1", "0*n", "log n", "2n", ""])
+    @pytest.mark.parametrize(
+        "bad", ["n^1.2", "n^0", "n^1", "0*n", "0.5*n", "log n", "2n", ""]
+    )
     def test_rejects_bad_expressions(self, bad):
         with pytest.raises(ValueError):
             parse_phi(bad)
@@ -292,6 +289,29 @@ class TestConfigParsing:
         # checked when the config is built, not first in run_experiment
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_mapping(dict(raw, n_grid="100"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("replicates", "-5"),
+            ("epsilon", "-1"),
+            ("epsilon", "0"),
+            ("epsilon", "1"),
+            ("epsilon", "nan"),
+            ("s_grid", "2.0"),
+            ("s_grid", "0.5,-0.1"),
+            ("s_grid", "nan"),
+            ("max_replicates", "0"),
+            ("tv_threshold", "-0.1"),
+            ("tv_threshold", "0"),
+            ("tv_threshold", "inf"),
+            ("tv_threshold", "nan"),
+        ],
+    )
+    def test_from_mapping_checks_every_field(self, key, value):
+        raw = {"regime": "small_phi", "n_grid": "100", "x": "1", key: value}
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_mapping(raw)
 
     def test_unknown_key_is_rejected(self):
         raw = {"regime": "small_phi", "n_grid": "100", "x": "1",

@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 from gwreduced.limits import (
     LimitQuery,
     Regime,
-    band_pmf_values,
     classical_reduced_gf,
     gamma_reg_lower,
-    limit_band_pmf,
-    limit_gf_linear_band,
-    limit_gf_small_phi,
-    limit_mrca_cdf_band,
-    limit_mrca_cdf_small_phi,
-    limit_reduced_small_pmf,
-    small_phi_pmf_values,
     yaglom_cdf,
 )
 
@@ -28,6 +20,24 @@ S_GRID = np.arange(0.1, 1.0, 0.1)
 X_GRID = (0.25, 1.0, 4.0)
 T_GRID = (0.2, 0.5, 0.8)
 A_GRID = (0.5, 1.0, 2.0)
+
+
+def window(x):
+    return LimitQuery(Regime.SMALL_PHI, x=x)
+
+
+def band(t, a):
+    return LimitQuery(Regime.LINEAR_BAND, t=t, a=a)
+
+
+def window_mrca_cdf(u):
+    """Limiting ancestor-distance cdf at u window widths, closed form."""
+    return u * -math.expm1(-1.0 / u)
+
+
+def band_mrca_cdf(u, a):
+    """Limiting ancestor-distance cdf at a fraction u of n, closed form."""
+    return u * math.expm1(-a / u) / math.expm1(-a)
 
 
 class TestGammaReg:
@@ -57,52 +67,50 @@ class TestGammaReg:
 class TestSmallWindowRegime:
     def test_gf_at_one(self):
         for x in X_GRID:
-            assert limit_gf_small_phi(1.0, x) == 1.0
+            assert window(x).gf(1.0) == 1.0
 
     def test_gf_at_zero(self):
         for x in X_GRID:
-            assert limit_gf_small_phi(0.0, x) == 0.0
+            assert window(x).gf(0.0) == 0.0
 
     def test_gf_midpoint_value(self):
-        assert limit_gf_small_phi(0.5, 1.0) == pytest.approx(
+        assert window(1.0).gf(0.5) == pytest.approx(
             1 - math.exp(-0.5), abs=TOL
         )
 
     def test_gf_continuous_at_one(self):
         for x in X_GRID:
-            assert limit_gf_small_phi(1 - 1e-9, x) == pytest.approx(1.0, abs=1e-8)
+            assert window(x).gf(1 - 1e-9) == pytest.approx(1.0, abs=1e-8)
 
     def test_pmf_sums_to_one(self):
         for x in X_GRID:
-            assert small_phi_pmf_values(x).sum() == pytest.approx(1.0, abs=1e-12)
+            assert window(x).pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pmf_lead_value(self):
-        assert limit_reduced_small_pmf(1.0, 1) == pytest.approx(
+        assert window(1.0).pmf(1) == pytest.approx(
             1 - math.exp(-1), abs=TOL
         )
 
     def test_wide_window_forces_single_line(self):
-        assert limit_reduced_small_pmf(1e9, 1) == pytest.approx(1.0, abs=1e-8)
+        assert window(1e9).pmf(1) == pytest.approx(1.0, abs=1e-8)
 
     def test_mrca_cdf_equals_single_line_probability(self):
         for x in X_GRID:
-            assert limit_mrca_cdf_small_phi(x) == pytest.approx(
-                limit_reduced_small_pmf(x, 1), abs=TOL
-            )
+            assert window_mrca_cdf(x) == pytest.approx(window(x).pmf(1), abs=TOL)
+        for x in np.geomspace(1e-4, 1e6, 41):
+            assert window(x).pmf(1) == pytest.approx(window_mrca_cdf(x), rel=1e-14)
 
     def test_mrca_cdf_values(self):
-        assert limit_mrca_cdf_small_phi(1.0) == pytest.approx(
-            0.6321205588285577, abs=TOL
-        )
-        assert limit_mrca_cdf_small_phi(1e-4) / 1e-4 == pytest.approx(1.0, abs=1e-8)
-        assert limit_mrca_cdf_small_phi(1e6) == pytest.approx(1.0, abs=1e-6)
+        assert window(1.0).pmf(1) == pytest.approx(0.6321205588285577, abs=TOL)
+        assert window(1e-4).pmf(1) / 1e-4 == pytest.approx(1.0, abs=1e-8)
+        assert window(1e6).pmf(1) == pytest.approx(1.0, abs=1e-6)
 
     def test_gf_pmf_duality(self):
         for x in X_GRID:
-            pmf = small_phi_pmf_values(x)
+            pmf = window(x).pmf_values()
             js = np.arange(1, len(pmf) + 1)
             for s in S_GRID:
-                direct = limit_gf_small_phi(s, x)
+                direct = window(x).gf(s)
                 summed = float(np.dot(s**js, pmf))
                 assert abs(direct - summed) < TOL
 
@@ -111,59 +119,68 @@ class TestLinearBandRegime:
     def test_gf_at_one(self):
         for t in T_GRID:
             for a in A_GRID:
-                assert limit_gf_linear_band(1.0, t, a) == 1.0
+                assert band(t, a).gf(1.0) == 1.0
 
     def test_gf_at_t_zero(self):
         for s in S_GRID:
-            assert limit_gf_linear_band(s, 0.0, 1.5) == pytest.approx(s, abs=TOL)
+            assert band(0.0, 1.5).gf(s) == pytest.approx(s, abs=TOL)
 
     def test_pmf_sums_to_one(self):
         for t in T_GRID:
             for a in A_GRID:
-                assert band_pmf_values(t, a).sum() == pytest.approx(1.0, abs=1e-12)
+                assert band(t, a).pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pmf_lead_matches_mrca_complement(self):
         for t in T_GRID:
             for a in A_GRID:
                 want = (1 - t) * -math.expm1(-a / (1 - t)) / -math.expm1(-a)
-                assert limit_band_pmf(t, a, 1) == pytest.approx(want, abs=TOL)
+                assert band(t, a).pmf(1) == pytest.approx(want, abs=TOL)
 
     def test_pmf_at_t_zero(self):
-        assert limit_band_pmf(0.0, 2.0, 1) == pytest.approx(1.0, abs=TOL)
+        assert band(0.0, 2.0).pmf(1) == pytest.approx(1.0, abs=TOL)
 
     def test_gf_pmf_duality(self):
         for t in T_GRID:
             for a in A_GRID:
-                pmf = band_pmf_values(t, a)
+                pmf = band(t, a).pmf_values()
                 js = np.arange(1, len(pmf) + 1)
                 for s in S_GRID:
-                    direct = limit_gf_linear_band(s, t, a)
+                    direct = band(t, a).gf(s)
                     summed = float(np.dot(s**js, pmf))
                     assert abs(direct - summed) < TOL
 
     def test_wide_band_recovers_classical_gf(self):
         for t in T_GRID:
             for s in S_GRID:
-                wide = limit_gf_linear_band(s, t, 50.0)
+                wide = band(t, 50.0).gf(s)
                 assert abs(wide - classical_reduced_gf(s, t)) < TOL
 
     def test_gf_monotone_in_band_width(self):
         for t in T_GRID:
             for s in S_GRID:
-                values = [limit_gf_linear_band(s, t, a) for a in (0.5, 1, 2, 5, 20)]
+                values = [band(t, a).gf(s) for a in (0.5, 1, 2, 5, 20)]
                 diffs = np.diff(values)
                 assert np.all(diffs <= TOL) or np.all(diffs >= -TOL)
 
+    # the ancestor-distance cdf at a fraction u of n is pmf(1) at t = 1 - u
+
     def test_mrca_cdf_endpoints(self):
-        assert limit_mrca_cdf_band(1.0, 2.0) == pytest.approx(1.0, abs=TOL)
-        assert limit_mrca_cdf_band(0.5, 1.0) == pytest.approx(
+        assert band(0.0, 2.0).pmf(1) == pytest.approx(1.0, abs=TOL)
+        assert band(0.5, 1.0).pmf(1) == pytest.approx(
             0.5 * -math.expm1(-2.0) / -math.expm1(-1.0), abs=TOL
         )
-        assert limit_mrca_cdf_band(0.5, 1.0) == pytest.approx(0.68393972, abs=1e-7)
+        assert band(0.5, 1.0).pmf(1) == pytest.approx(0.68393972, abs=1e-7)
 
     def test_mrca_cdf_wide_band_is_uniform(self):
-        for t in (0.2, 0.5, 0.9):
-            assert limit_mrca_cdf_band(t, 50.0) == pytest.approx(t, abs=TOL)
+        for u in (0.2, 0.5, 0.9):
+            assert band(1.0 - u, 50.0).pmf(1) == pytest.approx(u, abs=TOL)
+
+    def test_mrca_cdf_equals_single_line_probability(self):
+        for t in np.linspace(0.0, 0.999, 37):
+            for a in np.geomspace(0.01, 50.0, 9):
+                # 1 - t is the look-back the law sees, exactly
+                want = band_mrca_cdf(1.0 - t, a)
+                assert band(t, a).pmf(1) == pytest.approx(want, rel=1e-14)
 
 
 class TestBaselines:
@@ -185,7 +202,7 @@ class TestRanges:
     )
     @settings(max_examples=80, deadline=None)
     def test_small_window_gf_in_unit_interval(self, s, x):
-        value = limit_gf_small_phi(s, x)
+        value = window(x).gf(s)
         assert -1e-12 <= value <= 1.0 + 1e-12
 
     @given(
@@ -195,7 +212,7 @@ class TestRanges:
     )
     @settings(max_examples=80, deadline=None)
     def test_band_gf_in_unit_interval(self, s, t, a):
-        value = limit_gf_linear_band(s, t, a)
+        value = band(t, a).gf(s)
         assert -1e-12 <= value <= 1.0 + 1e-12
 
     @given(
@@ -204,20 +221,20 @@ class TestRanges:
     )
     @settings(max_examples=80, deadline=None)
     def test_small_window_pmf_nonnegative(self, x, j):
-        assert limit_reduced_small_pmf(x, j) >= 0.0
+        assert window(x).pmf(j) >= 0.0
 
 
 class TestLimitQuery:
     def test_small_window_query(self):
         query = LimitQuery(regime=Regime.SMALL_PHI, x=1.0)
-        assert query.gf(0.5) == pytest.approx(limit_gf_small_phi(0.5, 1.0), abs=TOL)
-        assert query.pmf(2) == pytest.approx(limit_reduced_small_pmf(1.0, 2), abs=TOL)
+        assert query.gf(0.5) == pytest.approx(-math.expm1(-0.5), abs=TOL)
+        assert query.pmf(2) == pytest.approx(1 - 2 / math.e, abs=TOL)
         assert query.pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_band_query(self):
         query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)
         assert query.gf(0.5) == pytest.approx(
-            limit_gf_linear_band(0.5, 0.5, 1.0), abs=TOL
+            math.expm1(-1.5) / math.expm1(-1.0) / 3, abs=TOL
         )
         assert query.pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -228,6 +245,14 @@ class TestLimitQuery:
             LimitQuery(regime=Regime.LINEAR_BAND, t=1.0, a=1.0)
         with pytest.raises(ValueError):
             LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=0.0)
+
+    def test_argument_checks(self):
+        query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)
+        for s in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="gf argument"):
+                query.gf(s)
+        with pytest.raises(ValueError, match="start at 1"):
+            query.pmf(0)
 
     def test_table_serialises_pmf_and_gf(self):
         query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)

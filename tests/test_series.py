@@ -12,10 +12,10 @@ from gwreduced import (
     make_builtin,
     make_custom,
 )
+from gwreduced import series
 from gwreduced.offspring import pgf_derivatives
 from gwreduced.series import (
     compose_step,
-    default_truncation,
     derivative_jet,
     extinction_prob,
     iter_derivative_jets,
@@ -102,8 +102,14 @@ class TestPmfZn:
         assert all(a >= b - TOL for a, b in zip(tails, tails[1:]))
 
     def test_budget_guard(self):
+        # n*K^2 = 1e13 is over the cap; refused before any array is made
         with pytest.raises(SeriesBudgetError):
-            pmf_Zn(LF, 10, 100, cost_cap=1e4)
+            pmf_Zn(LF, 10, 10**6)
+
+    def test_budget_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e4)
+        with pytest.raises(SeriesBudgetError, match="exceeds cap"):
+            pmf_Zn(LF, 10, 100)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -244,14 +250,6 @@ class TestAsymptoticTrends:
             ratios.append(jet.values[2] / predicted)
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
         assert 0.8 < ratios[-1] < 1.2
-
-
-class TestDefaultTruncation:
-    def test_floor_of_64(self):
-        assert default_truncation(TERNARY, 10) == 64
-
-    def test_scales_with_bound(self):
-        assert default_truncation(LF, 100) == 400
 
 
 @st.composite
