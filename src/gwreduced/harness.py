@@ -317,12 +317,7 @@ def empirical_pmf(samples: np.ndarray, j_max: int) -> np.ndarray:
     return counts[1 : j_max + 1] / len(samples)
 
 
-def bootstrap_tv_se(
-    samples: np.ndarray,
-    exact_pmf: np.ndarray,
-    seed: int,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-) -> float:
+def bootstrap_tv_se(samples: np.ndarray, exact_pmf: np.ndarray, seed: int) -> float:
     """Bootstrap standard error of the empirical-vs-exact TV distance.
 
     Resampling N iid replicates with replacement is a multinomial draw
@@ -332,11 +327,18 @@ def bootstrap_tv_se(
     j_max = len(exact_pmf)
     cells = np.bincount(np.minimum(samples, j_max + 1), minlength=j_max + 2)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB007)))
-    draws = rng.multinomial(n_samples, cells / n_samples, size=resamples)
+    draws = rng.multinomial(n_samples, cells / n_samples, size=BOOTSTRAP_RESAMPLES)
     exact_cells = np.append(exact_pmf, max(0.0, 1.0 - exact_pmf.sum()))
     emp = draws[:, 1:] / n_samples
     tvs = 0.5 * np.abs(emp - exact_cells).sum(axis=1)
     return float(tvs.std(ddof=1))
+
+
+def _whole(name: str, value: float, n: int) -> int:
+    """floor(value), refused when value is too large for a float."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows at n={n}")
+    return int(math.floor(value))
 
 
 def _experiment_geometry(config: ExperimentConfig, law: OffspringLaw, n: int):
@@ -345,9 +347,9 @@ def _experiment_geometry(config: ExperimentConfig, law: OffspringLaw, n: int):
     if config.regime is Regime.SMALL_PHI:
         width = config.phi.window(n)
         C = int(math.floor(B * width))
-        m = n - int(math.floor(config.x * width))
+        m = n - _whole("look-back x * phi(n)", config.x * width, n)
     else:
-        C = int(math.floor(config.a * B * n))
+        C = _whole("bound a * B * n", config.a * B * n, n)
         m = int(math.floor(config.t * n))
     if C < 1:
         raise ValueError(

@@ -101,12 +101,14 @@ class LimitQuery:
             if self.x is None:
                 raise ValueError("sublinear-window regime needs x")
             _check_positive("x", self.x)
+            _check_positive("1/x", 1.0 / self.x)
         else:
             if self.t is None or self.a is None:
                 raise ValueError("linear-band regime needs t and a")
             if not 0.0 <= self.t < 1.0:
                 raise ValueError(f"time fraction {self.t} outside [0, 1)")
             _check_positive("a", self.a)
+            _check_positive("a/(1-t)", self.a / (1.0 - self.t))
 
     def gf(self, s: float) -> float:
         """Limiting gf of the reduced count at ``s`` in [0, 1]."""
@@ -155,6 +157,8 @@ class LimitQuery:
         gf values at each s of ``s_grid``."""
         if j_max is None:
             pmf = [float(p) for p in self.pmf_values()]
+        elif j_max < 1:
+            raise ValueError(f"j_max must be at least 1, got {j_max}")
         else:
             pmf = [self.pmf(j) for j in range(1, j_max + 1)]
         return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in s_grid})
@@ -189,5 +193,5 @@ def _check_s(s: float) -> None:
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")

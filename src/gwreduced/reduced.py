@@ -32,10 +32,8 @@ from .errors import ConditioningImpossibleError, SeriesBudgetError
 from .offspring import OffspringLaw
 from .series import (
     TruncatedSeries,
-    check_budget,
-    compose_step,
     iter_extinction_probs,
-    iter_population_pmfs,
+    iterates,
     pmf_Zn,
 )
 
@@ -116,73 +114,67 @@ def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeri
     return _positive_part(pmf_Zn(law, r, K).coeffs)
 
 
-def _population_pass(law: OffspringLaw, n: int, K: int, keep):
-    """Coefficients of f_r for each r in ``keep``, and of f_n, all from
-    one streamed pass over f_0..f_n at degree K."""
+def _population_pass(law: OffspringLaw, n: int, K: int, keep=()):
+    """Coefficients of f_r for each r in ``keep``, and the event
+    probability P(0 < Z(n) <= K), from one streamed pass over f_0..f_n
+    at degree K >= 1."""
     kept = {}
-    for r, coeffs in enumerate(iter_population_pmfs(law, n, K)):
+    for r, coeffs in enumerate(iterates(law, n, K)):
         if r in keep:
             kept[r] = coeffs
-    return kept, coeffs
+    return kept, float(coeffs[1:].sum())
 
 
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     """P(0 < Z(n) <= C), the probability of the small-survival event."""
-    if C <= 0:
-        return 0.0
-    _, f_n = _population_pass(law, n, C, ())
-    return float(f_n[1:].sum())
+    return _population_pass(law, n, C)[1] if C > 0 else 0.0
 
 
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
-    """Unconditional reduced pmf p_1..p_J at intermediate generation m.
-
-    p_j is the s^j coefficient of f_m(q + (1-q)s), reached by m
-    composition steps from q + (1-q)s at degree J.
-    """
-    g = np.zeros(J + 1)
-    g[0] = q
-    g[1] = 1.0 - q
-    for _ in range(m):
-        g = compose_step(law, g)
+    """Unconditional reduced pmf p_1..p_J at intermediate generation m:
+    p_j is the s^j coefficient of f_m(q + (1-q)s)."""
+    for g in iterates(law, m, J, q, 1.0 - q):
+        pass
     return g[1:]
 
 
-def _table_rows(build, J_max, total: float, tol: float, steps: int, J_cap=None):
-    """Rows p_1..p_J from ``build(J)``, which costs ``steps`` composition
-    steps at degree J.
+def _table_rows(build, J_max, total: float, tol: float, J_cap=None):
+    """Rows p_1..p_J from ``build(J)``.
 
     A caller-fixed ``J_max`` is used as given.  Otherwise J doubles from
     J_START until the remainder against ``total`` is below ``tol`` or J
     reaches ``J_cap``, and the table is cut at the first order that
-    meets ``tol``.  A build whose steps * J^2 work exceeds the budget
-    raises SeriesBudgetError, stating the mass accounted so far, rather
-    than return a short table.
+    meets ``tol > 0``.  The loop ends: joint rows stop at ``J_cap``,
+    unconditional rows at m = 0 are exact (the remainder is 0), and for
+    m >= 1 the build's own pass hits the composition budget as J grows.
+    A build over budget raises SeriesBudgetError, stating the mass
+    accounted so far, rather than return a short table.
     """
     if J_max is not None:
         if J_max < 1:
             raise ValueError("J_max must be at least 1")
-        check_budget(steps, J_max)
         return build(J_max)
     J, rows = J_START, np.zeros(0)
     while True:
         if J_cap is not None:
             J = min(J, J_cap)
         try:
-            # counting one step even at m = 0 bounds the loop when
-            # rounding keeps the remainder from ever dropping below tol
-            check_budget(max(steps, 1), J)
+            rows = build(J)
         except SeriesBudgetError as exc:
             raise SeriesBudgetError(
                 f"{exc}; at order {len(rows)} the rows account for mass "
                 f"{rows.sum():.6g} of {total:.6g}, short of epsilon"
             ) from None
-        rows = build(J)
         if total - rows.sum() < tol or J == J_cap:
             break
         J *= 2
     small = np.nonzero(total - np.cumsum(rows) < tol)[0]
     return rows[: small[0] + 1] if len(small) else rows
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
 def reduced_pmf(
@@ -201,11 +193,10 @@ def reduced_pmf(
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
+    _check_epsilon(epsilon)
     qs = list(iter_extinction_probs(law, n))
     q, survival = qs[n - m], 1.0 - qs[n]
-    probs = _table_rows(
-        lambda J: _reduced_rows(law, m, q, J), J_max, survival, epsilon, steps=m
-    )
+    probs = _table_rows(lambda J: _reduced_rows(law, m, q, J), J_max, survival, epsilon)
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -252,11 +243,10 @@ def _joint_rows(law, m, n, C, J_max, epsilon):
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    kept, f_n = _population_pass(law, n, C, (n - m,))
-    event_prob = float(f_n[1:].sum())
+    _check_epsilon(epsilon)
+    kept, event_prob = _population_pass(law, n, C, (n - m,))
     build = _joint_row_builder(law, m, kept[n - m])
-    tol = epsilon * event_prob
-    rows = _table_rows(build, J_max, event_prob, tol, steps=m, J_cap=C)
+    rows = _table_rows(build, J_max, event_prob, epsilon * event_prob, J_cap=C)
     return rows, event_prob
 
 
@@ -333,8 +323,8 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     grid = np.atleast_1d(np.asarray(distances, dtype=int))
     if grid.size and (grid.min() < 0 or grid.max() > n):
         raise ValueError("distances must lie in [0, n]")
-    kept, f_n = _population_pass(law, n, C, {int(u) for u in grid})
-    event_prob = float(f_n[1:].sum())
+    lookbacks = {int(u) for u in grid}
+    kept, event_prob = _population_pass(law, n, C, lookbacks | {n})
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
@@ -342,7 +332,7 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     # one reduced line at n-u: for u > 0 the one-row joint table at
     # m = n-u, for u = 0 the event Z(n) = 1
     single = {
-        u: _joint_row_builder(law, n - u, f_u)(1)[0] if u else f_n[1]
-        for u, f_u in kept.items()
+        u: _joint_row_builder(law, n - u, kept[u])(1)[0] if u else kept[n][1]
+        for u in lookbacks
     }
     return np.array([single[int(u)] for u in grid]) / event_prob

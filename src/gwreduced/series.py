@@ -1,14 +1,18 @@
 """Truncated power-series iteration of critical Galton-Watson pgfs.
 
 The pgf of generation n is f_n = f(f_{n-1}).  The extinction sequence
-q_n = f_n(0) iterates the pgf at 0.  Everything else applies that
-recursion to a starting series g, one composition step g -> f(g) at a
-time, truncated at the degree of g:
+q_n = f_n(0) iterates the pgf at 0.  It equals the constant term of
+the pass from g = s below bit for bit, at every degree, for a small
+fraction of the cost.  Everything else is read off ``iterates``, the
+one loop that applies the recursion to a starting series g, one
+composition step g -> f(g) at a time, truncated at the degree K of g,
+under one n*K^2 budget:
 
 - g = s gives the coefficients of f_n, the pmf of Z(n);
 - g = q + s gives the Taylor coefficients of f_n(q + s), so the
   derivative jet (f_n(q), f_n'(q), ..., f_n^(J)(q)) is k! times the
-  k-th coefficient, at any order J.
+  k-th coefficient, at any order J;
+- g = q + (1-q)s gives the reduced-process rows (see ``reduced``).
 
 Each step is exact at every degree <= K.  For the linear-fractional
 and Poisson families h = f(g) solves a triangular Toeplitz-like system
@@ -181,35 +185,37 @@ def compose_step(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
 
 def check_budget(steps: int, K: int) -> None:
     """Refuse a composition pass whose n*K^2 work exceeds DEFAULT_COST_CAP."""
-    cost = steps * float(K) ** 2
+    cost = steps * float(K) * K  # inf, not OverflowError, for a huge K
     if cost > DEFAULT_COST_CAP:
         raise SeriesBudgetError(
             f"composition cost n*K^2 = {cost:.3g} exceeds cap {DEFAULT_COST_CAP:.3g}"
         )
 
 
-def iter_population_pmfs(law: OffspringLaw, n: int, K: int):
-    """Yield the coefficients of f_0, f_1, ..., f_n, each truncated at K.
+def iterates(law: OffspringLaw, n: int, K: int, a: float = 0.0, b: float = 1.0):
+    """Yield g, f(g), ..., f_n(g) for g = a + b s, each truncated at degree K.
 
-    Each yielded array is fresh, so a caller may keep the ones it needs
-    and let the rest go.
+    This is the one loop over ``compose_step``.  The whole pass is
+    checked against the n*K^2 budget before any array is made.  Each
+    yielded array is fresh, so a caller may keep the ones it needs and
+    let the rest go.
     """
     if n < 0:
         raise ValueError("generation must be nonnegative")
     if K < 1:
         raise ValueError("truncation degree must be at least 1")
     check_budget(n, K)
-    coeffs = np.zeros(K + 1)
-    coeffs[1] = 1.0
-    yield coeffs
+    g = np.zeros(K + 1)
+    g[0], g[1] = a, b
+    yield g
     for _ in range(n):
-        coeffs = compose_step(law, coeffs)
-        yield coeffs
+        g = compose_step(law, g)
+        yield g
 
 
 def pmf_Zn(law: OffspringLaw, n: int, K: int) -> TruncatedSeries:
     """Exact pmf of the generation size Z(n) up to degree K."""
-    for coeffs in iter_population_pmfs(law, n, K):
+    for coeffs in iterates(law, n, K):
         pass
     tail = 1.0 - float(coeffs.sum())
     return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))
@@ -218,23 +224,14 @@ def pmf_Zn(law: OffspringLaw, n: int, K: int) -> TruncatedSeries:
 def iter_derivative_jets(law: OffspringLaw, n: int, q: float, J: int):
     """Yield the jet of f_m at q for m = 0, 1, ..., n.
 
-    The jet is read off the composition started from q + s: the k-th
-    coefficient of f_m(q + s) is f_m^(k)(q)/k!.
+    The jet is read off the iterates of q + s at degree J >= 1: the
+    k-th coefficient of f_m(q + s) is f_m^(k)(q)/k!.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"jet evaluation point {q} outside [0, 1)")
-    if J < 1:
-        raise ValueError("jet order must be at least 1")
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
     with np.errstate(over="ignore"):
         scale = np.cumprod(np.concatenate([[1.0], np.arange(1.0, J + 1)]))
-    g = np.zeros(J + 1)
-    g[0] = q
-    g[1] = 1.0
-    for m in range(n + 1):
-        if m:
-            g = compose_step(law, g)
+    for m, g in enumerate(iterates(law, n, J, q)):
         with np.errstate(over="ignore", invalid="ignore"):
             values = g * scale
         if not np.all(np.isfinite(values)):

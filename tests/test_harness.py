@@ -455,6 +455,18 @@ class TestRunExperiment:
         header = cpath.read_text().splitlines()[0]
         assert header.startswith("n,m,C,epsilon")
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"regime": "small_phi", "x": "1e308"}, "x"),
+            ({"regime": "linear_band", "t": "0", "a": "1e308"}, "a"),
+        ],
+    )
+    def test_overflowing_geometry_is_user_error(self, raw, key):
+        config = ExperimentConfig.from_mapping(dict(raw, n_grid="100"))
+        with pytest.raises(ValueError, match=f"{key} .*overflows"):
+            run_experiment(config)
+
     def test_window_too_small_is_user_error(self):
         cfg = _small_phi_config(n_grid="4,8", law="ternary_uniform")
         with pytest.raises(ValueError, match="bound"):
@@ -553,6 +565,25 @@ class TestCli:
             0.5 ** j * p for j, p in enumerate(payload["pmf"], start=1)
         )
         assert payload["gf"]["0.5"] == pytest.approx(series, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["exact", "--n", "20", "--m", "10", "--epsilon", "-1"], "epsilon"),
+            (["limits", "--x", "inf", "--j-max", "2", "--format", "csv"], "x"),
+            (["limits", "--regime", "linear_band", "--t", "0.5", "--a", "inf"], "a"),
+            (["limits", "--j-max", "0"], "j_max"),
+            (["compare", "--regime", "small_phi", "--n", "100", "--x", "inf"], "x"),
+            (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e308"], "x"),
+            (["compare", "--regime", "linear_band", "--n", "100", "--t", "0.5",
+              "--a", "1e308"], "a"),
+        ],
+    )
+    def test_bad_parameter_is_named(self, argv, key, capsys):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
 
     def test_limits_band_csv(self, capsys):
         code = cli_main(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,17 @@ class TestLimitQuery:
                 query.gf(s)
         with pytest.raises(ValueError, match="start at 1"):
             query.pmf(0)
+        with pytest.raises(ValueError, match="j_max"):
+            query.table((), j_max=0)
+        # parameters that would give nan or inf probabilities
+        for build, key in (
+            (lambda: window(math.inf), "x"),
+            (lambda: window(1e-320), "1/x"),
+            (lambda: band(0.5, math.inf), "a"),
+            (lambda: band(0.5, 1e308), "a/(1-t)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(key)):
+                build()
 
     def test_table_serialises_pmf_and_gf(self):
         query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)

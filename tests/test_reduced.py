@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -34,6 +35,9 @@ LF = make_builtin("linear_fractional")
 POIS = make_builtin("poisson")
 TERNARY = make_builtin("ternary_uniform")
 TPMF = brute_force.TERNARY
+# no single-child mass: f'(0) = 0, so every f_u'(0) is 0 as well
+NO_SINGLE_PMF = (Fraction(1, 2), Fraction(0), Fraction(1, 2))
+NO_SINGLE = make_custom([float(p) for p in NO_SINGLE_PMF])
 
 
 def _poisson_rows_by_cauchy_integral(m, n, J, nodes):
@@ -294,6 +298,52 @@ class TestMrcaDistance:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             mrca_distance_cdf(LF, 5, 2, [6])
+
+
+class TestNoSingleChildLaw:
+    """The law 1/2 + s^2/2 against exact enumeration; f_u'(0) = 0 here,
+    so nothing may divide by a derivative at 0."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_reduced_rows(self, n):
+        for m in range(n + 1):
+            table = reduced_pmf(NO_SINGLE, m, n, J_max=2**n)
+            for j in range(1, 2**n + 1):
+                want = float(brute_force.reduced_pmf(NO_SINGLE_PMF, m, n, j))
+                assert table.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_joint_and_conditional_rows(self, n):
+        for C in (2, 4, 6):
+            event = float(brute_force.event_prob(NO_SINGLE_PMF, n, C))
+            for m in range(n):
+                joint = joint_reduced_bounded(NO_SINGLE, m, n, C)
+                cond = conditional_reduced_pmf(NO_SINGLE, m, n, C)
+                assert joint.event_prob == pytest.approx(event, abs=ORACLE_TOL)
+                for j in range(1, C + 1):
+                    want = float(brute_force.joint_bounded(NO_SINGLE_PMF, m, n, j, C))
+                    assert joint.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
+                    assert cond.prob(j) == pytest.approx(want / event, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("n,C", [(2, 2), (4, 2), (5, 4)])
+    def test_mrca_cdf(self, n, C):
+        got = mrca_distance_cdf(NO_SINGLE, n, C, np.arange(n + 1))
+        for u, val in enumerate(got):
+            want = float(brute_force.mrca_cdf(NO_SINGLE_PMF, n, C, u))
+            assert val == pytest.approx(want, abs=ORACLE_TOL)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, 1.0])
+def test_epsilon_outside_unit_interval_is_refused(epsilon):
+    # refused before any composition: at m = 0 a zero epsilon would
+    # otherwise double the table order without end
+    for build in (
+        lambda: reduced_pmf(LF, 0, 20, epsilon=epsilon),
+        lambda: joint_reduced_bounded(LF, 0, 20, 5, epsilon=epsilon),
+        lambda: conditional_reduced_pmf(LF, 10, 20, 5, epsilon=epsilon),
+    ):
+        with pytest.raises(ValueError, match="epsilon"):
+            build()
 
 
 class TestSerialization:

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gwreduced.series import (
     extinction_prob,
     iter_derivative_jets,
     iter_extinction_probs,
+    iterates,
     pmf_Zn,
 )
 
@@ -28,6 +31,7 @@ TOL = 1e-10
 LF = make_builtin("linear_fractional")
 POIS = make_builtin("poisson")
 TERNARY = make_builtin("ternary_uniform")
+CUSTOM = make_custom([0.45, 0.3, 0.1, 0.1, 0.05])
 
 
 class TestExtinction:
@@ -48,6 +52,13 @@ class TestExtinction:
         qs = np.array(list(iter_extinction_probs(law, 400)))
         assert np.all(np.diff(qs) >= 0.0)
         assert qs[-1] > 0.95
+
+    @pytest.mark.parametrize("law", [LF, POIS, TERNARY, CUSTOM])
+    def test_equals_constant_term_of_population_pass(self, law):
+        # the scalar iteration and the composition steps do the same
+        # arithmetic on the constant term, so they agree to the last bit
+        constants = [float(g[0]) for g in iterates(law, 400, 3)]
+        assert list(iter_extinction_probs(law, 400)) == constants
 
     def test_survival_times_bn_near_one(self):
         # (1 - q_n) * B * n approaches 1 from below
@@ -131,6 +142,24 @@ def _step_centered_generic(law, g):
         h = np.convolve(h, ghat)[: K + 1]
         h[0] += derivs[j] / math.factorial(j)
     return h
+
+
+def test_one_composition_loop_and_one_budget_check():
+    # every exact quantity reads off series.iterates, so a second loop
+    # over compose_step, or a second budget rule, fails here
+    calls = {"compose_step": [], "check_budget": []}
+    for path in pathlib.Path(series.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls:
+                    calls[node.func.id].append((path.name, func.name))
+    assert calls == {
+        "compose_step": [("series.py", "iterates")],
+        "check_budget": [("series.py", "iterates")],
+    }
 
 
 class TestComposeStepCrossCheck:
@@ -219,6 +248,12 @@ class TestJets:
         # 400! is beyond double range, so the jet cannot be represented
         with pytest.raises(JetOverflowError):
             derivative_jet(LF, 3, 0.1, 400)
+
+    def test_budget_covers_jets(self, monkeypatch):
+        # n*J^2 = 4e4 is over the lowered cap
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e4)
+        with pytest.raises(SeriesBudgetError, match="exceeds cap"):
+            derivative_jet(LF, 100, 0.5, 20)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
