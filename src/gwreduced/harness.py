@@ -347,7 +347,14 @@ def _experiment_geometry(config: ExperimentConfig, law: OffspringLaw, n: int):
     if config.regime is Regime.SMALL_PHI:
         width = config.phi.window(n)
         C = int(math.floor(B * width))
-        m = n - _whole("look-back x * phi(n)", config.x * width, n)
+        reach = config.x * width
+        lookback = _whole("look-back x * phi(n)", reach, n)
+        if not 1 <= lookback <= n:
+            raise ValueError(
+                f"look-back x * phi(n) = {reach:.6g} at x={config.x!r} "
+                f"outside [1, {n}] at n={n}"
+            )
+        m = n - lookback
     else:
         C = _whole("bound a * B * n", config.a * B * n, n)
         m = int(math.floor(config.t * n))
@@ -355,15 +362,11 @@ def _experiment_geometry(config: ExperimentConfig, law: OffspringLaw, n: int):
         raise ValueError(
             f"bound {C} below 1 at n={n}; the horizon is too small for the window"
         )
-    if not 0 <= m < n:
-        raise ValueError(f"intermediate generation {m} outside [0, {n})")
     return m, C
 
 
-def run_experiment(config: ExperimentConfig | dict) -> ComparisonReport:
+def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one comparison experiment and assemble its report."""
-    if not isinstance(config, ExperimentConfig):
-        config = ExperimentConfig.from_mapping(dict(config))
     law = law_from_name(config.law_label)
     query = config.limit_query
     limit_pmf = query.pmf_values()
@@ -427,55 +430,54 @@ def run_experiment(config: ExperimentConfig | dict) -> ComparisonReport:
     return report
 
 
+def _verdict(criterion: str, value, threshold, passed) -> dict:
+    return {
+        "criterion": criterion,
+        "value": value,
+        "threshold": threshold,
+        "passed": bool(passed),
+    }
+
+
 def _build_verdicts(config: ExperimentConfig, rows) -> list:
     verdicts = []
     tvs = [row["tv_exact_limit"] for row in rows]
     if len(tvs) > 1:
-        verdicts.append(
-            {
-                "criterion": "tv_exact_vs_limit_decreasing",
-                "value": ",".join(f"{v:.6f}" for v in tvs),
-                "threshold": "strictly decreasing in n",
-                "passed": bool(all(b < a for a, b in zip(tvs, tvs[1:]))),
-            }
-        )
-    verdicts.append(
-        {
-            "criterion": "tv_exact_vs_limit_final",
-            "value": f"{tvs[-1]:.6f}",
-            "threshold": config.tv_threshold,
-            "passed": bool(tvs[-1] < config.tv_threshold),
-        }
-    )
+        verdicts.append(_verdict(
+            "tv_exact_vs_limit_decreasing",
+            ",".join(f"{v:.6f}" for v in tvs),
+            "strictly decreasing in n",
+            all(b < a for a, b in zip(tvs, tvs[1:])),
+        ))
+    verdicts.append(_verdict(
+        "tv_exact_vs_limit_final",
+        f"{tvs[-1]:.6f}",
+        config.tv_threshold,
+        tvs[-1] < config.tv_threshold,
+    ))
     sups = [row["gf_supnorm"] for row in rows]
-    verdicts.append(
-        {
-            "criterion": "gf_supnorm_final",
-            "value": f"{sups[-1]:.6f}",
-            "threshold": config.tv_threshold,
-            "passed": bool(sups[-1] < config.tv_threshold),
-        }
-    )
+    verdicts.append(_verdict(
+        "gf_supnorm_final",
+        f"{sups[-1]:.6f}",
+        config.tv_threshold,
+        sups[-1] < config.tv_threshold,
+    ))
     if config.replicates > 0:
         for row in rows:
             margin = 4.0 * row["tv_mc_se"] + 0.01
-            verdicts.append(
-                {
-                    "criterion": f"mc_tv_near_exact_n{row['n']}",
-                    "value": f"{row['tv_mc_exact']:.6f}",
-                    "threshold": f"{margin:.6f}",
-                    "passed": bool(row["tv_mc_exact"] < margin),
-                }
-            )
+            verdicts.append(_verdict(
+                f"mc_tv_near_exact_n{row['n']}",
+                f"{row['tv_mc_exact']:.6f}",
+                f"{margin:.6f}",
+                row["tv_mc_exact"] < margin,
+            ))
             rate = row["acceptance_rate"]
             expected = row["acceptance_expected"]
             se = math.sqrt(max(expected * (1 - expected), 1e-300) / row["mc_replicates"])
-            verdicts.append(
-                {
-                    "criterion": f"acceptance_rate_within_4se_n{row['n']}",
-                    "value": f"{rate:.8f} vs {expected:.8f}",
-                    "threshold": f"4se={4 * se:.8f}",
-                    "passed": bool(abs(rate - expected) < 4 * se),
-                }
-            )
+            verdicts.append(_verdict(
+                f"acceptance_rate_within_4se_n{row['n']}",
+                f"{rate:.8f} vs {expected:.8f}",
+                f"4se={4 * se:.8f}",
+                abs(rate - expected) < 4 * se,
+            ))
     return verdicts

@@ -2,8 +2,9 @@
 
 A law here is always critical (mean one child) with finite positive
 variance.  Three built-in families have closed-form pgf derivatives of
-every order; custom laws must have finite support so that derivatives
-stay exactly computable by polynomial differentiation.
+every order; custom laws must have finite support, so that composing
+the pgf with a series is a Horner evaluation of a polynomial and
+sampling is a lookup in a finite cumulative table.
 """
 
 from __future__ import annotations
@@ -59,19 +60,6 @@ class OffspringLaw:
             return f"custom:{probs}"
         return self.family.value
 
-    def pmf_prefix(self, kmax: int) -> np.ndarray:
-        """Exact probabilities f_0 .. f_kmax."""
-        if self.support_pmf is not None:
-            out = np.zeros(kmax + 1)
-            upto = min(kmax, len(self.support_pmf) - 1)
-            out[: upto + 1] = self.support_pmf[: upto + 1]
-            return out
-        k = np.arange(kmax + 1)
-        if self.family is Family.LINEAR_FRACTIONAL:
-            return 0.5 ** (k + 1.0)
-        # Poisson(1)
-        return np.exp(-1.0) / np.array([math.factorial(int(i)) for i in k], dtype=float)
-
 
 def _aperiodic(pmf: np.ndarray) -> bool:
     if pmf[0] <= 0.0:
@@ -113,13 +101,11 @@ def make_custom(pmf) -> OffspringLaw:
     )
 
 
-def make_builtin(family: Family | str, params=()) -> OffspringLaw:
+def make_builtin(family: Family | str) -> OffspringLaw:
     """Construct one of the parameterless built-in critical laws."""
     fam = Family(family)
     if fam is Family.CUSTOM_FINITE:
-        return make_custom(params)
-    if len(tuple(params)) != 0:
-        raise ValueError(f"{fam.value} takes no parameters")
+        raise ValueError("custom laws take a pmf: use make_custom")
     if fam is Family.LINEAR_FRACTIONAL:
         # f(s) = 1/(2-s), geometric pmf 2^-(k+1), variance 2
         return OffspringLaw(fam, half_variance=1.0, aperiodic=True)

@@ -46,10 +46,10 @@ J_START = 8
 class ReducedLawTable:
     """Tabulated pmf of the reduced count at generation m out of n.
 
-    ``pmf[j-1]`` is the probability of j reduced lines, j = 1..J_max.
-    ``kind`` records which law the rows are: "unconditional" for
-    P(count=j), "joint" for P(count=j, 0<Z(n)<=C), "conditional" for
-    P(count=j | 0<Z(n)<=C).  ``mass_accounted`` is the row sum; unless
+    ``pmf[j-1]`` is the probability of j reduced lines, j = 1..J_max:
+    P(count=j) from ``reduced_pmf``, P(count=j, 0<Z(n)<=C) from
+    ``joint_reduced_bounded`` and P(count=j | 0<Z(n)<=C) from
+    ``conditional_reduced_pmf``.  ``mass_accounted`` is the row sum; unless
     the caller fixes it, J_max is the first order, doubling from
     J_START, at which the remainder against the relevant total is below
     ``epsilon``.  Joint and conditional tables stop at J_max = C at the
@@ -67,7 +67,6 @@ class ReducedLawTable:
     epsilon: float
     pmf: np.ndarray
     mass_accounted: float
-    kind: str
     event_prob: float | None = None
 
     @property
@@ -100,11 +99,10 @@ class ReducedLawTable:
 
 def _positive_part(series_coeffs: np.ndarray) -> TruncatedSeries:
     # condition a population pmf on being positive
-    K = len(series_coeffs) - 1
     coeffs = series_coeffs / (1.0 - series_coeffs[0])
     coeffs[0] = 0.0
     tail = 1.0 - float(coeffs.sum())
-    return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))
+    return TruncatedSeries(coeffs=coeffs, tail=max(tail, 0.0))
 
 
 def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeries:
@@ -205,7 +203,6 @@ def reduced_pmf(
         epsilon=epsilon,
         pmf=probs,
         mass_accounted=float(probs.sum()),
-        kind="unconditional",
     )
 
 
@@ -277,7 +274,6 @@ def joint_reduced_bounded(
         epsilon=epsilon,
         pmf=rows,
         mass_accounted=float(rows.sum()),
-        kind="joint",
         event_prob=event_prob,
     )
 
@@ -305,7 +301,6 @@ def conditional_reduced_pmf(
         epsilon=epsilon,
         pmf=rows / event_prob,
         mass_accounted=float(rows.sum() / event_prob),
-        kind="conditional",
         event_prob=event_prob,
     )
 

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import JetOverflowError, SeriesBudgetError
 from .offspring import Family, OffspringLaw, pgf_value
 
-CLAMP_TOL = 1e-14
 # composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
 # turning into an hour of convolutions
 DEFAULT_COST_CAP = 1e11
@@ -51,14 +50,14 @@ BLOCK = 16
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c_0..c_K of f_n, i.e. P(Z(n)=k) for k <= K.
+    """Coefficients c_0..c_K of f_n, i.e. P(Z(n)=k) for k <= K, where K
+    is ``len(coeffs) - 1``.
 
     ``tail`` is the probability mass beyond degree K, so the
     coefficients and the tail always account for total mass one.
     """
 
     coeffs: np.ndarray
-    K: int
     tail: float
 
 
@@ -69,10 +68,6 @@ class DerivativeJet:
     q: float
     values: np.ndarray
     n: int
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
 
 
 def iter_extinction_probs(law: OffspringLaw, n: int):
@@ -91,16 +86,6 @@ def extinction_prob(law: OffspringLaw, n: int) -> float:
     for q in iter_extinction_probs(law, n):
         pass
     return q
-
-
-def _clamp(coeffs: np.ndarray) -> np.ndarray:
-    # tiny negative rounding must not feed into later convolutions
-    low = coeffs.min()
-    if low < 0.0:
-        if low < -CLAMP_TOL:
-            raise FloatingPointError(f"series coefficient {low} below -{CLAMP_TOL}")
-        coeffs = np.where(coeffs < 0.0, 0.0, coeffs)
-    return coeffs
 
 
 def _solve_blocked(w: np.ndarray, d, h: np.ndarray) -> None:
@@ -175,12 +160,10 @@ def _step_finite(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
 def compose_step(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
     """One composition f(g(s)) truncated at the degree of ``g``."""
     if law.family is Family.LINEAR_FRACTIONAL:
-        h = _step_reciprocal(g)
-    elif law.family is Family.POISSON:
-        h = _step_exponential(g)
-    else:
-        h = _step_finite(law, g)
-    return _clamp(h)
+        return _step_reciprocal(g)
+    if law.family is Family.POISSON:
+        return _step_exponential(g)
+    return _step_finite(law, g)
 
 
 def check_budget(steps: int, K: int) -> None:
@@ -218,7 +201,7 @@ def pmf_Zn(law: OffspringLaw, n: int, K: int) -> TruncatedSeries:
     for coeffs in iterates(law, n, K):
         pass
     tail = 1.0 - float(coeffs.sum())
-    return TruncatedSeries(coeffs=coeffs, K=K, tail=max(tail, 0.0))
+    return TruncatedSeries(coeffs=coeffs, tail=max(tail, 0.0))
 
 
 def iter_derivative_jets(law: OffspringLaw, n: int, q: float, J: int):

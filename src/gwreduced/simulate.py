@@ -28,7 +28,9 @@ import numpy as np
 from .errors import AcceptanceBudgetExhausted, NodeBudgetExceededError
 from .offspring import OffspringLaw, sample_offspring
 
-NODE_BUDGET_DEFAULT = 10_000_000
+# nodes one tree may hold before it is cut (simulate_tree raises, a
+# batch counts it in budget_rejected); read at call time
+NODE_BUDGET = 10_000_000
 # replicates drawn at most before a batch stops short of its target
 MAX_REPLICATES_DEFAULT = 100_000_000
 # chunks sized to hold about this many expected nodes (a critical tree
@@ -78,37 +80,30 @@ def _grow(law, n, rng, size, node_budget):
     budget_ok = np.ones(size, dtype=bool)
     current = owners[0]
     for _ in range(n):
-        draws = np.zeros(0, dtype=np.int64)
-        if len(current):
-            draws = sample_offspring(law, rng, len(current)).astype(np.int64)
-            nodes_used += np.bincount(
-                current, weights=draws, minlength=size
-            ).astype(np.int64)
-            breached = (nodes_used > node_budget) & budget_ok
-            if breached.any():
-                budget_ok &= ~breached
-                draws = np.where(budget_ok[current], draws, 0)
+        # an empty generation draws nothing and leaves rng untouched
+        draws = sample_offspring(law, rng, len(current)).astype(np.int64)
+        nodes_used += np.bincount(current, weights=draws, minlength=size).astype(np.int64)
+        breached = (nodes_used > node_budget) & budget_ok
+        if breached.any():
+            budget_ok &= ~breached
+            draws = np.where(budget_ok[current], draws, 0)
         draws_per_gen.append(draws)
         current = np.repeat(current, draws)
         owners.append(current)
     return draws_per_gen, owners, budget_ok
 
 
-def simulate_tree(
-    law: OffspringLaw,
-    n: int,
-    rng: np.random.Generator,
-    node_budget: int = NODE_BUDGET_DEFAULT,
-) -> GenealogyRecord:
+def simulate_tree(law: OffspringLaw, n: int, rng: np.random.Generator) -> GenealogyRecord:
     """Sample one tree to generation n, drawing from ``rng``.
 
     The tree is a one-replicate run of the batch forward pass.  The
     node budget guards pathological growth: a tree with more than
-    ``node_budget`` nodes raises NodeBudgetExceededError instead of
+    NODE_BUDGET nodes raises NodeBudgetExceededError instead of
     returning a partial record.
     """
     if n < 0:
         raise ValueError("horizon must be nonnegative")
+    node_budget = NODE_BUDGET
     draws_per_gen, owners, budget_ok = _grow(law, n, rng, 1, node_budget)
     if not budget_ok[0]:
         raise NodeBudgetExceededError(f"tree exceeded the node budget {node_budget}")
@@ -275,7 +270,6 @@ def run_conditioned_batch(
     seed: int = 0,
     workers: int = 1,
     chunk_size: int | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
 ) -> SimBatch:
     """Rejection-sample replicates conditioned on 0 < Z(n) <= C.
 
@@ -285,7 +279,8 @@ def run_conditioned_batch(
     output is a pure function of the seed, the parameters, and the
     chunk size.  If the replicate budget runs out with fewer than 10
     acceptances the batch is returned anyway and a low-confidence
-    warning is emitted.
+    warning is emitted.  A replicate with more than NODE_BUDGET nodes is
+    rejected and counted in ``budget_rejected``.
     """
     if n < 1:
         raise ValueError("horizon must be at least 1")
@@ -305,7 +300,8 @@ def run_conditioned_batch(
 
     n_chunks = -(-max_replicates // chunk_size)
     wave = 4 * max(workers, 1)
-    job = partial(_simulate_chunk, law, n, C, queries, seed, node_budget=node_budget)
+    # the budget is read here, once, so pool workers get the same value
+    job = partial(_simulate_chunk, law, n, C, queries, seed, node_budget=NODE_BUDGET)
 
     def chunk_results(chunk_map):
         # one wave is mapped at a time; results come in chunk-index order

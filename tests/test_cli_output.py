@@ -1,7 +1,14 @@
-"""The CLI writes the same bytes to stdout and to ``--out``."""
+"""The CLI writes the same bytes to stdout and to ``--out``, and runs
+without the test-only dependency scipy."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gwreduced
 from gwreduced.cli import cli_main
 
 COMMANDS = {
@@ -59,3 +66,27 @@ def test_limits_parameters_default_to_x1_t05_a1(regime, flags, capsys):
     bare = capsys.readouterr().out
     assert cli_main(["limits", "--regime", regime] + flags) == 0
     assert capsys.readouterr().out == bare
+
+
+def test_selftest_runs_without_scipy(tmp_path):
+    # scipy is in the test extra only: a None entry in sys.modules makes
+    # every import of it fail, so a stray import under src/ shows here
+    src = str(pathlib.Path(gwreduced.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gwreduced\n"
+        "from gwreduced.cli import cli_main\n"
+        "sys.exit(cli_main(['selftest']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "all selftest checks passed" in result.stdout

@@ -456,15 +456,21 @@ class TestRunExperiment:
         assert header.startswith("n,m,C,epsilon")
 
     @pytest.mark.parametrize(
-        "raw, key",
+        "raw, match",
         [
-            ({"regime": "small_phi", "x": "1e308"}, "x"),
-            ({"regime": "linear_band", "t": "0", "a": "1e308"}, "a"),
+            ({"regime": "small_phi", "x": "1e308"}, r"x .*overflows"),
+            ({"regime": "linear_band", "t": "0", "a": "1e308"}, r"a .*overflows"),
+            # finite look-backs past generation 0 name x, not the generation
+            ({"regime": "small_phi", "x": "1e300"},
+             r"= 1e\+301 at x=1e\+300 outside \[1, 100\] at n=100"),
+            ({"regime": "small_phi", "x": "11"},
+             r"= 110 at x=11\.0 outside \[1, 100\] at n=100"),
         ],
+        ids=["x-overflows", "a-overflows", "x-1e300", "x-11"],
     )
-    def test_overflowing_geometry_is_user_error(self, raw, key):
+    def test_overflowing_geometry_is_user_error(self, raw, match):
         config = ExperimentConfig.from_mapping(dict(raw, n_grid="100"))
-        with pytest.raises(ValueError, match=f"{key} .*overflows"):
+        with pytest.raises(ValueError, match=match):
             run_experiment(config)
 
     def test_window_too_small_is_user_error(self):
@@ -577,6 +583,8 @@ class TestCli:
             (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e308"], "x"),
             (["compare", "--regime", "linear_band", "--n", "100", "--t", "0.5",
               "--a", "1e308"], "a"),
+            (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e300"],
+             "x=1e+300"),
         ],
     )
     def test_bad_parameter_is_named(self, argv, key, capsys):

@@ -16,6 +16,7 @@ from gwreduced import (
     pgf_value,
     sample_offspring,
 )
+from gwreduced.series import pmf_Zn
 
 TOL = 1e-12
 
@@ -23,7 +24,7 @@ TOL = 1e-12
 class TestBuiltins:
     def test_linear_fractional_pmf_and_variance(self):
         law = make_builtin(Family.LINEAR_FRACTIONAL)
-        pmf = law.pmf_prefix(10)
+        pmf = pmf_Zn(law, 1, 10).coeffs
         assert pmf[0] == pytest.approx(0.5, abs=TOL)
         assert pmf[1] == pytest.approx(0.25, abs=TOL)
         assert pmf[5] == pytest.approx(2.0**-6, abs=TOL)
@@ -33,7 +34,7 @@ class TestBuiltins:
 
     def test_poisson_pmf_and_variance(self):
         law = make_builtin("poisson")
-        pmf = law.pmf_prefix(6)
+        pmf = pmf_Zn(law, 1, 6).coeffs
         for k in range(7):
             assert pmf[k] == pytest.approx(math.exp(-1) / math.factorial(k), abs=TOL)
         assert law.half_variance == 0.5
@@ -45,8 +46,9 @@ class TestBuiltins:
         assert law.max_support == 2
 
     def test_builtins_reject_parameters(self):
-        with pytest.raises(ValueError):
-            make_builtin(Family.POISSON, params=(1.0,))
+        # a custom law needs its pmf, which only make_custom takes
+        with pytest.raises(ValueError, match="make_custom"):
+            make_builtin(Family.CUSTOM_FINITE)
 
 
 class TestCustom:

@@ -162,6 +162,20 @@ def test_one_composition_loop_and_one_budget_check():
     }
 
 
+# degree 150 is past series.PREFIX, so the blocked solve runs too
+@pytest.mark.parametrize("K", [8, 150])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 1.0), (0.3, 0.7)])
+@pytest.mark.parametrize(
+    "law", [LF, POIS, TERNARY, make_custom([0.35, 0.35, 0.25, 0.05])]
+)
+def test_iterates_keep_every_coefficient_nonnegative(law, a, b, K):
+    # a pgf with nonnegative coefficients composed with a start with
+    # nonnegative coefficients has nonnegative coefficients, and no step
+    # subtracts, so not even rounding may take one below zero
+    for g in iterates(law, 40, K, a, b):
+        assert np.all(g >= 0.0)
+
+
 class TestComposeStepCrossCheck:
     """Family recurrences against the direct centered-sum evaluation."""
 

@@ -11,6 +11,7 @@ from gwreduced import (
     NodeBudgetExceededError,
     make_builtin,
 )
+from gwreduced import simulate
 from gwreduced.output import write_output
 from gwreduced.reduced import (
     bounded_survival_prob,
@@ -66,11 +67,12 @@ class TestSimulateTree:
         se = math.sqrt(0.25 * 0.75 / 20_000)
         assert abs(extinct / 20_000 - 0.25) < 4 * se
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(simulate, "NODE_BUDGET", 20)
         rng = np.random.default_rng(13)
         with pytest.raises(NodeBudgetExceededError):
             for _ in range(2000):
-                simulate_tree(LF, 50, rng, node_budget=20)
+                simulate_tree(LF, 50, rng)
 
     def test_output_digest_is_pinned(self):
         # digest of the records as simulate_tree produced them with its
@@ -192,11 +194,13 @@ class TestConditionedBatch:
         assert np.array_equal(a.reduced_counts, b.reduced_counts)
         assert np.array_equal(a.replicate_ids, b.replicate_ids)
 
-    def test_node_budget_rejects_and_is_worker_independent(self):
+    def test_node_budget_rejects_and_is_worker_independent(self, monkeypatch):
         args = (LF, 10, 1000, [5], 200)
         kwargs = {"max_replicates": 4096, "chunk_size": 256, "seed": 4}
-        serial = run_conditioned_batch(*args, node_budget=30, **kwargs)
-        pooled = run_conditioned_batch(*args, node_budget=30, workers=2, **kwargs)
+        unbudgeted = run_conditioned_batch(*args, **kwargs)
+        monkeypatch.setattr(simulate, "NODE_BUDGET", 30)
+        serial = run_conditioned_batch(*args, **kwargs)
+        pooled = run_conditioned_batch(*args, workers=2, **kwargs)
         assert serial.budget_rejected == pooled.budget_rejected == 367
         assert serial.replicates == pooled.replicates == 4096
         assert serial.accepted == pooled.accepted
@@ -204,7 +208,7 @@ class TestConditionedBatch:
         assert np.array_equal(serial.reduced_counts, pooled.reduced_counts)
         assert np.array_equal(serial.mrca_distances, pooled.mrca_distances)
         assert np.array_equal(serial.replicate_ids, pooled.replicate_ids)
-        assert run_conditioned_batch(*args, **kwargs).budget_rejected == 0
+        assert unbudgeted.budget_rejected == 0
 
     def test_acceptance_event(self):
         batch = run_conditioned_batch(TERNARY, 8, 3, [8], 300, seed=1)
