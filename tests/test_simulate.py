@@ -10,6 +10,7 @@ from gwreduced import (
     AcceptanceBudgetExhausted,
     NodeBudgetExceededError,
     make_builtin,
+    make_custom,
 )
 from gwreduced import simulate
 from gwreduced.output import write_output
@@ -33,6 +34,18 @@ LF = make_builtin("linear_fractional")
 POISSON = make_builtin("poisson")
 TERNARY = make_builtin("ternary_uniform")
 TPMF = brute_force.TERNARY
+# finite laws on both sides of offspring.LINEAR_CUT_MAX (32 values)
+NARROW = make_custom([0.35, 0.35, 0.25, 0.05])
+WIDE = make_custom([0.741, 0.221] + [0.001] * 38)
+
+
+def _batch_digest(batch):
+    h = hashlib.sha256()
+    for arr in (batch.reduced_counts, batch.mrca_distances,
+                batch.terminal_sizes, batch.replicate_ids):
+        h.update(str(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def _record_from_counts(counts):
@@ -175,6 +188,47 @@ class TestConditionedBatch:
         assert h.hexdigest() == (
             "e18a9f5bc7cfae6c608feb39a0360b69b4a86252e416e6f7d381571179cfcb47"
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("law, n, C, queries, target, seed, budget, digest", [
+        pytest.param(
+            LF, 100, 10, [50, 90], 100, 3, None,
+            "0d0199c198a008132b6810b350b76e1758dcc83ea6a17f1e4cec19a4c81d224b",
+            id="lf",
+        ),
+        pytest.param(
+            POISSON, 40, 5, [10, 30], 300, 5, None,
+            "0ec103cc4284cc2bb54fdfd57d7d867b7926c0c44a6aa1f38a9df9052f949f67",
+            id="poisson",
+        ),
+        pytest.param(
+            NARROW, 30, 4, [15], 300, 6, None,
+            "89727d710e07aac0f1fa95bb4f3c17eabc17f919f0033f85b1d909e37148ce91",
+            id="custom4",
+        ),
+        pytest.param(
+            WIDE, 20, 100, [5, 15], 200, 8, None,
+            "724dd592a88339b1b2990218b5281237c64fd6334d3bc52012e93eb5ad714eff",
+            id="custom40",
+        ),
+        # 367 of the 4096 replicates pass the node budget of 30
+        pytest.param(
+            LF, 10, 1000, [5], 200, 4, 30,
+            "b39664f942917e9dd623a72fba13aa7791992435a47c200b2d6cf74c795dfe79",
+            id="lf_budget",
+        ),
+    ])
+    def test_law_digest_is_pinned(self, law, n, C, queries, target, seed, budget,
+                                  digest, workers, monkeypatch):
+        # digests of the batch arrays as the sampler produced them with
+        # numpy's geometric and searchsorted draws and per-individual
+        # replicate owners
+        kwargs = {"seed": seed, "workers": workers}
+        if budget is not None:
+            monkeypatch.setattr(simulate, "NODE_BUDGET", budget)
+            kwargs.update(max_replicates=4096, chunk_size=256)
+        batch = run_conditioned_batch(law, n, C, queries, target, **kwargs)
+        assert _batch_digest(batch) == digest
 
     @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("law, n, C, queries, target, kwargs", [
