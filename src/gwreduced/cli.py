@@ -141,7 +141,12 @@ def _cmd_exact(args) -> int:
 
 def _cmd_simulate(args) -> int:
     law = law_from_name(args.law)
-    queries = [int(tok) for tok in args.m.split(",") if tok.strip()]
+    try:
+        queries = [int(tok) for tok in args.m.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--m expects comma-separated generations, got {args.m!r}"
+        ) from None
     batch = run_conditioned_batch(
         law,
         args.n,

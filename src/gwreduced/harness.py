@@ -189,6 +189,8 @@ class ExperimentConfig:
             raise ValueError(f"s_grid values must lie in [0, 1], got {self.s_grid}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replicates < 0:
             raise ValueError(f"replicates must be nonnegative, got {self.replicates}")
         if self.max_replicates < 1:

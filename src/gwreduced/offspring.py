@@ -3,8 +3,16 @@
 A law here is always critical (mean one child) with finite positive
 variance.  Three built-in families have closed-form pgf derivatives of
 every order; custom laws must have finite support, so that composing
-the pgf with a series is a Horner evaluation of a polynomial and
-sampling is a lookup in a finite cumulative table.
+the pgf with a series is a Horner evaluation of a polynomial.
+
+Linear-fractional and finite laws are sampled by inverting one uniform
+per draw (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+ch. X), which gives the integers numpy's own samplers give from the same
+stream: the linear-fractional count is read off the binary exponent of
+``1 - u`` and equals ``geometric(0.5) - 1``, and a finite law counts
+the cut points of its cumulative table at or below ``u``, by
+comparisons for narrow supports and by binary search for wide ones.
+Poisson draws come from ``Generator.poisson``.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ from .errors import DegenerateVarianceError, NonCriticalError
 
 MEAN_TOL = 1e-9
 MASS_TOL = 1e-12
+# finite laws on at most this many values draw by comparing the uniform
+# with every cut point; wider ones search the cumulative table
+LINEAR_CUT_MAX = 32
 
 
 class Family(str, Enum):
@@ -175,11 +186,21 @@ def pgf_derivatives(law: OffspringLaw, q: float, J: int) -> np.ndarray:
 
 
 def sample_offspring(law: OffspringLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` iid offspring counts."""
-    if law.family is Family.LINEAR_FRACTIONAL:
-        return rng.geometric(0.5, size) - 1
+    """Draw ``size`` iid offspring counts, one uniform per draw except
+    for Poisson."""
     if law.family is Family.POISSON:
         return rng.poisson(1.0, size)
+    u = rng.random(size)
+    if law.family is Family.LINEAR_FRACTIONAL:
+        # numpy's geometric(0.5) - 1 counts its exact partial sums 1 - 2^-k
+        # below u, which is k just when the exact 1 - u lies in
+        # [2^-(k+1), 2^-k), i.e. has biased exponent 1022 - k (-1 at u = 0)
+        return np.maximum(1022 - ((1.0 - u).view(np.int64) >> 52), 0)
     cut = np.cumsum(law.support_pmf)
-    draws = np.searchsorted(cut, rng.random(size), side="right")
-    return np.minimum(draws, len(cut) - 1)
+    if len(cut) > LINEAR_CUT_MAX:
+        return np.minimum(np.searchsorted(cut, u, side="right"), len(cut) - 1)
+    # the number of cut points at or below u, not counting the last one
+    draws = np.zeros(size, dtype=np.int64)
+    for c in cut[:-1]:
+        draws += u >= c
+    return draws

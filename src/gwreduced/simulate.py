@@ -3,11 +3,18 @@ most-recent-common-ancestor distance, with rejection conditioning on a
 small terminal population.
 
 Genealogies are stored as per-generation offspring-count arrays, never
-as node objects: the backward marking pass that extracts reduced
-counts only needs the counts and their prefix layout.  One forward
-pass (``_grow``) and one backward pass (``_mark_backward``) serve both
-batches and single trees; a single tree is a one-replicate chunk.  The
-batch sampler simulates replicates in fixed-size chunks, each chunk
+as node objects.  One forward pass (``_grow``) and one backward pass
+(``_mark_backward``) serve both batches and single trees; a single tree
+is a one-replicate chunk.  The forward pass keeps no per-individual
+record of which replicate an individual belongs to: each live
+replicate is one contiguous block of its generation, so its child total
+is read off one running sum of the generation's draws at the block
+boundaries, and an extinct replicate leaves the live set.  The backward
+pass starts from the generation-n individuals of the accepted
+replicates only and follows their ancestors up through the running
+sums; rejected replicates are never marked.
+
+The batch sampler simulates replicates in fixed-size chunks, each chunk
 driven by its own child stream of the master seed (spawn key = chunk
 index), and one loop takes chunk results in index order, serially or
 from a process pool, so results are reproducible bit for bit
@@ -66,31 +73,41 @@ class GenealogyRecord:
 def _grow(law, n, rng, size, node_budget):
     """Forward pass: grow ``size`` trees to generation n from ``rng``.
 
-    All replicates advance generation by generation in one flat array;
-    an individual's replicate is tracked through ownership indices.
-    Returns ``draws_per_gen`` (the child counts of generations 0..n-1),
-    ``owners`` (the replicate of each individual of generations 0..n)
-    and ``budget_ok``.  A replicate whose node count passes
-    ``node_budget`` stops producing children and is flagged false in
-    ``budget_ok``.
+    All replicates advance generation by generation in one flat array,
+    in which each live replicate holds one contiguous block, in replicate
+    order, and the children of each individual form one contiguous block
+    of the next generation.  Only the live replicates' ids and block
+    sizes are carried; a replicate is dropped once extinct.  Returns
+    ``child_ends`` (for each generation g = 0..n-1 the running total of
+    its child counts, so the children of individual i of g end at
+    position ``child_ends[g][i]`` of g+1), the ids of the replicates
+    alive at generation n with their sizes there, and ``budget_ok``.  A
+    replicate whose node count passes ``node_budget`` loses the children
+    of that generation, so it is extinct from then on, and is flagged
+    false in ``budget_ok``.
     """
-    owners = [np.arange(size, dtype=np.int64)]
-    draws_per_gen = []
-    nodes_used = np.ones(size, dtype=np.int64)
+    ids = np.arange(size)
+    sizes = np.ones(size, dtype=np.int64)
+    nodes_used = sizes.copy()
     budget_ok = np.ones(size, dtype=bool)
-    current = owners[0]
+    child_ends = []
     for _ in range(n):
         # an empty generation draws nothing and leaves rng untouched
-        draws = sample_offspring(law, rng, len(current)).astype(np.int64)
-        nodes_used += np.bincount(current, weights=draws, minlength=size).astype(np.int64)
-        breached = (nodes_used > node_budget) & budget_ok
+        draws = sample_offspring(law, rng, int(sizes.sum()))
+        ends = np.cumsum(draws)
+        # the children of each replicate, read at its block boundaries
+        children = np.diff(np.concatenate(([0], ends[np.cumsum(sizes) - 1])))
+        nodes_used += children
+        breached = nodes_used > node_budget
         if breached.any():
-            budget_ok &= ~breached
-            draws = np.where(budget_ok[current], draws, 0)
-        draws_per_gen.append(draws)
-        current = np.repeat(current, draws)
-        owners.append(current)
-    return draws_per_gen, owners, budget_ok
+            budget_ok[ids[breached]] = False
+            draws[np.repeat(breached, sizes)] = 0
+            ends = np.cumsum(draws)
+            children[breached] = 0
+        child_ends.append(ends)
+        alive = children > 0
+        ids, sizes, nodes_used = ids[alive], children[alive], nodes_used[alive]
+    return child_ends, ids, sizes, budget_ok
 
 
 def simulate_tree(law: OffspringLaw, n: int, rng: np.random.Generator) -> GenealogyRecord:
@@ -104,55 +121,58 @@ def simulate_tree(law: OffspringLaw, n: int, rng: np.random.Generator) -> Geneal
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     node_budget = NODE_BUDGET
-    draws_per_gen, owners, budget_ok = _grow(law, n, rng, 1, node_budget)
+    child_ends, _, terminal, budget_ok = _grow(law, n, rng, 1, node_budget)
     if not budget_ok[0]:
         raise NodeBudgetExceededError(f"tree exceeded the node budget {node_budget}")
     return GenealogyRecord(
-        offspring_counts=tuple(draws_per_gen),
-        sizes=np.array([len(o) for o in owners], dtype=np.int64),
+        offspring_counts=tuple(np.diff(ends, prepend=0) for ends in child_ends),
+        sizes=np.array([*map(len, child_ends), terminal.sum()], dtype=np.int64),
     )
 
 
-def _mark_backward(draws_per_gen, owners, size, kept):
-    """Backward marking pass over a chunk of ``size`` replicates.
+def _mark_backward(child_ends, starts, sizes, kept):
+    """Backward marking pass over some replicates of a forest.
 
-    ``draws_per_gen[g]`` holds the child counts of generation g, whose
-    children form contiguous blocks of generation g+1, and
-    ``owners[g]`` the replicate of each individual of generation g, for
-    g = 0..n.  Marking every ancestor of the generation-n individuals
-    gives each replicate's reduced count at every generation.  Returns
-    the counts at the ``kept`` generations, one column each, and per
-    replicate the distance from generation n back to the survivors'
+    ``child_ends`` lays out the forest as ``_grow`` returns it, and
+    replicate r holds the ``sizes[r]`` individuals of generation n from
+    position ``starts[r]`` on.  Marking every ancestor of those
+    individuals gives each replicate's reduced count at every
+    generation.  Only marked individuals are followed, each with the
+    replicate it belongs to, so the rest of the forest costs nothing.
+    Returns the counts at the ``kept`` generations, one column each, and
+    per replicate the distance from generation n back to the survivors'
     common ancestor.
     """
-    n = len(draws_per_gen)
-    rows = {}
-    if n in kept:
-        rows[n] = np.bincount(owners[n], minlength=size)
-    marked = np.ones(len(owners[n]), dtype=bool)
-    single_line_gens = np.zeros(size, dtype=np.int64)
+    n = len(child_ends)
+    offsets = np.cumsum(sizes) - sizes
+    marked = np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())
+    replicate = np.repeat(np.arange(len(sizes)), sizes)
+    rows = {n: sizes}
+    single_line_gens = np.zeros(len(sizes), dtype=np.int64)
     for g in range(n - 1, -1, -1):
-        draws = draws_per_gen[g]
-        parent_idx = np.repeat(np.arange(len(draws)), draws)
-        marked_children = np.bincount(parent_idx, weights=marked, minlength=len(draws))
-        marked = marked_children > 0
-        red = np.bincount(owners[g][marked], minlength=size)
+        # a child's parent is the first individual whose child block
+        # ends past it; siblings are adjacent, so each parent is kept once
+        parents = np.searchsorted(child_ends[g], marked, side="right")
+        first = np.ones(len(parents), dtype=bool)
+        np.not_equal(parents[1:], parents[:-1], out=first[1:])
+        marked, replicate = parents[first], replicate[first]
+        red = np.bincount(replicate, minlength=len(sizes))
         single_line_gens += red == 1
-        if g in kept:
-            rows[g] = red
-        del red
+        rows[g] = red
     # reduced profiles are nondecreasing, so the ancestor generation of
     # a surviving replicate is (number of single-line generations g < n) - 1
     distances = n - (single_line_gens - 1)
     if not kept:
-        return np.zeros((size, 0), dtype=np.int64), distances
+        return np.zeros((len(sizes), 0), dtype=np.int64), distances
     return np.stack([rows[g] for g in kept], axis=1), distances
 
 
 def _mark_record(record: GenealogyRecord, kept):
-    # one tree is a one-replicate chunk: every individual is owned by 0
-    owners = [np.zeros(z, dtype=np.int64) for z in record.sizes]
-    reduced, distances = _mark_backward(record.offspring_counts, owners, 1, kept)
+    # one tree is a one-replicate forest
+    child_ends = [np.cumsum(draws) for draws in record.offspring_counts]
+    reduced, distances = _mark_backward(
+        child_ends, np.zeros(1, dtype=np.int64), record.sizes[-1:], kept
+    )
     return reduced[0], int(distances[0])
 
 
@@ -241,21 +261,24 @@ def _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget):
     """Simulate one chunk of replicates; returns per-chunk accept data.
 
     Budget-breaching replicates are reported separately so they are
-    never confused with rejections.
+    never confused with rejections; they have no individuals left at
+    generation n, so they are never accepted.  Only the accepted
+    replicates are marked.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    draws_per_gen, owners, budget_ok = _grow(law, n, rng, size, node_budget)
-    terminal = np.bincount(owners[n], minlength=size)
-    accept = (terminal > 0) & (terminal <= C) & budget_ok
-    reduced, distances = _mark_backward(draws_per_gen, owners, size, queries)
-    idx = np.nonzero(accept)[0]
+    child_ends, survivors, terminal, budget_ok = _grow(law, n, rng, size, node_budget)
+    accept = terminal <= C
+    starts = np.cumsum(terminal) - terminal
+    reduced, distances = _mark_backward(
+        child_ends, starts[accept], terminal[accept], queries
+    )
     return {
         "chunk_index": chunk_index,
         "size": size,
-        "accepted_idx": idx,
-        "reduced": reduced[idx],
-        "distances": distances[idx],
-        "terminal": terminal[idx],
+        "accepted_idx": survivors[accept],
+        "reduced": reduced,
+        "distances": distances,
+        "terminal": terminal[accept],
         "budget_rejected": int((~budget_ok).sum()),
     }
 
@@ -290,6 +313,8 @@ def run_conditioned_batch(
         raise ValueError("target_accepted must be at least 1")
     if max_replicates < 1:
         raise ValueError("max_replicates must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     queries = tuple(int(m) for m in query_generations)
     if queries and (min(queries) < 0 or max(queries) > n):
         raise ValueError("queried generations must lie in [0, n]")

@@ -294,6 +294,7 @@ class TestConfigParsing:
         "key, value",
         [
             ("replicates", "-5"),
+            ("seed", "-1"),
             ("epsilon", "-1"),
             ("epsilon", "0"),
             ("epsilon", "1"),
@@ -585,6 +586,10 @@ class TestCli:
               "--a", "1e308"], "a"),
             (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e300"],
              "x=1e+300"),
+            (["simulate", "--n", "10", "--bound", "3", "--seed", "-1"], "seed"),
+            (["compare", "--regime", "small_phi", "--n", "100", "--x", "1",
+              "--replicates", "10", "--seed", "-1"], "seed"),
+            (["simulate", "--n", "10", "--bound", "3", "--m", "x"], "--m"),
         ],
     )
     def test_bad_parameter_is_named(self, argv, key, capsys):

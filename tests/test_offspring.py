@@ -16,9 +16,23 @@ from gwreduced import (
     pgf_value,
     sample_offspring,
 )
+from gwreduced import offspring
 from gwreduced.series import pmf_Zn
 
 TOL = 1e-12
+# uniforms on which a search over 1 - 2^-k and an exponent read could part
+EDGE_UNIFORMS = [0.0, 0.5, 0.5 - 2.0**-53, 0.75, 1.0 - 2.0**-53]
+
+
+class FixedUniforms:
+    """A generator stub whose ``random(size)`` returns given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.uniforms)
+        return self.uniforms.copy()
 
 
 class TestBuiltins:
@@ -196,3 +210,46 @@ class TestSampling:
         a = sample_offspring(law, np.random.default_rng(42), 1000)
         b = sample_offspring(law, np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
+
+    def test_linear_fractional_matches_numpy_geometric(self):
+        law = make_builtin(Family.LINEAR_FRACTIONAL)
+        for seed in (0, 1):
+            got = sample_offspring(law, np.random.default_rng(seed), 10**6)
+            want = np.random.default_rng(seed).geometric(0.5, 10**6) - 1
+            assert np.array_equal(got, want)
+
+    def test_linear_fractional_inversion_counts_partial_sums(self):
+        # the defining count #{k >= 1 : u > 1 - 2^-k}, whose partial sums
+        # are exact in binary; beyond k = 53 they round to 1
+        law = make_builtin(Family.LINEAR_FRACTIONAL)
+        rng = np.random.default_rng(3)
+        uniforms = EDGE_UNIFORMS + list(rng.random(1000))
+        want = [sum(u > 1.0 - 2.0**-k for k in range(1, 60)) for u in uniforms]
+        got = sample_offspring(law, FixedUniforms(uniforms), len(uniforms))
+        assert list(got) == want
+        assert list(got[:5]) == [0, 0, 0, 1, 52]
+
+    @pytest.mark.parametrize("pmf", [
+        [0.25, 0.5, 0.25],
+        [0.35, 0.35, 0.25, 0.05],
+        [0.741, 0.221] + [0.001] * 38,
+    ], ids=["ternary", "custom4", "custom40"])
+    def test_finite_branches_agree_on_every_cut_point(self, pmf, monkeypatch):
+        law = make_custom(pmf)
+        cut = np.cumsum(law.support_pmf)
+        rng = np.random.default_rng(5)
+        uniforms = np.concatenate([
+            cut, np.nextafter(cut, 0.0),
+            EDGE_UNIFORMS, rng.random(2000),
+        ])
+        want = np.minimum(np.searchsorted(cut, uniforms, "right"), len(cut) - 1)
+        draws = {}
+        for cut_max in (0, len(cut)):
+            # 0 sends every law to the search, len(cut) to the comparisons
+            monkeypatch.setattr(offspring, "LINEAR_CUT_MAX", cut_max)
+            draws[cut_max] = sample_offspring(
+                law, FixedUniforms(uniforms), len(uniforms)
+            )
+        assert np.array_equal(draws[0], want)
+        assert np.array_equal(draws[len(cut)], want)
+        assert draws[0].dtype == draws[len(cut)].dtype == np.int64

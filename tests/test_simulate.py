@@ -321,6 +321,8 @@ class TestConditionedBatch:
             run_conditioned_batch(TERNARY, 5, 2, [], 10, chunk_size=-3)
         with pytest.raises(ValueError, match="max_replicates"):
             run_conditioned_batch(TERNARY, 5, 2, [], 10, max_replicates=0)
+        with pytest.raises(ValueError, match="seed"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 10, seed=-1)
 
     def test_chunk_size_default_shrinks_with_horizon(self):
         assert default_chunk_size(10) == 8192
