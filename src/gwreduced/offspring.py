@@ -10,9 +10,8 @@ per draw (Devroye, *Non-Uniform Random Variate Generation*, 1986,
 ch. X), which gives the integers numpy's own samplers give from the same
 stream: the linear-fractional count is read off the binary exponent of
 ``1 - u`` and equals ``geometric(0.5) - 1``, and a finite law counts
-the cut points of its cumulative table at or below ``u``, by
-comparisons for narrow supports and by binary search for wide ones.
-Poisson draws come from ``Generator.poisson``.
+the cut points of its cumulative table at or below ``u`` by comparing
+``u`` with each of them.  Poisson draws come from ``Generator.poisson``.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from .errors import DegenerateVarianceError, NonCriticalError
 
 MEAN_TOL = 1e-9
 MASS_TOL = 1e-12
-# finite laws on at most this many values draw by comparing the uniform
-# with every cut point; wider ones search the cumulative table
-LINEAR_CUT_MAX = 32
 
 
 class Family(str, Enum):
@@ -197,8 +193,6 @@ def sample_offspring(law: OffspringLaw, rng: np.random.Generator, size: int) -> 
         # [2^-(k+1), 2^-k), i.e. has biased exponent 1022 - k (-1 at u = 0)
         return np.maximum(1022 - ((1.0 - u).view(np.int64) >> 52), 0)
     cut = np.cumsum(law.support_pmf)
-    if len(cut) > LINEAR_CUT_MAX:
-        return np.minimum(np.searchsorted(cut, u, side="right"), len(cut) - 1)
     # the number of cut points at or below u, not counting the last one
     draws = np.zeros(size, dtype=np.int64)
     for c in cut[:-1]:

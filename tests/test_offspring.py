@@ -16,7 +16,6 @@ from gwreduced import (
     pgf_value,
     sample_offspring,
 )
-from gwreduced import offspring
 from gwreduced.series import pmf_Zn
 
 TOL = 1e-12
@@ -234,7 +233,9 @@ class TestSampling:
         [0.35, 0.35, 0.25, 0.05],
         [0.741, 0.221] + [0.001] * 38,
     ], ids=["ternary", "custom4", "custom40"])
-    def test_finite_branches_agree_on_every_cut_point(self, pmf, monkeypatch):
+    def test_finite_draws_count_cut_points(self, pmf):
+        # the comparison count equals min(searchsorted(cut, u, right), len - 1)
+        # on every cut point and its predecessor
         law = make_custom(pmf)
         cut = np.cumsum(law.support_pmf)
         rng = np.random.default_rng(5)
@@ -243,13 +244,6 @@ class TestSampling:
             EDGE_UNIFORMS, rng.random(2000),
         ])
         want = np.minimum(np.searchsorted(cut, uniforms, "right"), len(cut) - 1)
-        draws = {}
-        for cut_max in (0, len(cut)):
-            # 0 sends every law to the search, len(cut) to the comparisons
-            monkeypatch.setattr(offspring, "LINEAR_CUT_MAX", cut_max)
-            draws[cut_max] = sample_offspring(
-                law, FixedUniforms(uniforms), len(uniforms)
-            )
-        assert np.array_equal(draws[0], want)
-        assert np.array_equal(draws[len(cut)], want)
-        assert draws[0].dtype == draws[len(cut)].dtype == np.int64
+        draws = sample_offspring(law, FixedUniforms(uniforms), len(uniforms))
+        assert np.array_equal(draws, want)
+        assert draws.dtype == np.int64

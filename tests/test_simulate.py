@@ -34,7 +34,7 @@ LF = make_builtin("linear_fractional")
 POISSON = make_builtin("poisson")
 TERNARY = make_builtin("ternary_uniform")
 TPMF = brute_force.TERNARY
-# finite laws on both sides of offspring.LINEAR_CUT_MAX (32 values)
+# a narrow and a wide finite law
 NARROW = make_custom([0.35, 0.35, 0.25, 0.05])
 WIDE = make_custom([0.741, 0.221] + [0.001] * 38)
 
