@@ -238,9 +238,13 @@ def _selftest_checks():
             assert abs(total - want) < 1e-10, (m, n, C)
 
     def check_mrca():
-        cdf = mrca_distance_cdf(lf, 10, 5, range(0, 11))
-        assert all(b >= a - 1e-15 for a, b in zip(cdf, cdf[1:]))
-        assert abs(cdf[-1] - 1.0) < 1e-12
+        # (u+1)/(n+1) (1 - (u/(u+1))^C) / (1 - (n/(n+1))^C)
+        n, C = 10, 5
+        cdf = mrca_distance_cdf(lf, n, C, range(0, n + 1))
+        for u in range(n + 1):
+            near = 1 - (u / (u + 1)) ** C
+            want = (u + 1) / (n + 1) * near / (1 - (n / (n + 1)) ** C)
+            assert abs(cdf[u] - want) < 1e-12 * want, u
 
     return [
         ("extinction_closed_form", check_extinction),
@@ -250,7 +254,7 @@ def _selftest_checks():
         ("jet_closed_form", check_jet_closed_form),
         ("limit_gf_pmf_duality", check_duality),
         ("joint_mass_decomposition", check_decomposition),
-        ("mrca_cdf_shape", check_mrca),
+        ("mrca_cdf_closed_form", check_mrca),
     ]
 
 

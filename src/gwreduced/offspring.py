@@ -153,18 +153,21 @@ def pgf_value(law: OffspringLaw, s: float) -> float:
     return float(npoly.polyval(s, law.support_pmf))
 
 
-def pgf_derivatives(law: OffspringLaw, q: float, J: int) -> np.ndarray:
+def pgf_derivatives(law: OffspringLaw, q, J: int) -> np.ndarray:
     """Exact derivatives (f(q), f'(q), ..., f^(J)(q)) of the offspring pgf.
 
-    Uses the family closed form: j!/(2-q)^(j+1) for the linear-fractional
-    law, e^(q-1) at every order for Poisson(1), and direct polynomial
-    differentiation for finite-support laws.
+    ``q`` is one point of [0, 1) or an array of them; row j of the
+    result holds f^(j) at every point.  Uses the family closed form:
+    j!/(2-q)^(j+1) for the linear-fractional law, e^(q-1) at every order
+    for Poisson(1), and direct polynomial differentiation for
+    finite-support laws.
     """
-    if not 0.0 <= q < 1.0:
+    q = np.asarray(q, dtype=float)
+    if not np.all((0.0 <= q) & (q < 1.0)):
         raise ValueError(f"derivative evaluation point {q} outside [0, 1)")
     if J < 0:
         raise ValueError("derivative order must be nonnegative")
-    out = np.empty(J + 1)
+    out = np.empty((J + 1,) + q.shape)
     if law.family is Family.LINEAR_FRACTIONAL:
         base = 1.0 / (2.0 - q)
         out[0] = base
@@ -172,7 +175,7 @@ def pgf_derivatives(law: OffspringLaw, q: float, J: int) -> np.ndarray:
             out[j] = out[j - 1] * j * base
         return out
     if law.family is Family.POISSON:
-        out[:] = math.exp(q - 1.0)
+        out[:] = np.exp(q - 1.0)
         return out
     coeffs = law.support_pmf
     for j in range(J + 1):

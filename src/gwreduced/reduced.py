@@ -19,7 +19,8 @@ probability and the subtree pmf come from one streamed pass over
 f_0..f_n at degree C.  The most recent common ancestor of the
 survivors sits at distance <= u from the terminal time exactly when the
 reduced count at n-u is 1, which turns the ancestor-distance cdf into
-a family of single-line probabilities, each a one-row table.
+a family of single-line probabilities; by the chain rule each is a
+product of scalars read off the same pass.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningImpossibleError, SeriesBudgetError
-from .offspring import OffspringLaw
+from .offspring import OffspringLaw, pgf_derivatives
 from .series import (
     TruncatedSeries,
     iter_extinction_probs,
@@ -112,20 +113,21 @@ def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeri
     return _positive_part(pmf_Zn(law, r, K).coeffs)
 
 
-def _population_pass(law: OffspringLaw, n: int, K: int, keep=()):
-    """Coefficients of f_r for each r in ``keep``, and the event
-    probability P(0 < Z(n) <= K), from one streamed pass over f_0..f_n
-    at degree K >= 1."""
-    kept = {}
-    for r, coeffs in enumerate(iterates(law, n, K)):
-        if r in keep:
-            kept[r] = coeffs
-    return kept, float(coeffs[1:].sum())
+def _population_pass(law: OffspringLaw, n: int, K: int, r: int | None = None):
+    """q_0..q_n, the masses P(1 <= Z(u) <= K) for u = 0..n and the
+    coefficients of f_r (None without r), from one streamed pass over
+    f_0..f_n at degree K >= 1."""
+    qs, masses, kept = np.empty(n + 1), np.empty(n + 1), None
+    for u, coeffs in enumerate(iterates(law, n, K)):
+        qs[u], masses[u] = coeffs[0], coeffs[1:].sum()
+        if u == r:
+            kept = coeffs
+    return qs, masses, kept
 
 
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     """P(0 < Z(n) <= C), the probability of the small-survival event."""
-    return _population_pass(law, n, C)[1] if C > 0 else 0.0
+    return float(_population_pass(law, n, C)[1][n]) if C > 0 else 0.0
 
 
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
@@ -223,26 +225,24 @@ def _bounded_sum_masses(s1: np.ndarray, J: int) -> np.ndarray:
     return masses
 
 
-def _joint_row_builder(law, m, subtree):
-    """``build(J)``: joint rows p_1..p_J at generation m, given the pmf
-    of the subtree size Z(n-m) on 0..C.  Row j is the reduced row times
-    the chance that j surviving subtrees keep the total at or below C."""
-    q = float(subtree[0])
-    s1 = _positive_part(subtree).coeffs
-    return lambda J: _reduced_rows(law, m, q, J) * _bounded_sum_masses(s1, J)
-
-
 def _joint_rows(law, m, n, C, J_max, epsilon):
     """Joint rows and the event probability P(0 < Z(n) <= C).
 
-    One population pass at degree C gives both the subtree pmf, from
-    f_{n-m}, and the event probability, from f_n.
+    One population pass at degree C gives both the pmf of the subtree
+    size Z(n-m) on 0..C, from f_{n-m}, and the event probability, from
+    f_n.  Row j is the reduced row times the chance that j surviving
+    subtrees keep the total at or below C.
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     _check_epsilon(epsilon)
-    kept, event_prob = _population_pass(law, n, C, (n - m,))
-    build = _joint_row_builder(law, m, kept[n - m])
+    _, masses, subtree = _population_pass(law, n, C, n - m)
+    event_prob = float(masses[n])
+    q, s1 = float(subtree[0]), _positive_part(subtree).coeffs
+
+    def build(J):
+        return _reduced_rows(law, m, q, J) * _bounded_sum_masses(s1, J)
+
     rows = _table_rows(build, J_max, event_prob, epsilon * event_prob, J_cap=C)
     return rows, event_prob
 
@@ -318,16 +318,14 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     grid = np.atleast_1d(np.asarray(distances, dtype=int))
     if grid.size and (grid.min() < 0 or grid.max() > n):
         raise ValueError("distances must lie in [0, n]")
-    lookbacks = {int(u) for u in grid}
-    kept, event_prob = _population_pass(law, n, C, lookbacks | {n})
+    qs, masses, _ = _population_pass(law, n, C)
+    event_prob = masses[n]
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
         )
-    # one reduced line at n-u: for u > 0 the one-row joint table at
-    # m = n-u, for u = 0 the event Z(n) = 1
-    single = {
-        u: _joint_row_builder(law, n - u, kept[u])(1)[0] if u else kept[n][1]
-        for u in lookbacks
-    }
-    return np.array([single[int(u)] for u in grid]) / event_prob
+    # P(one reduced line at n-u, 0 < Z(n) <= C) = f_{n-u}'(q_u) P(1 <= Z(u) <= C),
+    # and f_{n-u}'(q_u) = f'(q_u) ... f'(q_{n-1}), which is 1 at u = n
+    slopes = pgf_derivatives(law, qs[:n], 1)[1]
+    single_line = np.append(np.cumprod(slopes[::-1])[::-1], 1.0)
+    return single_line[grid] * masses[grid] / event_prob

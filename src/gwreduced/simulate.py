@@ -25,6 +25,7 @@ where the accepted target is met.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -296,9 +297,10 @@ def run_conditioned_batch(
 ) -> SimBatch:
     """Rejection-sample replicates conditioned on 0 < Z(n) <= C.
 
-    Chunks are taken in index order, computed serially or in waves of
-    ``4 * workers`` on a process pool, and the run is cut at the first
-    chunk whose cumulative acceptances reach ``target_accepted``, so
+    Chunks are taken in index order, computed serially or on a process
+    pool that holds at most ``workers`` chunks in flight, and the run is
+    cut at the first chunk whose cumulative acceptances reach
+    ``target_accepted``, after which no chunk is submitted, so
     output is a pure function of the seed, the parameters, and the
     chunk size.  If the replicate budget runs out with fewer than 10
     acceptances the batch is returned anyway and a low-confidence
@@ -324,22 +326,29 @@ def run_conditioned_batch(
         raise ValueError("chunk_size must be at least 1")
 
     n_chunks = -(-max_replicates // chunk_size)
-    wave = 4 * max(workers, 1)
     # the budget is read here, once, so pool workers get the same value
     job = partial(_simulate_chunk, law, n, C, queries, seed, node_budget=NODE_BUDGET)
 
-    def chunk_results(chunk_map):
-        # one wave is mapped at a time; results come in chunk-index order
-        for start in range(0, n_chunks, wave):
-            indices = range(start, min(start + wave, n_chunks))
-            sizes = [min(chunk_size, max_replicates - c * chunk_size) for c in indices]
-            yield from chunk_map(job, indices, sizes)
+    def chunk_results(pool):
+        # results come in chunk-index order; the next chunk is submitted
+        # only once the oldest of ``workers`` in flight is taken
+        in_flight = deque()
+        for c in range(n_chunks):
+            size = min(chunk_size, max_replicates - c * chunk_size)
+            if pool is None:
+                yield job(c, size)
+                continue
+            in_flight.append(pool.submit(job, c, size))
+            if len(in_flight) == workers:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
 
     results = []
     accepted_total = 0
     consumed = 0
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for res in chunk_results(map if pool is None else pool.map):
+        for res in chunk_results(pool):
             results.append(res)
             accepted_total += len(res["accepted_idx"])
             consumed += res["size"]

@@ -13,7 +13,12 @@ with q = q_{n-m}.  Given Z(n) > 0 the generation-r population is
 geometric on {1, 2, ...} with success probability 1/(r+1), so a sum of
 j such subtrees stays <= C exactly when C Bernoulli(1/(r+1)) trials
 have at least j successes; the binomial tail is summed in exact
-rational arithmetic.
+rational arithmetic.  The ancestor of the survivors lies within distance
+u of generation n with conditional probability
+
+    (u+1)/(n+1) * (1 - (u/(u+1))^C) / (1 - (n/(n+1))^C),
+
+also in exact rationals.
 
 These are computed independently of the package and are the ground
 truth the series engine and the reduced-process tables are checked
@@ -89,3 +94,9 @@ def conditional_reduced_pmf(m: int, n: int, C: int) -> np.ndarray:
     rows = reduced_pmf(m, n, C)
     fits = np.array([bounded_sum_prob(n - m, j, C) for j in range(1, C + 1)])
     return rows * fits / event_prob(n, C)
+
+
+def mrca_cdf(n: int, C: int, u: int) -> float:
+    """P(ancestor distance <= u | 0 < Z(n) <= C), for 0 <= u <= n."""
+    near = 1 - Fraction(u, u + 1) ** C
+    return float(Fraction(u + 1, n + 1) * near / (1 - Fraction(n, n + 1) ** C))

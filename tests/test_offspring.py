@@ -152,6 +152,23 @@ class TestPgf:
             pgf_value(law, 1.5)
         with pytest.raises(ValueError):
             pgf_derivatives(law, 1.0, 2)
+        with pytest.raises(ValueError):
+            pgf_derivatives(law, np.array([0.2, 1.0]), 2)
+
+    @pytest.mark.parametrize("family, slope, curvature", [
+        (Family.LINEAR_FRACTIONAL, lambda q: 1 / (2 - q) ** 2, lambda q: 2 / (2 - q) ** 3),
+        (Family.POISSON, lambda q: math.exp(q - 1), lambda q: math.exp(q - 1)),
+        (Family.TERNARY_UNIFORM, lambda q: (1 + q) / 2, lambda q: 0.5),
+    ])
+    def test_array_of_points_gives_one_row_per_order(self, family, slope, curvature):
+        law = make_builtin(family)
+        qs = np.array([0.0, 0.3, 0.75, 0.999])
+        vals = pgf_derivatives(law, qs, 2)
+        assert vals.shape == (3, len(qs))
+        assert vals[0] == pytest.approx([pgf_value(law, q) for q in qs], rel=1e-15)
+        assert vals[1] == pytest.approx([slope(q) for q in qs], rel=1e-15)
+        assert vals[2] == pytest.approx([curvature(q) for q in qs], rel=1e-15)
+        assert pgf_derivatives(law, qs[:0], 2).shape == (3, 0)
 
     @given(st.floats(min_value=0.0, max_value=0.999), st.integers(min_value=0, max_value=12))
     @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from gwreduced import (
     SeriesBudgetError,
     make_builtin,
     make_custom,
+    reduced,
     series,
 )
 from gwreduced.output import write_output
@@ -287,13 +288,41 @@ class TestMrcaDistance:
         got = mrca_distance_cdf(TERNARY, 12, 3, np.arange(13))
         assert np.all(np.diff(got) >= -1e-12)
 
-    def test_agrees_with_single_line_conditional(self):
+    @pytest.mark.parametrize("law", [LF, POIS, TERNARY, NO_SINGLE],
+                             ids=["lf", "poisson", "ternary", "no_single"])
+    def test_agrees_with_single_line_conditional(self, law):
+        # the chain-rule product against a one-row table built by
+        # composing f_{n-u}(q_u + (1 - q_u)s)
         n, C = 9, 3
-        for u in (2, 5, 8):
-            cdf = mrca_distance_cdf(LF, n, C, [u])[0]
-            joint = joint_reduced_bounded(LF, n - u, n, C, J_max=1)
-            want = joint.prob(1) / bounded_survival_prob(LF, n, C)
-            assert cdf == pytest.approx(want, abs=1e-10)
+        for u in range(n + 1):
+            cdf = mrca_distance_cdf(law, n, C, [u])[0]
+            if u == 0:
+                want = pmf_Zn(law, n, 1).coeffs[1]
+            else:
+                want = joint_reduced_bounded(law, n - u, n, C, J_max=1).prob(1)
+            want /= bounded_survival_prob(law, n, C)
+            assert cdf == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("law", [LF, POIS, TERNARY], ids=["lf", "poisson", "ternary"])
+    def test_full_grid_is_one_population_pass(self, law, monkeypatch):
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[1:3])
+            return series.iterates(*args, **kwargs)
+
+        monkeypatch.setattr(reduced, "iterates", counted)
+        n, C = 60, 20
+        cdf = mrca_distance_cdf(law, n, C, range(n + 1))
+        assert passes == [(n, C)]
+        assert cdf[-1] == pytest.approx(1.0, rel=1e-14)
+
+    def test_full_grid_matches_lf_closed_form(self):
+        # n + 1 distances in one call: one pass of n steps at degree C
+        n, C = 10_000, 100
+        cdf = mrca_distance_cdf(LF, n, C, range(n + 1))
+        for u in range(0, n + 1, 200):
+            assert cdf[u] == pytest.approx(lf_oracle.mrca_cdf(n, C, u), rel=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ class TestConditionedBatch:
     @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("law, n, C, queries, target, kwargs", [
         pytest.param(TERNARY, 6, 2, [3], 500, {"seed": 7}, id="ternary"),
-        # met at chunk 49, mid-way through the seventh wave of 8 chunks
+        # met at chunk 49, with later chunks already in flight on the pool
         pytest.param(POISSON, 30, 4, [15], 200, {"seed": 5, "chunk_size": 300},
                      id="poisson_mid_wave"),
     ])
@@ -247,6 +248,29 @@ class TestConditionedBatch:
         assert a.stream_ids == b.stream_ids
         assert np.array_equal(a.reduced_counts, b.reduced_counts)
         assert np.array_equal(a.replicate_ids, b.replicate_ids)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_stops_submitting_at_the_target(self, workers, monkeypatch):
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        args = (POISSON, 30, 4, [15], 200)
+        kwargs = {"seed": 5, "chunk_size": 300}
+        serial = run_conditioned_batch(*args, workers=1, **kwargs)
+        assert submitted == []
+        pooled = run_conditioned_batch(*args, workers=workers, **kwargs)
+        # chunks go out in index order, and past the chunk that meets the
+        # target only the ones already in flight were computed
+        assert submitted == list(range(len(submitted)))
+        assert len(submitted) <= len(pooled.stream_ids) + workers - 1
+        assert pooled.stream_ids == serial.stream_ids
+        assert pooled.replicates == serial.replicates
+        assert _batch_digest(pooled) == _batch_digest(serial)
 
     def test_node_budget_rejects_and_is_worker_independent(self, monkeypatch):
         args = (LF, 10, 1000, [5], 200)
