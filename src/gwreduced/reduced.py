@@ -14,13 +14,15 @@ all but epsilon of their total.  Joint laws with a smallness event
 {0 < Z(n) <= C} use the subtree decomposition: given j reduced lines at
 m, the terminal population is a sum of j iid copies of Z(n-m)
 conditioned positive, so the joint pmf is the unconditional pmf times
-a C-truncated convolution mass, and rows past j = C vanish.  The event
-probability and the subtree pmf come from one streamed pass over
-f_0..f_n at degree C.  The most recent common ancestor of the
-survivors sits at distance <= u from the terminal time exactly when the
-reduced count at n-u is 1, which turns the ancestor-distance cdf into
-a family of single-line probabilities; by the chain rule each is a
-product of scalars read off the same pass.
+a C-truncated convolution mass, and rows past j = C vanish.  A pass of
+n-m steps at degree C gives the subtree pmf f_{n-m}; the event
+probability P(0 < Z(n) <= C) is the sum of the joint rows, taken to an
+order fixed in advance by a tail bound, so no joint or conditional
+table runs a pass to n at degree C.  The most recent common ancestor
+of the survivors sits at distance <= u from the terminal time exactly
+when the reduced count at n-u is 1, which turns the ancestor-distance
+cdf into a family of single-line probabilities; by the chain rule each
+is a product of scalars read off one streamed pass over f_0..f_n.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .series import (
 )
 
 EPSILON_DEFAULT = 1e-9
-# first order tried by the adaptive tables; each retry doubles it
+# first order tried by unconditional tables; each retry doubles it
 J_START = 8
 
 
@@ -50,15 +52,17 @@ class ReducedLawTable:
     ``pmf[j-1]`` is the probability of j reduced lines, j = 1..J_max:
     P(count=j) from ``reduced_pmf``, P(count=j, 0<Z(n)<=C) from
     ``joint_reduced_bounded`` and P(count=j | 0<Z(n)<=C) from
-    ``conditional_reduced_pmf``.  ``mass_accounted`` is the row sum; unless
-    the caller fixes it, J_max is the first order, doubling from
-    J_START, at which the remainder against the relevant total is below
-    ``epsilon``.  Joint and conditional tables stop at J_max = C at the
-    latest, since rows past C are exactly zero; an unconditional table
+    ``conditional_reduced_pmf``.  ``mass_accounted`` is the row sum.
+    Unless the caller fixes it, J_max is the first order at which the
+    remainder against the relevant total is below ``epsilon``: for an
+    unconditional table the orders double from J_START, and a table
     that would need more than the composition budget raises
-    SeriesBudgetError instead of coming back short.  Joint and
-    conditional tables also carry ``event_prob`` = P(0 < Z(n) <= C),
-    from the same pass that built the rows; it is not serialised.
+    SeriesBudgetError instead of coming back short; joint and
+    conditional tables stop at J_max = C at the latest, since rows past
+    C are exactly zero.  Joint and conditional tables also carry
+    ``event_prob`` = P(0 < Z(n) <= C), the sum of the joint rows up to
+    an order chosen by a tail bound, which a caller's J_max does not
+    move; it is not serialised.
     """
 
     law: str
@@ -113,21 +117,13 @@ def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeri
     return _positive_part(pmf_Zn(law, r, K).coeffs)
 
 
-def _population_pass(law: OffspringLaw, n: int, K: int, r: int | None = None):
-    """q_0..q_n, the masses P(1 <= Z(u) <= K) for u = 0..n and the
-    coefficients of f_r (None without r), from one streamed pass over
-    f_0..f_n at degree K >= 1."""
-    qs, masses, kept = np.empty(n + 1), np.empty(n + 1), None
-    for u, coeffs in enumerate(iterates(law, n, K)):
-        qs[u], masses[u] = coeffs[0], coeffs[1:].sum()
-        if u == r:
-            kept = coeffs
-    return qs, masses, kept
-
-
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     """P(0 < Z(n) <= C), the probability of the small-survival event."""
-    return float(_population_pass(law, n, C)[1][n]) if C > 0 else 0.0
+    if C < 1:
+        return 0.0
+    for coeffs in iterates(law, n, C):
+        pass
+    return float(coeffs[1:].sum())
 
 
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
@@ -138,26 +134,34 @@ def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
     return g[1:]
 
 
-def _table_rows(build, J_max, total: float, tol: float, J_cap=None):
-    """Rows p_1..p_J from ``build(J)``.
+def _cut(rows: np.ndarray, total: float, tol: float) -> np.ndarray:
+    # the table ends at the first order whose remainder against total
+    # is below tol, or keeps every row if none is
+    small = np.nonzero(total - np.cumsum(rows) < tol)[0]
+    return rows[: small[0] + 1] if len(small) else rows
+
+
+def _check_order(J_max) -> None:
+    if J_max is not None and J_max < 1:
+        raise ValueError("J_max must be at least 1")
+
+
+def _table_rows(build, J_max, total: float, tol: float):
+    """Unconditional rows p_1..p_J from ``build(J)``.
 
     A caller-fixed ``J_max`` is used as given.  Otherwise J doubles from
-    J_START until the remainder against ``total`` is below ``tol`` or J
-    reaches ``J_cap``, and the table is cut at the first order that
-    meets ``tol > 0``.  The loop ends: joint rows stop at ``J_cap``,
-    unconditional rows at m = 0 are exact (the remainder is 0), and for
-    m >= 1 the build's own pass hits the composition budget as J grows.
-    A build over budget raises SeriesBudgetError, stating the mass
-    accounted so far, rather than return a short table.
+    J_START until the remainder against ``total`` is below ``tol``, and
+    the table is cut at the first order that meets it.  The loop ends:
+    rows at m = 0 are exact (the remainder is 0), and for m >= 1 the
+    build's own pass hits the composition budget as J grows.  A build
+    over budget raises SeriesBudgetError, stating the mass accounted so
+    far, rather than return a short table.
     """
+    _check_order(J_max)
     if J_max is not None:
-        if J_max < 1:
-            raise ValueError("J_max must be at least 1")
         return build(J_max)
     J, rows = J_START, np.zeros(0)
     while True:
-        if J_cap is not None:
-            J = min(J, J_cap)
         try:
             rows = build(J)
         except SeriesBudgetError as exc:
@@ -165,11 +169,9 @@ def _table_rows(build, J_max, total: float, tol: float, J_cap=None):
                 f"{exc}; at order {len(rows)} the rows account for mass "
                 f"{rows.sum():.6g} of {total:.6g}, short of epsilon"
             ) from None
-        if total - rows.sum() < tol or J == J_cap:
-            break
+        if total - rows.sum() < tol:
+            return _cut(rows, total, tol)
         J *= 2
-    small = np.nonzero(total - np.cumsum(rows) < tol)[0]
-    return rows[: small[0] + 1] if len(small) else rows
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -208,43 +210,60 @@ def reduced_pmf(
     )
 
 
-def _bounded_sum_masses(s1: np.ndarray, J: int) -> np.ndarray:
-    """P(S_j <= C) for j = 1..J, S_j a j-fold sum of iid positive sizes.
+def _bounded_sum_masses(s1: np.ndarray):
+    """Yield P(S_j <= C) for j = 1, 2, ..., S_j a j-fold sum of iid
+    positive sizes.
 
     ``s1`` is the single-copy pmf on 0..C with zero mass at 0; the
     convolutions stay truncated at C since mass above the bound never
-    returns below it.
+    returns below it, and past j = C every mass is exactly 0.
     """
     C = len(s1) - 1
-    masses = np.empty(J)
-    s = s1.copy()
-    masses[0] = s.sum()
-    for j in range(2, J + 1):
+    s = s1
+    while True:
+        yield float(s.sum())
         s = np.convolve(s, s1)[: C + 1]
-        masses[j - 1] = s.sum()
-    return masses
 
 
 def _joint_rows(law, m, n, C, J_max, epsilon):
     """Joint rows and the event probability P(0 < Z(n) <= C).
 
-    One population pass at degree C gives both the pmf of the subtree
-    size Z(n-m) on 0..C, from f_{n-m}, and the event probability, from
-    f_n.  Row j is the reduced row times the chance that j surviving
-    subtrees keep the total at or below C.
+    Row j is the reduced row p_j times the chance P(S_j <= C) that j
+    surviving subtrees keep the total at or below C.  A pass of n - m
+    steps at degree C gives the subtree size pmf, from f_{n-m}; one pass
+    of m steps gives the reduced rows.  The event probability is the sum
+    of rows 1..J.  Since P(S_j <= C) falls in j and the p_j sum to
+    P(Z(n) > 0), the rows past J add at most P(S_{J+1} <= C) P(Z(n) > 0),
+    and J is the first order at which that is below 2^-52 times the
+    first row, itself a lower bound on the event probability.  So no pass
+    runs to n at degree C, J is chosen before the row pass, and a
+    caller's ``J_max`` cuts or extends the rows without moving the event
+    probability.
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     _check_epsilon(epsilon)
-    _, masses, subtree = _population_pass(law, n, C, n - m)
-    event_prob = float(masses[n])
-    q, s1 = float(subtree[0]), _positive_part(subtree).coeffs
-
-    def build(J):
-        return _reduced_rows(law, m, q, J) * _bounded_sum_masses(s1, J)
-
-    rows = _table_rows(build, J_max, event_prob, epsilon * event_prob, J_cap=C)
-    return rows, event_prob
+    _check_order(J_max)
+    r = n - m
+    for subtree in iterates(law, r, C):
+        pass
+    qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
+    q, survival = qs[r], 1.0 - qs[n]
+    # p_1 = (1 - q_r) f_m'(q_r) = (1 - q_r) f'(q_r) ... f'(q_{n-1})
+    p1 = (1.0 - q) * np.prod(pgf_derivatives(law, qs[r:n], 1)[1])
+    fits = _bounded_sum_masses(_positive_part(subtree).coeffs)
+    masses = [next(fits), next(fits)]
+    floor = 2.0**-52 * p1 * masses[0]
+    while masses[-1] * survival > floor:
+        masses.append(next(fits))
+    J = len(masses) - 1
+    order = max(J, J_max or 0)
+    masses += [next(fits) for _ in range(order - len(masses))]
+    rows = _reduced_rows(law, m, q, order) * masses[:order]
+    event_prob = float(rows[:J].sum())
+    if J_max is not None:
+        return rows[:J_max], event_prob
+    return _cut(rows, event_prob, epsilon * event_prob), event_prob
 
 
 def joint_reduced_bounded(
@@ -318,7 +337,9 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     grid = np.atleast_1d(np.asarray(distances, dtype=int))
     if grid.size and (grid.min() < 0 or grid.max() > n):
         raise ValueError("distances must lie in [0, n]")
-    qs, masses, _ = _population_pass(law, n, C)
+    qs, masses = np.empty(n + 1), np.empty(n + 1)
+    for u, coeffs in enumerate(iterates(law, n, C)):
+        qs[u], masses[u] = coeffs[0], coeffs[1:].sum()
     event_prob = masses[n]
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(

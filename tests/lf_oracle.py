@@ -84,15 +84,17 @@ def event_prob(n: int, C: int) -> float:
 
 def bounded_sum_prob(r: int, j: int, C: int) -> float:
     """P(S_j <= C), S_j a sum of j iid copies of Z(r) given Z(r) > 0."""
-    p = Fraction(1, r + 1)
-    tail = sum(math.comb(C, i) * p**i * (1 - p) ** (C - i) for i in range(j, C + 1))
-    return float(tail)
+    # C trials of success probability 1/(r+1): the tail over i >= j in
+    # integers, over the common denominator (r+1)^C
+    tail = sum(math.comb(C, i) * r ** (C - i) for i in range(j, C + 1))
+    return float(Fraction(tail, (r + 1) ** C))
 
 
-def conditional_reduced_pmf(m: int, n: int, C: int) -> np.ndarray:
-    """P(Z(m,n) = j | 0 < Z(n) <= C) for j = 1..C."""
-    rows = reduced_pmf(m, n, C)
-    fits = np.array([bounded_sum_prob(n - m, j, C) for j in range(1, C + 1)])
+def conditional_reduced_pmf(m: int, n: int, C: int, jmax: int | None = None) -> np.ndarray:
+    """P(Z(m,n) = j | 0 < Z(n) <= C) for j = 1..jmax, by default 1..C."""
+    jmax = C if jmax is None else jmax
+    rows = reduced_pmf(m, n, jmax)
+    fits = np.array([bounded_sum_prob(n - m, j, C) for j in range(1, jmax + 1)])
     return rows * fits / event_prob(n, C)
 
 

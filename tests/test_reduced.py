@@ -258,11 +258,70 @@ class TestConditionalTable:
 
     @pytest.mark.parametrize("law,m,n,C", [(LF, 3, 7, 4), (TERNARY, 10, 40, 6)])
     def test_event_prob_is_the_bounded_survival_prob(self, law, m, n, C):
-        # same f_n pass at the same degree, so equal to the last bit
-        want = bounded_survival_prob(law, n, C)
-        assert conditional_reduced_pmf(law, m, n, C).event_prob == want
-        assert joint_reduced_bounded(law, m, n, C).event_prob == want
+        # the row sum against the f_n pass and, for LF, the closed form
+        wants = [bounded_survival_prob(law, n, C)]
+        if law is LF:
+            wants.append(lf_oracle.event_prob(n, C))
+        for build in (conditional_reduced_pmf, joint_reduced_bounded):
+            got = build(law, m, n, C).event_prob
+            for want in wants:
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert reduced_pmf(law, m, n).event_prob is None
+
+    @pytest.mark.parametrize("law", [LF, POIS, TERNARY], ids=["lf", "poisson", "ternary"])
+    def test_two_short_passes(self, law, monkeypatch):
+        # n - m steps at degree C for the subtree sizes, m steps at one
+        # degree J for the rows, and no pass of n steps at degree C
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[1:3])
+            return series.iterates(*args, **kwargs)
+
+        monkeypatch.setattr(reduced, "iterates", counted)
+        m, n, C = 50, 60, 20
+        for build in (conditional_reduced_pmf, joint_reduced_bounded):
+            passes.clear()
+            table = build(law, m, n, C)
+            assert len(passes) == 2
+            assert passes[0] == (n - m, C)
+            steps, J = passes[1]
+            assert steps == m
+            assert table.j_max <= J <= C
+
+    @pytest.mark.parametrize("law,m,n,C", [(POIS, 150, 200, 60), (TERNARY, 30, 40, 12)])
+    def test_fixed_order_keeps_event_prob(self, law, m, n, C):
+        # a caller's J_max cuts or extends the rows, below and above the
+        # chosen order and past C, and never moves the event probability
+        for build in (conditional_reduced_pmf, joint_reduced_bounded):
+            free = build(law, m, n, C)
+            for J_max in (1, free.j_max - 1, free.j_max + 5, C + 5):
+                fixed = build(law, m, n, C, J_max=J_max)
+                k = min(J_max, free.j_max)
+                assert fixed.j_max == J_max
+                assert fixed.event_prob == free.event_prob
+                assert np.array_equal(fixed.pmf[:k], free.pmf[:k])
+                assert not np.any(fixed.pmf[C:])
+
+    def test_parity_law_cannot_end_with_one_survivor(self):
+        # under 1/2 + s^2/2 every Z(n) is even, so 0 < Z(n) <= 1 is empty
+        n = 6
+        for m in range(n):
+            with pytest.raises(ConditioningImpossibleError):
+                conditional_reduced_pmf(NO_SINGLE, m, n, C=1)
+            joint = joint_reduced_bounded(NO_SINGLE, m, n, C=1)
+            assert joint.event_prob == 0.0
+            assert not np.any(joint.pmf)
+
+    @pytest.mark.parametrize(
+        "m,n,C", [(400, 800, 800), (720, 800, 800), (7911, 8000, 89)],
+        ids=["band-t0.5", "band-t0.9", "window-8000"],
+    )
+    def test_lf_band_and_window_match_closed_form(self, m, n, C):
+        table = conditional_reduced_pmf(LF, m, n, C)
+        assert 1.0 - table.mass_accounted < 1e-9
+        want = lf_oracle.conditional_reduced_pmf(m, n, C, table.j_max)
+        assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
 
 
 class TestMrcaDistance:
