@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -243,6 +244,7 @@ class TestConditionalTable:
         cond = conditional_reduced_pmf(LF, 3, 7, C=4, J_max=5)
         event = bounded_survival_prob(LF, 7, 4)
         assert np.allclose(cond.pmf, joint.pmf / event, atol=1e-12)
+        assert np.array_equal(cond.pmf, joint.pmf / joint.event_prob)
 
     def test_lf_late_generation_meets_epsilon(self):
         # about 27 rows are needed, more than a fixed order of 20 gives
@@ -495,3 +497,56 @@ class TestDecompositionProperty:
         table = joint_reduced_bounded(law, m, n, C)
         want = bounded_survival_prob(law, n, C)
         assert abs(table.mass_accounted - want) < 1e-8
+
+
+def _digest(law) -> str:
+    """sha256 over the bytes of every exact output for one law: the
+    three tables at free and fixed orders, the event probability, the
+    full-grid ancestor-distance cdf and derivative jets."""
+    h = hashlib.sha256()
+
+    def feed(x):
+        h.update(b"-" if x is None else np.asarray(x, dtype=np.float64).tobytes())
+
+    # every pass stays at degree <= series.PREFIX, where the kernel
+    # solves one coefficient at a time and no matrix product enters
+    for m, n, C in [(0, 8, 3), (3, 10, 5), (20, 40, 12), (60, 100, 30)]:
+        for J_max in (None, 1, 30):
+            for table in (
+                reduced_pmf(law, m, n, J_max),
+                joint_reduced_bounded(law, m, n, C, J_max),
+                conditional_reduced_pmf(law, m, n, C, J_max),
+            ):
+                feed(table.pmf)
+                feed(table.mass_accounted)
+                feed(table.event_prob)
+        feed(bounded_survival_prob(law, n, C))
+        feed(mrca_distance_cdf(law, n, C, range(n + 1)))
+        for q in (0.3, extinction_prob(law, n - m)):
+            # a jet is its values array, or a record holding it
+            jet = series.derivative_jet(law, n, q, 12)
+            feed(getattr(jet, "values", jet))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "pmf,want",
+    [
+        ("linear_fractional",
+         "6613b5b677ef8e61bab0d00ac3f90746da578a4455322556adebc858e4825ce8"),
+        ("poisson",
+         "b98fd8c8a7815e3ce80d0c3952e401d1d804a55a389ce4487911df58f809492b"),
+        ("ternary_uniform",
+         "2d1b759dd263098a09309db53989fbbcdf72336a3fff8ad15185bcdf4787b9b1"),
+        ([0.5, 0.0, 0.5],
+         "9fe30e62c69a5cc234f414f048ddc592877b99240e0e20c312a0a302e79a1276"),
+        ([0.3, 0.45, 0.2, 0.05],
+         "bbe73c84b17e09609627937f6c599177402b44609e96c1e5048873e96a2f180d"),
+    ],
+    ids=["lf", "poisson", "ternary", "no_single", "custom4"],
+)
+def test_exact_outputs_are_pinned(pmf, want):
+    # bit-for-bit: any change to the arithmetic behind a table, the
+    # event probability, the cdf or a jet changes the digest
+    law = make_builtin(pmf) if isinstance(pmf, str) else make_custom(pmf)
+    assert _digest(law) == want
