@@ -16,7 +16,7 @@ from gwreduced import make_builtin, make_custom, pgf_derivatives, pgf_value
 # constant the asymptotic formulas need.
 for name in ("linear_fractional", "poisson", "ternary_uniform"):
     law = make_builtin(name)
-    print(f"{law.label:20s} B={law.half_variance:<6} aperiodic={law.aperiodic}")
+    print(f"{law.label:20s} B={law.half_variance}")
 
 # The generating function f(s) = E[s^children] evaluated pointwise.
 lf = make_builtin("linear_fractional")

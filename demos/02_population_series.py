@@ -46,10 +46,10 @@ for n in (100, 200, 400):
     print(f"n={n:<5d} E[Z(n) | Z(n)>0] / (Bn) = {mean_surviving / (B * n):.4f}")
 
 # Derivative jets: f_m^{(k)} evaluated at a point q, streamed over all
-# m = 0..n in one pass.  These are the raw ingredients of the exact
-# reduced-process tables.
+# m = 0..n in one pass.  Each jet is a plain array whose entry k is
+# f_m^{(k)}(q), read off the Taylor coefficients of f_m(q + s).
 q = extinction_prob(law, 20)
 jets = list(iter_derivative_jets(law, 10, q, 3))
 print(f"\nf_m^(k)(q_20) for m = 0, 5, 10 (columns k = 0..3):")
 for m in (0, 5, 10):
-    print(f"  m={m:<3d}", np.round(jets[m].values, 6))
+    print(f"  m={m:<3d}", np.round(jets[m], 6))

@@ -202,7 +202,7 @@ def _selftest_checks():
             q = r / (r + 1)
             for n, jet in enumerate(iter_derivative_jets(lf, 60, q, 1)):
                 want = (r + 1) ** 2 / (n + r + 1) ** 2
-                assert abs(jet.values[1] - want) < 1e-12, (n, r)
+                assert abs(jet[1] - want) < 1e-12, (n, r)
 
     def check_reduced_rows():
         # P(Z(m,n) = j) = (1-q)^j m^(j-1) / (m+1-m q)^(j+1), q = q_{n-m}
@@ -219,7 +219,7 @@ def _selftest_checks():
             jet = derivative_jet(lf, n, q, 6)
             for k in range(1, 7):
                 want = factorial(k) * n ** (k - 1) / (n + 1 - n * q) ** (k + 1)
-                assert abs(jet.values[k] - want) < 1e-9 * want, (q, k)
+                assert abs(jet[k] - want) < 1e-9 * want, (q, k)
 
     def check_duality():
         for x in (0.25, 1.0, 4.0):

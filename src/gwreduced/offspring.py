@@ -43,14 +43,11 @@ class OffspringLaw:
     ``half_variance`` is half the offspring variance; survival and
     conditioning scales downstream are all expressed through it.
     ``support_pmf`` stores the exact pmf for finite-support laws and is
-    None for the two infinite-support built-ins.  ``aperiodic`` records
-    whether f_0 > 0 and gcd{k >= 1 : f_k > 0} == 1; local-limit based
-    comparisons are only meaningful when it holds.
+    None for the two infinite-support built-ins.
     """
 
     family: Family
     half_variance: float
-    aperiodic: bool
     support_pmf: np.ndarray | None = None
 
     @property
@@ -66,13 +63,6 @@ class OffspringLaw:
             probs = ",".join(repr(float(p)) for p in self.support_pmf)
             return f"custom:{probs}"
         return self.family.value
-
-
-def _aperiodic(pmf: np.ndarray) -> bool:
-    if pmf[0] <= 0.0:
-        return False
-    support = [k for k in range(1, len(pmf)) if pmf[k] > 0.0]
-    return math.gcd(*support) == 1 if support else False
 
 
 def make_custom(pmf) -> OffspringLaw:
@@ -103,7 +93,6 @@ def make_custom(pmf) -> OffspringLaw:
     return OffspringLaw(
         family=Family.CUSTOM_FINITE,
         half_variance=variance / 2.0,
-        aperiodic=_aperiodic(arr),
         support_pmf=arr,
     )
 
@@ -115,14 +104,13 @@ def make_builtin(family: Family | str) -> OffspringLaw:
         raise ValueError("custom laws take a pmf: use make_custom")
     if fam is Family.LINEAR_FRACTIONAL:
         # f(s) = 1/(2-s), geometric pmf 2^-(k+1), variance 2
-        return OffspringLaw(fam, half_variance=1.0, aperiodic=True)
+        return OffspringLaw(fam, half_variance=1.0)
     if fam is Family.POISSON:
-        return OffspringLaw(fam, half_variance=0.5, aperiodic=True)
+        return OffspringLaw(fam, half_variance=0.5)
     # ternary uniform on {0, 1, 2}
     return OffspringLaw(
         fam,
         half_variance=0.25,
-        aperiodic=True,
         support_pmf=np.array([0.25, 0.5, 0.25]),
     )
 

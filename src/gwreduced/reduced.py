@@ -27,7 +27,7 @@ is a product of scalars read off one streamed pass over f_0..f_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +52,9 @@ class ReducedLawTable:
     ``pmf[j-1]`` is the probability of j reduced lines, j = 1..J_max:
     P(count=j) from ``reduced_pmf``, P(count=j, 0<Z(n)<=C) from
     ``joint_reduced_bounded`` and P(count=j | 0<Z(n)<=C) from
-    ``conditional_reduced_pmf``.  ``mass_accounted`` is the row sum.
+    ``conditional_reduced_pmf``, which is the joint table with its rows
+    and row sum divided by ``event_prob``.  ``mass_accounted`` is the
+    row sum.
     Unless the caller fixes it, J_max is the first order at which the
     remainder against the relevant total is below ``epsilon``: for an
     unconditional table the orders double from J_START, and a table
@@ -121,9 +123,7 @@ def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     """P(0 < Z(n) <= C), the probability of the small-survival event."""
     if C < 1:
         return 0.0
-    for coeffs in iterates(law, n, C):
-        pass
-    return float(coeffs[1:].sum())
+    return float(pmf_Zn(law, n, C).coeffs[1:].sum())
 
 
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
@@ -146,34 +146,6 @@ def _check_order(J_max) -> None:
         raise ValueError("J_max must be at least 1")
 
 
-def _table_rows(build, J_max, total: float, tol: float):
-    """Unconditional rows p_1..p_J from ``build(J)``.
-
-    A caller-fixed ``J_max`` is used as given.  Otherwise J doubles from
-    J_START until the remainder against ``total`` is below ``tol``, and
-    the table is cut at the first order that meets it.  The loop ends:
-    rows at m = 0 are exact (the remainder is 0), and for m >= 1 the
-    build's own pass hits the composition budget as J grows.  A build
-    over budget raises SeriesBudgetError, stating the mass accounted so
-    far, rather than return a short table.
-    """
-    _check_order(J_max)
-    if J_max is not None:
-        return build(J_max)
-    J, rows = J_START, np.zeros(0)
-    while True:
-        try:
-            rows = build(J)
-        except SeriesBudgetError as exc:
-            raise SeriesBudgetError(
-                f"{exc}; at order {len(rows)} the rows account for mass "
-                f"{rows.sum():.6g} of {total:.6g}, short of epsilon"
-            ) from None
-        if total - rows.sum() < tol:
-            return _cut(rows, total, tol)
-        J *= 2
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -191,14 +163,34 @@ def reduced_pmf(
     At m = n the reduced count equals the terminal population (q_0 = 0,
     so the rows are the coefficients of f_n).  The remainder criterion
     is absolute: the rows approach the survival probability P(Z(n) > 0)
-    to within epsilon, or SeriesBudgetError is raised.
+    to within epsilon, or SeriesBudgetError is raised, stating the mass
+    accounted so far.  Unless ``J_max`` is fixed, J doubles from J_START
+    until the remainder is below epsilon and the table is cut at the
+    first order that meets it; the loop ends, since rows at m = 0 are
+    exact and for m >= 1 the row pass reaches the budget as J grows.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     _check_epsilon(epsilon)
+    _check_order(J_max)
     qs = list(iter_extinction_probs(law, n))
     q, survival = qs[n - m], 1.0 - qs[n]
-    probs = _table_rows(lambda J: _reduced_rows(law, m, q, J), J_max, survival, epsilon)
+    if J_max is not None:
+        probs = _reduced_rows(law, m, q, J_max)
+    else:
+        J, probs = J_START, np.zeros(0)
+        while True:
+            try:
+                probs = _reduced_rows(law, m, q, J)
+            except SeriesBudgetError as exc:
+                raise SeriesBudgetError(
+                    f"{exc}; at order {len(probs)} the rows account for mass "
+                    f"{probs.sum():.6g} of {survival:.6g}, short of epsilon"
+                ) from None
+            if survival - probs.sum() < epsilon:
+                break
+            J *= 2
+        probs = _cut(probs, survival, epsilon)
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -305,22 +297,21 @@ def conditional_reduced_pmf(
     J_max: int | None = None,
     epsilon: float = EPSILON_DEFAULT,
 ) -> ReducedLawTable:
-    """pmf rows P(reduced count at m = j | 0 < Z(n) <= C)."""
+    """pmf rows P(reduced count at m = j | 0 < Z(n) <= C).
+
+    The table is the joint table of ``joint_reduced_bounded`` with its
+    rows and row sum divided by the event probability, which it keeps.
+    """
     impossible = f"conditioning event 0 < Z({n}) <= {C} has probability zero"
     if C < 1:
         raise ConditioningImpossibleError(impossible)
-    rows, event_prob = _joint_rows(law, m, n, C, J_max, epsilon)
-    if event_prob <= 0.0:
+    joint = joint_reduced_bounded(law, m, n, C, J_max, epsilon)
+    if joint.event_prob <= 0.0:
         raise ConditioningImpossibleError(impossible)
-    return ReducedLawTable(
-        law=law.label,
-        n=n,
-        m=m,
-        bound=C,
-        epsilon=epsilon,
-        pmf=rows / event_prob,
-        mass_accounted=float(rows.sum() / event_prob),
-        event_prob=event_prob,
+    return replace(
+        joint,
+        pmf=joint.pmf / joint.event_prob,
+        mass_accounted=float(joint.pmf.sum() / joint.event_prob),
     )
 
 

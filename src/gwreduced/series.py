@@ -10,8 +10,8 @@ under one n*K^2 budget:
 
 - g = s gives the coefficients of f_n, the pmf of Z(n);
 - g = q + s gives the Taylor coefficients of f_n(q + s), so the
-  derivative jet (f_n(q), f_n'(q), ..., f_n^(J)(q)) is k! times the
-  k-th coefficient, at any order J;
+  derivative jet, the array (f_n(q), f_n'(q), ..., f_n^(J)(q)), is k!
+  times the k-th coefficient, at any order J;
 - g = q + (1-q)s gives the reduced-process rows (see ``reduced``).
 
 Each step is exact at every degree <= K.  For the linear-fractional
@@ -59,15 +59,6 @@ class TruncatedSeries:
 
     coeffs: np.ndarray
     tail: float
-
-
-@dataclass(frozen=True)
-class DerivativeJet:
-    """Derivatives (f_n(q), f_n'(q), ..., f_n^(J)(q)) at a fixed point."""
-
-    q: float
-    values: np.ndarray
-    n: int
 
 
 def iter_extinction_probs(law: OffspringLaw, n: int):
@@ -207,8 +198,9 @@ def pmf_Zn(law: OffspringLaw, n: int, K: int) -> TruncatedSeries:
 def iter_derivative_jets(law: OffspringLaw, n: int, q: float, J: int):
     """Yield the jet of f_m at q for m = 0, 1, ..., n.
 
-    The jet is read off the iterates of q + s at degree J >= 1: the
-    k-th coefficient of f_m(q + s) is f_m^(k)(q)/k!.
+    A jet is the array (f_m(q), f_m'(q), ..., f_m^(J)(q)), read off the
+    iterates of q + s at degree J >= 1: the k-th coefficient of
+    f_m(q + s) is f_m^(k)(q)/k!.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"jet evaluation point {q} outside [0, 1)")
@@ -221,11 +213,12 @@ def iter_derivative_jets(law: OffspringLaw, n: int, q: float, J: int):
             raise JetOverflowError(
                 f"jet of order {J} overflowed at generation {m} (point {q})"
             )
-        yield DerivativeJet(q=q, values=values, n=m)
+        yield values
 
 
-def derivative_jet(law: OffspringLaw, n: int, q: float, J: int) -> DerivativeJet:
-    """Derivatives of the n-th pgf iterate at a point of [0, 1)."""
+def derivative_jet(law: OffspringLaw, n: int, q: float, J: int) -> np.ndarray:
+    """Derivatives (f_n(q), f_n'(q), ..., f_n^(J)(q)) of the n-th pgf
+    iterate at a point q of [0, 1)."""
     for jet in iter_derivative_jets(law, n, q, J):
         pass
     return jet

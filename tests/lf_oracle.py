@@ -69,12 +69,19 @@ def derivative_at_extinction(n: int, k: int, r: int) -> float:
 
 
 def reduced_pmf(m: int, n: int, jmax: int) -> np.ndarray:
-    """P(Z(m,n) = j) for j = 1..jmax."""
+    """P(Z(m,n) = j) for j = 1..jmax.
+
+    The rows are geometric, p_1 rho^(j-1) with p_1 = (1-q)/(m+1-mq)^2
+    and rho = (1-q) m/(m+1-mq) < 1, which stays finite at any m and j
+    where the powers m^(j-1) and (m+1-mq)^(j+1) apart would overflow.
+    """
     q = extinction(n - m)
     j = np.arange(1, jmax + 1)
     if m == 0:
         return np.where(j == 1, 1.0 - q, 0.0)
-    return (1.0 - q) ** j * m ** (j - 1.0) / (m + 1 - m * q) ** (j + 1.0)
+    p1 = (1.0 - q) / (m + 1 - m * q) ** 2
+    rho = (1.0 - q) * m / (m + 1 - m * q)
+    return p1 * rho ** (j - 1.0)
 
 
 def event_prob(n: int, C: int) -> float:

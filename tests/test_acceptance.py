@@ -65,7 +65,7 @@ def test_a01_linear_fractional_closed_forms(verdict):
         q = lf_oracle.extinction(r)
         for n, jet in enumerate(iter_derivative_jets(LF, 100, q, 1)):
             want = lf_oracle.derivative_at_extinction(n, 1, r)
-            worst = max(worst, abs(jet.values[1] - want))
+            worst = max(worst, abs(jet[1] - want))
     elapsed = time.time() - start
     ok = worst < 1e-10 and elapsed < 10.0
     verdict(
@@ -320,7 +320,7 @@ def test_a11_derivative_ratio_asymptotics(verdict):
         q = extinction_prob(law, n)
         jet = derivative_jet(law, n, q, 4)
         ratios = [
-            jet.values[k] / (math.factorial(k) * (B * n) ** (k - 1) / 2 ** (k + 1))
+            jet[k] / (math.factorial(k) * (B * n) ** (k - 1) / 2 ** (k + 1))
             for k in range(1, 5)
         ]
         ok = ok and all(0.9 < r < 1.1 for r in ratios)
@@ -334,7 +334,7 @@ def test_a11_derivative_ratio_asymptotics(verdict):
             q = extinction_prob(law, width)
             jet = derivative_jet(law, n_big - width, q, 3)
             for j in (1, 2, 3):
-                ratio = jet.values[j] / (
+                ratio = jet[j] / (
                     math.factorial(j) * (B * width) ** (j + 1) / (B**2 * n_big**2)
                 )
                 devs[j].append(abs(ratio - 1))

@@ -42,7 +42,6 @@ class TestBuiltins:
         assert pmf[1] == pytest.approx(0.25, abs=TOL)
         assert pmf[5] == pytest.approx(2.0**-6, abs=TOL)
         assert law.half_variance == 1.0
-        assert law.aperiodic
         assert law.max_support is None
 
     def test_poisson_pmf_and_variance(self):
@@ -68,12 +67,10 @@ class TestCustom:
     def test_ternary_via_custom_matches_builtin(self):
         law = make_custom([0.25, 0.5, 0.25])
         assert law.half_variance == pytest.approx(0.25, abs=TOL)
-        assert law.aperiodic
 
-    def test_periodic_law_flagged_not_rejected(self):
+    def test_periodic_law_accepted(self):
         # mass on {0, 2} only: critical, positive variance, but periodic
         law = make_custom([0.5, 0.0, 0.5])
-        assert not law.aperiodic
         assert law.half_variance == pytest.approx(0.5, abs=TOL)
 
     def test_noncritical_rejected(self):

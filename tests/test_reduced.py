@@ -119,6 +119,18 @@ class TestReducedPmf:
         assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
         assert np.max(np.abs(table.pmf - want) / want) < 1e-11
 
+    @pytest.mark.parametrize(
+        "m,n,j", [(3, 6, 5), (40, 50, 30), (300, 310, 64), (7911, 8000, 81),
+                  (7911, 8000, 89)],
+    )
+    def test_lf_oracle_rows_match_exact_rationals(self, m, n, j):
+        # the oracle's geometric form against (1-q)^j m^(j-1)/(m+1-mq)^(j+1)
+        # in exact rationals, at rows where those powers overflow a float
+        q = Fraction(n - m, n - m + 1)
+        want = (1 - q) ** j * Fraction(m) ** (j - 1) / (m + 1 - m * q) ** (j + 1)
+        got = lf_oracle.reduced_pmf(m, n, j)[-1]
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_poisson_rows_match_high_precision_cauchy_integral(self):
         # rows fall by about 1/3 per degree, so aliasing is below 1e-60
         m, n, J = 10, 30, 30
@@ -316,14 +328,21 @@ class TestConditionalTable:
             assert not np.any(joint.pmf)
 
     @pytest.mark.parametrize(
-        "m,n,C", [(400, 800, 800), (720, 800, 800), (7911, 8000, 89)],
+        "m,n,C,whole",
+        [(400, 800, 800, False), (720, 800, 800, False), (7911, 8000, 89, True)],
         ids=["band-t0.5", "band-t0.9", "window-8000"],
     )
-    def test_lf_band_and_window_match_closed_form(self, m, n, C):
+    def test_lf_band_and_window_match_closed_form(self, m, n, C, whole):
         table = conditional_reduced_pmf(LF, m, n, C)
         assert 1.0 - table.mass_accounted < 1e-9
         want = lf_oracle.conditional_reduced_pmf(m, n, C, table.j_max)
         assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
+        if whole:
+            # every row 1..C, past the chosen order too; at C = 800 the
+            # oracle's exact-rational subtree sums take seconds per case
+            full = conditional_reduced_pmf(LF, m, n, C, J_max=C)
+            want = lf_oracle.conditional_reduced_pmf(m, n, C)
+            assert np.max(np.abs(full.pmf - want)) < ORACLE_TOL
 
 
 class TestMrcaDistance:

@@ -212,16 +212,16 @@ class TestComposeStepCrossCheck:
 class TestJets:
     def test_identity_jet(self):
         jet = derivative_jet(TERNARY, 0, 0.3, 4)
-        assert jet.values == pytest.approx([0.3, 1.0, 0.0, 0.0, 0.0], abs=TOL)
+        assert jet == pytest.approx([0.3, 1.0, 0.0, 0.0, 0.0], abs=TOL)
 
     def test_lf_first_derivative_example(self):
         q2 = 2 / 3
         jet = derivative_jet(LF, 3, q2, 1)
-        assert jet.values[1] == pytest.approx(0.25, abs=TOL)
+        assert jet[1] == pytest.approx(0.25, abs=TOL)
 
     def test_lf_second_derivative_matches_pmf(self):
         jet = derivative_jet(LF, 2, 0.0, 2)
-        assert jet.values[2] == pytest.approx(4 / 27, abs=TOL)
+        assert jet[2] == pytest.approx(4 / 27, abs=TOL)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100])
     @pytest.mark.parametrize("r", [0, 1, 7, 40])
@@ -230,7 +230,7 @@ class TestJets:
         jet = derivative_jet(LF, n, q, 4)
         for k in range(5):
             want = lf_oracle.derivative_at_extinction(n, k, r)
-            assert jet.values[k] == pytest.approx(want, rel=TOL, abs=TOL)
+            assert jet[k] == pytest.approx(want, rel=TOL, abs=TOL)
 
     @pytest.mark.parametrize("law", [LF, POIS, TERNARY])
     def test_jet_series_consistency_at_zero(self, law):
@@ -239,7 +239,7 @@ class TestJets:
         jet = derivative_jet(law, n, 0.0, J)
         series = pmf_Zn(law, n, J)
         for j in range(J + 1):
-            assert jet.values[j] == pytest.approx(
+            assert jet[j] == pytest.approx(
                 math.factorial(j) * series.coeffs[j], rel=1e-9, abs=TOL
             )
 
@@ -247,8 +247,8 @@ class TestJets:
         for law in (LF, POIS, TERNARY):
             jets = list(iter_derivative_jets(law, 30, 0.2, 5))
             for jet in jets[1:]:
-                assert np.all(jet.values >= 0.0)
-                assert 0.2 <= jet.values[0] < 1.0
+                assert np.all(jet >= 0.0)
+                assert 0.2 <= jet[0] < 1.0
 
     def test_lf_order_40_closed_form(self):
         # no order cap: every derivative up to 40 against the closed form
@@ -256,7 +256,7 @@ class TestJets:
             jet = derivative_jet(LF, n, q, 40)
             for k in range(41):
                 want = lf_oracle.derivative(n, k, q)
-                assert jet.values[k] == pytest.approx(want, rel=1e-10, abs=TOL)
+                assert jet[k] == pytest.approx(want, rel=1e-10, abs=TOL)
 
     def test_overflow_is_reported(self):
         # 400! is beyond double range, so the jet cannot be represented
@@ -285,7 +285,7 @@ class TestAsymptoticTrends:
         jet = derivative_jet(LF, n, q, 4)
         for k in range(1, 5):
             predicted = math.factorial(k) * n ** (k - 1.0) / 2.0 ** (k + 1)
-            assert 0.9 < jet.values[k] / predicted < 1.1
+            assert 0.9 < jet[k] / predicted < 1.1
 
     def test_short_horizon_derivative_scale(self):
         # jets of f_m at f_phi(0) with m = n - phi, phi = ceil(sqrt(n)):
@@ -296,7 +296,7 @@ class TestAsymptoticTrends:
             q = extinction_prob(LF, phi)
             jet = derivative_jet(LF, n - phi, q, 2)
             predicted = 2.0 * phi**3 / n**2
-            ratios.append(jet.values[2] / predicted)
+            ratios.append(jet[2] / predicted)
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
         assert 0.8 < ratios[-1] < 1.2
 
@@ -340,4 +340,4 @@ class TestPropertyChecks:
         value = q
         for _ in range(7):
             value = float(np.polynomial.polynomial.polyval(value, law.support_pmf))
-        assert jet.values[0] == pytest.approx(value, abs=TOL)
+        assert jet[0] == pytest.approx(value, abs=TOL)
