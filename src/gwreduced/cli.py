@@ -224,12 +224,16 @@ def _selftest_checks():
     def check_duality():
         for x in (0.25, 1.0, 4.0):
             q = LimitQuery(regime=Regime.SMALL_PHI, x=x)
+            pmf = q.table((), j_max=399).pmf
             for s in (0.2, 0.5, 0.8):
-                gf = q.gf(s)
-                series = sum(
-                    s**j * q.pmf(j) for j in range(1, 400)
-                )
-                assert abs(gf - series) < 1e-10, (x, s)
+                series = sum(s**j * p for j, p in enumerate(pmf, start=1))
+                assert abs(q.gf(s) - series) < 1e-10, (x, s)
+
+    def check_limit_mass():
+        queries = [LimitQuery(Regime.SMALL_PHI, x=x) for x in (1e-3, 1.0, 4.0)]
+        queries += [LimitQuery(Regime.LINEAR_BAND, t=t, a=1.0) for t in (0.5, 0.999)]
+        for q in queries:
+            assert abs(q.pmf_values().sum() - 1.0) < 1e-12, q
 
     def check_decomposition():
         for (m, n, C) in ((2, 6, 2), (3, 9, 3), (5, 12, 4)):
@@ -253,6 +257,7 @@ def _selftest_checks():
         ("reduced_row_closed_form", check_reduced_rows),
         ("jet_closed_form", check_jet_closed_form),
         ("limit_gf_pmf_duality", check_duality),
+        ("limit_pmf_unit_mass", check_limit_mass),
         ("joint_mass_decomposition", check_decomposition),
         ("mrca_cdf_closed_form", check_mrca),
     ]

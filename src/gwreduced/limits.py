@@ -5,10 +5,8 @@ terminal bound grows like B*phi(n) with phi(n) = o(n), the intermediate
 time sits x window-widths before the end, and the limiting reduced
 count has pmf x * P(Gamma(j,1) <= 1/x).  In the linear-band regime the
 bound is a*B*n, the intermediate time is t*n, and the limit picks up a
-geometric factor in t.  Both regimes reduce to Poisson tail identities,
-so everything here is elementary: regularized incomplete gamma with
-integer shape via its exact finite sum, plus expm1 for the generating
-functions near s = 1.
+geometric factor in t.  In both, p_j is a regime factor times the Poisson
+tail P(N(u) >= j) at u = 1/x or a/(1-t), from one ``poisson_tails`` pass.
 
 ``LimitQuery`` pins a regime and its parameters, validates them once,
 and is the one way to evaluate a law: ``gf``, ``pmf``, ``pmf_values``
@@ -28,41 +26,30 @@ from enum import Enum
 import numpy as np
 
 TERM_RATIO = 1e-16
-MAX_TERMS = 100_000
 
 
-def gamma_reg_lower(j: int, u: float) -> float:
-    """Regularized lower incomplete gamma at integer shape j.
+def poisson_tails(u: float, J: int) -> np.ndarray:
+    """Poisson tails P(N(u) >= j) for j = 1..J, in O(J + sqrt(u)) work.
 
-    Equals the Poisson tail P(N(u) >= j) = 1 - e^-u sum_{i<j} u^i/i!.
-    For u >= j the complement sum is evaluated (the result is not
-    small, so the subtraction is safe); for u < j the tail terms are
-    summed directly from i = j, which stays accurate when the value is
-    tiny.  The Poisson terms carry the e^-u factor throughout so
-    nothing overflows for large u.
-    """
-    if j < 1:
-        raise ValueError("shape must be a positive integer")
-    if u < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if u == 0.0:
-        return 0.0
-    if u >= j:
-        term = math.exp(-u)
-        acc = 0.0
-        for i in range(j):
-            acc += term
-            term *= u / (i + 1)
-        return 1.0 - acc
-    # forward tail sum; the term ratio u/(i+1) < 1 keeps it convergent
-    term = math.exp(-u + j * math.log(u) - math.lgamma(j + 1))
-    acc = 0.0
-    i = j
-    while term > acc * 1e-18 and term > 0.0:
-        acc += term
-        i += 1
-        term *= u / i
-    return acc
+    The terms P(N = i) over the mode's come from the ratios u/(i+1) and
+    i/u, out to ``reach`` places past the mode and past J, beyond which
+    they are below e^-72 of it.  A tail is the sum of the terms from the
+    far end down to j over the whole sum: it lies in [0, 1], and is 1.0
+    below the first term kept."""
+    if J < 1:
+        raise ValueError(f"tail count J must be at least 1, got {J}")
+    if not 0.0 <= u < math.inf:
+        raise ValueError(f"Poisson mean must be nonnegative and finite, got {u}")
+    mode, reach = _mode_reach(u)
+    lo = max(mode - reach, 0)
+    tails = np.ones(J)
+    if J <= lo:
+        return tails
+    right = np.cumprod(u / np.arange(mode + 1, max(mode, J) + reach + 1))
+    left = np.cumprod(np.arange(mode, lo, -1) / u)
+    far_end = np.cumsum(np.concatenate((right[::-1], [1.0], left)))[::-1]
+    tails[lo:] = far_end[1 : J - lo + 1] / far_end[0]
+    return tails
 
 
 def yaglom_cdf(y: float) -> float:
@@ -109,6 +96,7 @@ class LimitQuery:
                 raise ValueError(f"time fraction {self.t} outside [0, 1)")
             _check_positive("a", self.a)
             _check_positive("a/(1-t)", self.a / (1.0 - self.t))
+            _check_positive("(1-t)/(1-e^-a)", (1.0 - self.t) / -math.expm1(-self.a))
 
     def gf(self, s: float) -> float:
         """Limiting gf of the reduced count at ``s`` in [0, 1]."""
@@ -133,35 +121,36 @@ class LimitQuery:
         """
         if j < 1:
             raise ValueError("reduced counts start at 1")
-        if self.regime is Regime.SMALL_PHI:
-            x = self.x
-            return x * gamma_reg_lower(j, 1.0 / x)
-        t, a = self.t, self.a
-        scale = (1.0 - t) / -math.expm1(-a)
-        return scale * t ** (j - 1) * gamma_reg_lower(j, a / (1.0 - t))
+        return float(self._values(j)[-1])
 
     def pmf_values(self) -> np.ndarray:
-        """pmf values p_1, p_2, ... truncated once terms stop mattering."""
-        values = []
-        acc = 0.0
-        for j in range(1, MAX_TERMS + 1):
-            v = self.pmf(j)
-            values.append(v)
-            acc += v
-            if v < TERM_RATIO * acc:
-                break
-        return np.asarray(values)
+        """pmf values p_1, p_2, ... up to the first p_j below TERM_RATIO
+        times p_1 + ... + p_j, which comes by the tails' mode plus reach
+        and, in the band, once t^(j-1) >= p_j/p_1 is below TERM_RATIO."""
+        if self.regime is Regime.SMALL_PHI:
+            J = sum(_mode_reach(1.0 / self.x))
+        else:
+            fall = math.log(TERM_RATIO) / math.log(self.t) if self.t > 0.0 else -1.0
+            J = min(sum(_mode_reach(self.a / (1.0 - self.t))), int(fall) + 3)
+        values = self._values(J)
+        below = values < TERM_RATIO * np.cumsum(values)
+        return values[: np.flatnonzero(below)[0] + 1]
 
     def table(self, s_grid, j_max: int | None = None) -> LimitTable:
         """pmf rows 1..j_max (by default until terms stop mattering) and
         gf values at each s of ``s_grid``."""
-        if j_max is None:
-            pmf = [float(p) for p in self.pmf_values()]
-        elif j_max < 1:
+        if j_max is not None and j_max < 1:
             raise ValueError(f"j_max must be at least 1, got {j_max}")
-        else:
-            pmf = [self.pmf(j) for j in range(1, j_max + 1)]
+        pmf = (self.pmf_values() if j_max is None else self._values(j_max)).tolist()
         return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in s_grid})
+
+    def _values(self, J: int) -> np.ndarray:
+        """p_1..p_J: the regime factor times the Poisson tails."""
+        if self.regime is Regime.SMALL_PHI:
+            return self.x * poisson_tails(1.0 / self.x, J)
+        t, a = self.t, self.a
+        scale = (1.0 - t) / -math.expm1(-a)
+        return scale * t ** np.arange(J) * poisson_tails(a / (1.0 - t), J)
 
 
 @dataclass(frozen=True)
@@ -185,6 +174,11 @@ class LimitTable:
     def csv_rows(self):
         yield ("j", "p")
         yield from enumerate(self.pmf, start=1)
+
+
+def _mode_reach(u: float) -> tuple[int, int]:
+    # past mode + reach a Poisson(u) term is below e^-72 of the largest
+    return math.floor(u), math.ceil(40.0 + 12.0 * math.sqrt(u))
 
 
 def _check_s(s: float) -> None:

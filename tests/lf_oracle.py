@@ -89,19 +89,26 @@ def event_prob(n: int, C: int) -> float:
     return float((1 - Fraction(n, n + 1) ** C) / (n + 1))
 
 
-def bounded_sum_prob(r: int, j: int, C: int) -> float:
-    """P(S_j <= C), S_j a sum of j iid copies of Z(r) given Z(r) > 0."""
-    # C trials of success probability 1/(r+1): the tail over i >= j in
-    # integers, over the common denominator (r+1)^C
-    tail = sum(math.comb(C, i) * r ** (C - i) for i in range(j, C + 1))
-    return float(Fraction(tail, (r + 1) ** C))
+def bounded_sum_probs(r: int, C: int) -> np.ndarray:
+    """P(S_j <= C) for j = 1..C, S_j a sum of j iid copies of Z(r) given
+    Z(r) > 0."""
+    # C trials of success probability 1/(r+1): the tails over i >= j in
+    # integers, over the common denominator (r+1)^C, in one pass from
+    # i = C down
+    denominator = (r + 1) ** C
+    tail = 0
+    out = np.empty(C)
+    for i in range(C, 0, -1):
+        tail += math.comb(C, i) * r ** (C - i)
+        out[i - 1] = float(Fraction(tail, denominator))
+    return out
 
 
 def conditional_reduced_pmf(m: int, n: int, C: int, jmax: int | None = None) -> np.ndarray:
-    """P(Z(m,n) = j | 0 < Z(n) <= C) for j = 1..jmax, by default 1..C."""
+    """P(Z(m,n) = j | 0 < Z(n) <= C) for j = 1..jmax <= C, by default 1..C."""
     jmax = C if jmax is None else jmax
     rows = reduced_pmf(m, n, jmax)
-    fits = np.array([bounded_sum_prob(n - m, j, C) for j in range(1, jmax + 1)])
+    fits = bounded_sum_probs(n - m, C)[:jmax]
     return rows * fits / event_prob(n, C)
 
 

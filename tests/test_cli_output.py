@@ -1,6 +1,7 @@
 """The CLI writes the same bytes to stdout and to ``--out``, and runs
 without the test-only dependency scipy."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -90,3 +91,13 @@ def test_selftest_runs_without_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "all selftest checks passed" in result.stdout
+
+
+def test_narrow_window_limit_prints_every_row_of_unit_mass(capsys):
+    # x = 1e-5: the law's Poisson tails have mean 1e5, where e^-u underflows
+    assert cli_main(["limits", "--x", "1e-5", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "j,p"
+    assert len(lines) == 1 + 102_129
+    mass = math.fsum(float(line.split(",")[1]) for line in lines[1:])
+    assert mass == pytest.approx(1.0, abs=1e-12)

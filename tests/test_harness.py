@@ -298,6 +298,8 @@ class TestConfigParsing:
             ("epsilon", "-1"),
             ("epsilon", "0"),
             ("epsilon", "1"),
+            ("n_grid", ""),
+            ("s_grid", ""),
             ("epsilon", "nan"),
             ("s_grid", "2.0"),
             ("s_grid", "0.5,-0.1"),
@@ -485,7 +487,16 @@ class TestCli:
         assert cli_main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "all selftest checks passed" in out
-        assert out.count("ok   ") == 8
+        assert out.count("ok   ") == 9
+
+    def test_selftest_failure_exits_2_and_names_the_check(self, monkeypatch, capsys):
+        def broken():
+            raise AssertionError("off by one")
+
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: [("broken", broken)])
+        assert cli_main(["selftest"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["FAIL broken: off by one", "1 selftest check(s) failed"]
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0

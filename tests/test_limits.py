@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -11,7 +12,7 @@ from gwreduced.limits import (
     LimitQuery,
     Regime,
     classical_reduced_gf,
-    gamma_reg_lower,
+    poisson_tails,
     yaglom_cdf,
 )
 
@@ -41,28 +42,48 @@ def band_mrca_cdf(u, a):
     return u * math.expm1(-a / u) / math.expm1(-a)
 
 
-class TestGammaReg:
+class TestPoissonTails:
     @given(
         st.integers(min_value=1, max_value=60),
         st.floats(min_value=0.0, max_value=200.0),
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_scipy(self, j, u):
-        assert gamma_reg_lower(j, u) == pytest.approx(
+        assert poisson_tails(u, j)[-1] == pytest.approx(
             float(scipy.special.gammainc(j, u)), abs=1e-12
         )
 
     def test_shape_one_is_exponential_cdf(self):
-        assert gamma_reg_lower(1, 0.7) == pytest.approx(1 - math.exp(-0.7), abs=TOL)
+        assert poisson_tails(0.7, 1)[0] == pytest.approx(1 - math.exp(-0.7), abs=TOL)
 
     def test_large_argument_saturates(self):
-        assert gamma_reg_lower(5, 800.0) == 1.0
+        assert poisson_tails(800.0, 5)[-1] == 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gamma_reg_lower(0, 1.0)
+            poisson_tails(1.0, 0)
         with pytest.raises(ValueError):
-            gamma_reg_lower(2, -0.1)
+            poisson_tails(-0.1, 2)
+        for u in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="Poisson mean"):
+                poisson_tails(u, 3)
+
+    @pytest.mark.parametrize("u", [709.0, 746.0, 1000.0, 1e4])
+    def test_matches_mpmath_where_exp_minus_u_underflows(self, u):
+        # e^-u is subnormal from u ~ 708 and 0 from u ~ 745
+        width = math.sqrt(u)
+        js = [int(u - 8 * width), int(u) - 1, int(u), int(u) + 1, int(u + 8 * width)]
+        tails = poisson_tails(u, max(js))
+        assert 0.0 <= tails.min() and tails.max() <= 1.0
+        for j in js:
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(j, 0, u, regularized=True))
+            assert tails[j - 1] == pytest.approx(want, rel=1e-13), j
+
+    def test_tails_below_the_terms_need_no_terms(self):
+        # the mode is 1e300 places away: no term is built
+        assert np.array_equal(poisson_tails(1e300, 3), np.ones(3))
+        assert np.array_equal(band(0.0, 1e308).pmf_values(), [1.0, 0.0])
 
 
 class TestSmallWindowRegime:
@@ -86,6 +107,11 @@ class TestSmallWindowRegime:
     def test_pmf_sums_to_one(self):
         for x in X_GRID:
             assert window(x).pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-4])
+    def test_narrow_window_pmf_sums_to_one(self, x):
+        # the tails' Poisson mean 1/x is past where e^-u underflows
+        assert window(x).pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pmf_lead_value(self):
         assert window(1.0).pmf(1) == pytest.approx(
@@ -130,6 +156,11 @@ class TestLinearBandRegime:
         for t in T_GRID:
             for a in A_GRID:
                 assert band(t, a).pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.999, 0.99999])
+    def test_late_band_pmf_sums_to_one(self, t):
+        # the tails' Poisson mean a/(1-t) is past where e^-u underflows
+        assert band(t, 1.0).pmf_values().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pmf_lead_matches_mrca_complement(self):
         for t in T_GRID:
@@ -194,6 +225,8 @@ class TestBaselines:
     def test_classical_gf(self):
         assert classical_reduced_gf(1.0, 0.7) == 1.0
         assert classical_reduced_gf(0.3, 0.0) == pytest.approx(0.3, abs=TOL)
+        with pytest.raises(ValueError, match="time fraction"):
+            classical_reduced_gf(0.5, 1.0)
 
 
 class TestRanges:
@@ -262,6 +295,7 @@ class TestLimitQuery:
             (lambda: window(1e-320), "1/x"),
             (lambda: band(0.5, math.inf), "a"),
             (lambda: band(0.5, 1e308), "a/(1-t)"),
+            (lambda: band(0.5, 1e-310), "(1-t)/(1-e^-a)"),
         ):
             with pytest.raises(ValueError, match=re.escape(key)):
                 build()

@@ -85,6 +85,11 @@ class TestCustom:
         with pytest.raises(ValueError):
             make_custom([0.5, -0.1, 0.6])
 
+    def test_pmf_shape_rejected(self):
+        for pmf in ([[0.5, 0.5], [0.5, 0.5]], [1.0]):
+            with pytest.raises(ValueError, match="1-d sequence"):
+                make_custom(pmf)
+
     def test_mass_drift_beyond_tolerance_rejected(self):
         with pytest.raises(ValueError):
             make_custom([0.25, 0.5, 0.2])
@@ -151,6 +156,8 @@ class TestPgf:
             pgf_derivatives(law, 1.0, 2)
         with pytest.raises(ValueError):
             pgf_derivatives(law, np.array([0.2, 1.0]), 2)
+        with pytest.raises(ValueError, match="order"):
+            pgf_derivatives(law, 0.5, -1)
 
     @pytest.mark.parametrize("family, slope, curvature", [
         (Family.LINEAR_FRACTIONAL, lambda q: 1 / (2 - q) ** 2, lambda q: 2 / (2 - q) ** 3),

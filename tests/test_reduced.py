@@ -110,6 +110,17 @@ class TestReducedPmf:
     def test_bad_generations(self):
         with pytest.raises(ValueError):
             reduced_pmf(LF, 5, 4)
+        for m in (5, 6):
+            with pytest.raises(ValueError, match="0 <= m < n"):
+                joint_reduced_bounded(LF, m, 5, 3)
+
+    def test_bound_order_and_count_below_one_are_refused(self):
+        with pytest.raises(ValueError, match="J_max"):
+            reduced_pmf(LF, 3, 6, J_max=0)
+        with pytest.raises(ValueError, match="bound"):
+            joint_reduced_bounded(LF, 3, 6, 0)
+        with pytest.raises(ValueError, match="start at 1"):
+            reduced_pmf(LF, 3, 6).prob(0)
 
     @pytest.mark.parametrize("m,n", [(3, 6), (40, 50), (300, 310)])
     def test_lf_rows_order_64_closed_form(self, m, n):
@@ -326,23 +337,23 @@ class TestConditionalTable:
             joint = joint_reduced_bounded(NO_SINGLE, m, n, C=1)
             assert joint.event_prob == 0.0
             assert not np.any(joint.pmf)
+        with pytest.raises(ConditioningImpossibleError):
+            mrca_distance_cdf(NO_SINGLE, n, 1, np.arange(n + 1))
 
     @pytest.mark.parametrize(
-        "m,n,C,whole",
-        [(400, 800, 800, False), (720, 800, 800, False), (7911, 8000, 89, True)],
+        "m,n,C",
+        [(400, 800, 800), (720, 800, 800), (7911, 8000, 89)],
         ids=["band-t0.5", "band-t0.9", "window-8000"],
     )
-    def test_lf_band_and_window_match_closed_form(self, m, n, C, whole):
+    def test_lf_band_and_window_match_closed_form(self, m, n, C):
         table = conditional_reduced_pmf(LF, m, n, C)
         assert 1.0 - table.mass_accounted < 1e-9
         want = lf_oracle.conditional_reduced_pmf(m, n, C, table.j_max)
         assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
-        if whole:
-            # every row 1..C, past the chosen order too; at C = 800 the
-            # oracle's exact-rational subtree sums take seconds per case
-            full = conditional_reduced_pmf(LF, m, n, C, J_max=C)
-            want = lf_oracle.conditional_reduced_pmf(m, n, C)
-            assert np.max(np.abs(full.pmf - want)) < ORACLE_TOL
+        # every row 1..C, past the chosen order too
+        full = conditional_reduced_pmf(LF, m, n, C, J_max=C)
+        want = lf_oracle.conditional_reduced_pmf(m, n, C)
+        assert np.max(np.abs(full.pmf - want)) < ORACLE_TOL
 
 
 class TestMrcaDistance:
@@ -407,6 +418,8 @@ class TestMrcaDistance:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             mrca_distance_cdf(LF, 5, 2, [6])
+        with pytest.raises(ValueError, match="bound"):
+            mrca_distance_cdf(LF, 5, 0, [2])
 
 
 class TestNoSingleChildLaw:

@@ -125,6 +125,8 @@ class TestPmfZn:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             pmf_Zn(LF, -1, 10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(iter_extinction_probs(LF, -1))
         with pytest.raises(ValueError):
             pmf_Zn(LF, 3, 0)
 

@@ -335,6 +335,10 @@ class TestConditionedBatch:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             run_conditioned_batch(TERNARY, 0, 2, [], 10)
+        with pytest.raises(ValueError, match="target_accepted"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 0)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_tree(TERNARY, -1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             run_conditioned_batch(TERNARY, 5, 0, [], 10)
         with pytest.raises(ValueError):
