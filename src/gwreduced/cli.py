@@ -100,18 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="exact vs limit vs Monte Carlo report")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--regime", choices=tuple(r.value for r in Regime))
-    p.add_argument("--law")
-    p.add_argument("--n", dest="n_grid", help="comma-separated horizon grid")
-    p.add_argument("--x", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--phi", help="sublinear window growth: sqrt or n^p, 0<p<1")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--max-replicates", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    for key in CONFIG_KEYS:
+        flag = "--n" if key == "n_grid" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, help=f"config key {key}, read as in the file")
     _add_common(p, "report path (the report is written only here; the summary "
                    "always goes to stdout)")
     p.set_defaults(handler=_cmd_compare)
@@ -171,7 +162,7 @@ def _cmd_limits(args) -> int:
 def _cmd_compare(args) -> int:
     raw = parse_config_file(args.config) if args.config else {}
     flags = vars(args)
-    raw.update({key: flags[key] for key in CONFIG_KEYS if flags.get(key) is not None})
+    raw.update({key: flags[key] for key in CONFIG_KEYS if flags[key] is not None})
     config = ExperimentConfig.from_mapping(raw)
     report = run_experiment(config)
     if args.out:

@@ -4,9 +4,14 @@ A comparison experiment walks a grid of horizons n, builds the exact
 conditional reduced-count table for the regime geometry at each n,
 evaluates the matching limit law, optionally runs a conditioned
 Monte Carlo batch, and reports total-variation distances, generating
-function sup-norms, and acceptance-rate agreement.  Reports are pure
-functions of (config, seed): worker counts and output paths never
-influence a number, and both are excluded from the config hash.
+function sup-norms, and acceptance-rate agreement.  `ExperimentConfig`
+is the one definition of an experiment: its field table gives the
+config keys, their text form and the `compare` flags, and building it
+makes every check, down to each horizon's look-back and bound, so
+`run_experiment` refuses nothing and starts no work on a config that
+cannot run.  Reports are pure functions of (config, seed): worker
+counts and output paths never influence a number, and both are
+excluded from the config hash.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .limits import LimitQuery, Regime
-from .offspring import OffspringLaw, law_from_name
+from .offspring import law_from_name
 from .reduced import EPSILON_DEFAULT, conditional_reduced_pmf
 from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
 
@@ -127,7 +132,15 @@ _FIELD_TEXT = {
     "a": ("a", repr, float),
     "workers": ("workers", str, int),
 }
-CONFIG_KEYS = frozenset(key for key, _, _ in _FIELD_TEXT.values())
+CONFIG_KEYS = tuple(key for key, _, _ in _FIELD_TEXT.values())
+
+
+def _parse_value(key: str, parse, text: str):
+    """One key's value from its text, a ValueError naming the key."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -161,7 +174,8 @@ def config_hash(config: dict) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated comparison-experiment settings."""
+    """Validated comparison-experiment settings; building one also sets
+    ``law`` and ``horizons``, the (n, m, C) of every horizon."""
 
     regime: Regime = Regime.SMALL_PHI
     law_label: str = "linear_fractional"
@@ -185,6 +199,8 @@ class ExperimentConfig:
             raise ValueError("s_grid must be nonempty")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("horizons must be at least 2")
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ValueError(f"n_grid must be strictly increasing, got {self.n_grid}")
         if not all(0.0 <= s <= 1.0 for s in self.s_grid):
             raise ValueError(f"s_grid values must lie in [0, 1], got {self.s_grid}")
         if not 0.0 < self.epsilon < 1.0:
@@ -201,7 +217,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"tv_threshold must be positive and finite, got {self.tv_threshold}"
             )
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         self.limit_query  # checks the regime's limit parameters
+        object.__setattr__(self, "law", law_from_name(self.law_label))
+        object.__setattr__(self, "horizons", tuple(
+            (n, *_experiment_geometry(self, n)) for n in self.n_grid
+        ))
 
     @property
     def limit_query(self) -> LimitQuery:
@@ -213,11 +235,11 @@ class ExperimentConfig:
         """Config from a flat mapping of strings, the form ``to_mapping``
         writes plus ``workers``; an unknown key is a ValueError, and a
         missing or None entry keeps the field's default."""
-        unknown = sorted(set(raw) - CONFIG_KEYS)
+        unknown = sorted(set(raw).difference(CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(**{
-            name: parse(str(raw[key]))
+            name: _parse_value(key, parse, str(raw[key]))
             for name, (key, _, parse) in _FIELD_TEXT.items()
             if raw.get(key) is not None
         })
@@ -343,9 +365,9 @@ def _whole(name: str, value: float, n: int) -> int:
     return int(math.floor(value))
 
 
-def _experiment_geometry(config: ExperimentConfig, law: OffspringLaw, n: int):
+def _experiment_geometry(config: ExperimentConfig, n: int):
     """(m, C) for one horizon under the configured regime."""
-    B = law.half_variance
+    B = config.law.half_variance
     if config.regime is Regime.SMALL_PHI:
         width = config.phi.window(n)
         C = int(math.floor(B * width))
@@ -369,14 +391,15 @@ def _experiment_geometry(config: ExperimentConfig, law: OffspringLaw, n: int):
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one comparison experiment and assemble its report."""
-    law = law_from_name(config.law_label)
+    law = config.law
     query = config.limit_query
-    limit_pmf = query.pmf_values()
+    limit_pmf = None
 
     rows = []
-    for index, n in enumerate(config.n_grid):
-        m, C = _experiment_geometry(config, law, n)
+    for index, (n, m, C) in enumerate(config.horizons):
         table = conditional_reduced_pmf(law, m, n, C, epsilon=config.epsilon)
+        if limit_pmf is None:  # after the first table's n*K^2 budget check
+            limit_pmf = query.pmf_values()
         row = {
             "n": n,
             "m": m,

@@ -317,6 +317,8 @@ def run_conditioned_batch(
         raise ValueError("max_replicates must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     queries = tuple(int(m) for m in query_generations)
     if queries and (min(queries) < 0 or max(queries) > n):
         raise ValueError("queried generations must lie in [0, n]")

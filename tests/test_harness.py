@@ -23,9 +23,10 @@ from gwreduced import (
     table_gf,
     tv_distance,
 )
-from gwreduced import cli
+from gwreduced import cli, harness
 from gwreduced.cli import cli_main
 from gwreduced.harness import CONFIG_HASH_EXCLUDE, CONFIG_KEYS
+from gwreduced.limits import LimitQuery
 
 
 class TestTVDistance:
@@ -309,6 +310,10 @@ class TestConfigParsing:
             ("tv_threshold", "0"),
             ("tv_threshold", "inf"),
             ("tv_threshold", "nan"),
+            ("n_grid", "2000,500"),
+            ("n_grid", "500,500"),
+            ("workers", "0"),
+            ("workers", "-4"),
         ],
     )
     def test_from_mapping_checks_every_field(self, key, value):
@@ -398,6 +403,22 @@ def _band_mc_config(**overrides):
     return ExperimentConfig.from_mapping(raw)
 
 
+def _spy_on_work(monkeypatch):
+    """Record, in order, each exact table, batch and limit pmf built."""
+    calls = []
+    for owner, name, tag in (
+        (harness, "conditional_reduced_pmf", "table"),
+        (harness, "run_conditioned_batch", "batch"),
+        (LimitQuery, "pmf_values", "limit"),
+    ):
+        def spy(*args, _real=getattr(owner, name), _tag=tag, **kwargs):
+            calls.append(_tag)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 class TestRunExperiment:
     def test_small_phi_geometry_and_rows(self):
         report = run_experiment(_small_phi_config())
@@ -472,14 +493,34 @@ class TestRunExperiment:
         ids=["x-overflows", "a-overflows", "x-1e300", "x-11"],
     )
     def test_overflowing_geometry_is_user_error(self, raw, match):
-        config = ExperimentConfig.from_mapping(dict(raw, n_grid="100"))
         with pytest.raises(ValueError, match=match):
-            run_experiment(config)
+            ExperimentConfig.from_mapping(dict(raw, n_grid="100"))
 
     def test_window_too_small_is_user_error(self):
-        cfg = _small_phi_config(n_grid="4,8", law="ternary_uniform")
         with pytest.raises(ValueError, match="bound"):
-            run_experiment(cfg)
+            _small_phi_config(n_grid="4,8", law="ternary_uniform")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--law", "ternary_uniform", "--n", "400,4", "--x", "1",
+             "--replicates", "500"],
+            ["--n", "100", "--x", "1e-7"],
+            ["--law", "nonsense", "--n", "100", "--x", "1"],
+            ["--regime", "linear_band", "--n", "100", "--t", "0", "--a", "1e308"],
+        ],
+        ids=["ternary-400-4", "x-1e-7", "unknown-law", "a-1e308"],
+    )
+    def test_refused_config_starts_no_work(self, argv, monkeypatch, capsys):
+        calls = _spy_on_work(monkeypatch)
+        assert cli_main(["compare", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
+    def test_limit_pmf_comes_after_the_first_table(self, monkeypatch):
+        calls = _spy_on_work(monkeypatch)
+        run_experiment(_band_mc_config(replicates="50"))
+        assert calls == ["table", "limit", "batch", "table", "batch"]
 
 
 class TestCli:
@@ -601,9 +642,22 @@ class TestCli:
             (["compare", "--regime", "small_phi", "--n", "100", "--x", "1",
               "--replicates", "10", "--seed", "-1"], "seed"),
             (["simulate", "--n", "10", "--bound", "3", "--m", "x"], "--m"),
+            (["simulate", "--n", "20", "--bound", "3", "--replicates", "5",
+              "--workers", "-4"], "workers"),
+            (["compare", "--n", "100", "--x", "one"],
+             "error: x: could not convert string to float: 'one'"),
+            (["compare", "--regime", "bogus", "--n", "100", "--x", "1"],
+             "error: regime: 'bogus' is not a valid Regime"),
+            (["compare", "--n", "100,abc", "--x", "1"],
+             "error: n_grid: invalid literal for int() with base 10: 'abc'"),
+            (["compare", "--config", "BAD_CONFIG"],
+             "error: x: could not convert string to float: 'one'"),
         ],
     )
-    def test_bad_parameter_is_named(self, argv, key, capsys):
+    def test_bad_parameter_is_named(self, argv, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("regime=small_phi\nn_grid=100\nx=one\n")
+        argv = [str(cfg) if tok == "BAD_CONFIG" else tok for tok in argv]
         assert cli_main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -686,6 +740,7 @@ class TestCli:
             "--n", "50,60", "--x", "2.0", "--t", "0.25", "--a", "3.0",
             "--phi", "n^0.4", "--epsilon", "1e-7", "--replicates", "5",
             "--max-replicates", "99", "--seed", "4", "--workers", "2",
+            "--s-grid", "0.25,0.75", "--tv-threshold", "0.1",
         ]
         compare = next(
             action.choices["compare"]
@@ -697,9 +752,11 @@ class TestCli:
             for action in compare._actions
             if action.dest not in ("help", "config", "out", "format")
         ]
+        assert sorted(action.dest for action in config_flags) == sorted(CONFIG_KEYS)
         for action in config_flags:
-            assert action.dest in CONFIG_KEYS, action.dest
             assert action.option_strings[0] in argv, action.option_strings
+            # every value is text, parsed by from_mapping like a file line
+            assert action.type is None and action.choices is None, action.dest
         seen = []
 
         def capture(config):
@@ -722,6 +779,8 @@ class TestCli:
                 max_replicates=99,
                 seed=4,
                 workers=2,
+                s_grid=(0.25, 0.75),
+                tv_threshold=0.1,
             )
         ]
 

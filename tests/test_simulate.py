@@ -231,7 +231,7 @@ class TestConditionedBatch:
         batch = run_conditioned_batch(law, n, C, queries, target, **kwargs)
         assert _batch_digest(batch) == digest
 
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("law, n, C, queries, target, kwargs", [
         pytest.param(TERNARY, 6, 2, [3], 500, {"seed": 7}, id="ternary"),
         # met at chunk 49, with later chunks already in flight on the pool
@@ -240,7 +240,6 @@ class TestConditionedBatch:
     ])
     def test_worker_count_does_not_change_output(self, law, n, C, queries,
                                                  target, kwargs, workers):
-        # workers <= 1 runs serially
         a = run_conditioned_batch(law, n, C, queries, target, workers=1, **kwargs)
         b = run_conditioned_batch(law, n, C, queries, target, workers=workers,
                                   **kwargs)
@@ -351,6 +350,10 @@ class TestConditionedBatch:
             run_conditioned_batch(TERNARY, 5, 2, [], 10, max_replicates=0)
         with pytest.raises(ValueError, match="seed"):
             run_conditioned_batch(TERNARY, 5, 2, [], 10, seed=-1)
+        with pytest.raises(ValueError, match="workers"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 10, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            run_conditioned_batch(TERNARY, 5, 2, [], 10, workers=-4)
 
     def test_chunk_size_default_shrinks_with_horizon(self):
         assert default_chunk_size(10) == 8192
