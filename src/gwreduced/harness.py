@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import series
 from .limits import LimitQuery, Regime
 from .offspring import law_from_name
 from .reduced import EPSILON_DEFAULT, conditional_reduced_pmf
@@ -175,7 +176,8 @@ def config_hash(config: dict) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated comparison-experiment settings; building one also sets
-    ``law`` and ``horizons``, the (n, m, C) of every horizon."""
+    ``law`` and ``horizons``, the (n, m, C) of every horizon, and checks
+    each horizon's subtree pass against the series budget."""
 
     regime: Regime = Regime.SMALL_PHI
     law_label: str = "linear_fractional"
@@ -224,6 +226,10 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", tuple(
             (n, *_experiment_geometry(self, n)) for n in self.n_grid
         ))
+        # each table's first pass is n - m steps at degree C; refuse an
+        # over-budget horizon before any earlier one is computed
+        for n, m, C in self.horizons:
+            series.check_budget(n - m, C)
 
     @property
     def limit_query(self) -> LimitQuery:

@@ -15,14 +15,18 @@ under one n*K^2 budget:
 - g = q + (1-q)s gives the reduced-process rows (see ``reduced``).
 
 Each step is exact at every degree <= K.  For the linear-fractional
-and Poisson families h = f(g) solves a triangular Toeplitz-like system
-d_k h_k = sum_{i=1..k} w_i h_{k-i}: w = g and d_k = 2 - g_0 for the
-reciprocal 1/(2 - g), w_i = i g_i and d_k = k for the exponential
-e^(g-1).  Degrees up to PREFIX are solved one coefficient at a time.
-Above it the solve goes in blocks of BLOCK coefficients: one
-correlation for the contribution of all earlier coefficients, then
-one matvec with the block's inverse, and the inverses are built for all
-blocks at once from a nilpotent Neumann product before the loop.
+and Poisson families h = f(g) solves a triangular system
+d_k h_k = sum_{i=1..k} w_i h_{k-i}.  For the reciprocal 1/(2 - g),
+w = g and d_k = 2 - g_0, so the system is Toeplitz and its inverse is
+the lower-triangular Toeplitz matrix of h itself: once h_0..h_{a-1}
+are known, one correlation gives their contribution r to degrees
+a..2a-1 and h_a..h_{2a-1} = h * r, so each stage doubles the known
+prefix.  For the exponential e^(g-1), w_i = i g_i and d_k = k, which
+is not Toeplitz.  Its degrees up to PREFIX are solved one coefficient
+at a time, the rest in blocks of BLOCK coefficients: one correlation
+for the contribution of all earlier coefficients, then one matvec with
+the block's inverse, and the inverses are built for all blocks at once
+from a nilpotent Neumann product before the loop.
 Finite-support laws evaluate the polynomial f at g by Horner's rule.
 Every coefficient involved is nonnegative and no step subtracts, so
 nothing cancels and each coefficient keeps its relative accuracy, deep
@@ -42,8 +46,9 @@ from .offspring import Family, OffspringLaw, pgf_value
 # composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
 # turning into an hour of convolutions
 DEFAULT_COST_CAP = 1e11
-# degrees up to PREFIX are solved one coefficient at a time; above it,
-# BLOCK coefficients at a time (a power of two, see _solve_blocked)
+# the Poisson step solves degrees up to PREFIX one coefficient at a
+# time; above it, BLOCK coefficients at a time (a power of two, see
+# _solve_blocked)
 PREFIX = 64
 BLOCK = 16
 
@@ -79,19 +84,16 @@ def extinction_prob(law: OffspringLaw, n: int) -> float:
     return q
 
 
-def _solve_blocked(w: np.ndarray, d, h: np.ndarray) -> None:
-    # fill h_k for k > PREFIX from d_k h_k = sum_{i=1..k} w_i h_{k-i};
-    # d holds d_k for every k, or one value shared by all k.  Within a
-    # block the system is (D - L) h_block = r, r from the earlier h.
+def _solve_blocked(w: np.ndarray, d: np.ndarray, h: np.ndarray) -> None:
+    # fill h_k for k > PREFIX from d_k h_k = sum_{i=1..k} w_i h_{k-i},
+    # d_k given for every k.  Within a block the system is
+    # (D - L) h_block = r, r from the earlier h.
     K = len(h) - 1
     starts = range(PREFIX + 1, K + 1, BLOCK)
     idx = np.arange(BLOCK)
     lag = idx[:, None] - idx[None, :]
     L = np.where(lag > 0, w[np.maximum(lag, 0)], 0.0)
-    if np.ndim(d):
-        dblk = d[np.minimum(np.array(starts)[:, None] + idx, K)]
-    else:
-        dblk = np.full((1, BLOCK), d)
+    dblk = d[np.minimum(np.array(starts)[:, None] + idx, K)]
     # N = D^-1 L is nilpotent of order BLOCK, so the Neumann series
     # (D - L)^-1 = (I + N)(I + N^2)(I + N^4)(I + N^8) D^-1 is exact;
     # every term is nonnegative, so nothing cancels
@@ -101,7 +103,6 @@ def _solve_blocked(w: np.ndarray, d, h: np.ndarray) -> None:
         N = N @ N
         inv += inv @ N
     inv /= dblk[:, None, :]
-    inv = np.broadcast_to(inv, (len(starts), BLOCK, BLOCK))
     for a, M in zip(starts, inv):
         e = min(a + BLOCK, K + 1)
         r = np.correlate(w[1:e], h[a - 1 :: -1], "valid")
@@ -109,16 +110,19 @@ def _solve_blocked(w: np.ndarray, d, h: np.ndarray) -> None:
 
 
 def _step_reciprocal(g: np.ndarray) -> np.ndarray:
-    # f(s) = 1/(2-s): solve (2 - g) h = 1, i.e. (2 - g_0) h_k = sum g_i h_{k-i}
+    # f(s) = 1/(2-s): solve (2 - g) h = 1, i.e. (2 - g_0) h_k = sum g_i h_{k-i}.
+    # r is the part of that sum from h_0..h_{a-1} at degrees a..e-1; the
+    # rest is the same Toeplitz system, whose inverse has first column
+    # h, so h_a..h_{e-1} = h * r needs only h_0..h_{e-a-1}, e - a <= a
     K = len(g) - 1
     h = np.empty_like(g)
-    base = 1.0 / (2.0 - g[0])
-    h[0] = base
-    grev = g[::-1]
-    for k in range(1, min(K, PREFIX) + 1):
-        h[k] = base * np.dot(grev[K - k : K], h[:k])
-    if K > PREFIX:
-        _solve_blocked(g, 2.0 - g[0], h)
+    h[0] = 1.0 / (2.0 - g[0])
+    a = 1
+    while a <= K:
+        e = min(2 * a, K + 1)
+        r = np.correlate(g[1:e], h[a - 1 :: -1], "valid")
+        h[a:e] = np.convolve(h[: e - a], r)[: e - a]
+        a = e
     return h
 
 

@@ -501,20 +501,27 @@ class TestRunExperiment:
             _small_phi_config(n_grid="4,8", law="ternary_uniform")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, err",
         [
-            ["--law", "ternary_uniform", "--n", "400,4", "--x", "1",
-             "--replicates", "500"],
-            ["--n", "100", "--x", "1e-7"],
-            ["--law", "nonsense", "--n", "100", "--x", "1"],
-            ["--regime", "linear_band", "--n", "100", "--t", "0", "--a", "1e308"],
+            (["--law", "ternary_uniform", "--n", "400,4", "--x", "1",
+              "--replicates", "500"], "error: "),
+            (["--n", "100", "--x", "1e-7"], "error: "),
+            (["--law", "nonsense", "--n", "100", "--x", "1"], "error: "),
+            (["--regime", "linear_band", "--n", "100", "--t", "0", "--a", "1e308"],
+             "error: "),
+            # the n = 400 horizon is cheap, but the subtree pass of the
+            # n = 1e10 one is over the n*K^2 budget: refused with the
+            # message its table would give, before the n = 400 work
+            (["--law", "ternary_uniform", "--n", "400,10000000000", "--x", "1",
+              "--replicates", "500"],
+             "error: composition cost n*K^2 = 6.25e+13 exceeds cap 1e+11\n"),
         ],
-        ids=["ternary-400-4", "x-1e-7", "unknown-law", "a-1e308"],
+        ids=["ternary-400-4", "x-1e-7", "unknown-law", "a-1e308", "over-budget"],
     )
-    def test_refused_config_starts_no_work(self, argv, monkeypatch, capsys):
+    def test_refused_config_starts_no_work(self, argv, err, monkeypatch, capsys):
         calls = _spy_on_work(monkeypatch)
         assert cli_main(["compare", *argv]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(err)
         assert calls == []
 
     def test_limit_pmf_comes_after_the_first_table(self, monkeypatch):
