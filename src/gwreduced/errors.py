@@ -25,10 +25,6 @@ class ConditioningImpossibleError(GWReducedError):
     """Conditioning event has probability zero."""
 
 
-class NodeBudgetExceededError(GWReducedError):
-    """A single simulated tree exceeded its total node budget."""
-
-
 class AcceptanceBudgetExhausted(UserWarning):
     """Fewer than 10 accepted replicates at the replicate budget.
 

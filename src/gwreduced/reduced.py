@@ -33,12 +33,7 @@ import numpy as np
 
 from .errors import ConditioningImpossibleError, SeriesBudgetError
 from .offspring import OffspringLaw, pgf_derivatives
-from .series import (
-    TruncatedSeries,
-    iter_extinction_probs,
-    iterates,
-    pmf_Zn,
-)
+from .series import iter_extinction_probs, iterates, pmf_Zn
 
 EPSILON_DEFAULT = 1e-9
 # first order tried by unconditional tables; each retry doubles it
@@ -104,19 +99,11 @@ class ReducedLawTable:
         yield from enumerate(map(float, self.pmf), start=1)
 
 
-def _positive_part(series_coeffs: np.ndarray) -> TruncatedSeries:
+def _positive_part(series_coeffs: np.ndarray) -> np.ndarray:
     # condition a population pmf on being positive
     coeffs = series_coeffs / (1.0 - series_coeffs[0])
     coeffs[0] = 0.0
-    tail = 1.0 - float(coeffs.sum())
-    return TruncatedSeries(coeffs=coeffs, tail=max(tail, 0.0))
-
-
-def conditioned_positive_pmf(law: OffspringLaw, r: int, K: int) -> TruncatedSeries:
-    """pmf of the generation-r population conditioned on being positive."""
-    if r < 1:
-        raise ValueError("horizon must be at least 1")
-    return _positive_part(pmf_Zn(law, r, K).coeffs)
+    return coeffs
 
 
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
@@ -243,7 +230,7 @@ def _joint_rows(law, m, n, C, J_max, epsilon):
     q, survival = qs[r], 1.0 - qs[n]
     # p_1 = (1 - q_r) f_m'(q_r) = (1 - q_r) f'(q_r) ... f'(q_{n-1})
     p1 = (1.0 - q) * np.prod(pgf_derivatives(law, qs[r:n], 1)[1])
-    fits = _bounded_sum_masses(_positive_part(subtree).coeffs)
+    fits = _bounded_sum_masses(_positive_part(subtree))
     masses = [next(fits), next(fits)]
     floor = 2.0**-52 * p1 * masses[0]
     while masses[-1] * survival > floor:

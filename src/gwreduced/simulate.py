@@ -1,18 +1,18 @@
-"""Forward Monte Carlo for the tree, its reduced counts, and the
-most-recent-common-ancestor distance, with rejection conditioning on a
+"""Conditioned Monte Carlo: rejection-sampled batches of trees with
+their reduced counts and most-recent-common-ancestor distances, given a
 small terminal population.
 
-Genealogies are stored as per-generation offspring-count arrays, never
-as node objects.  One forward pass (``_grow``) and one backward pass
-(``_mark_backward``) serve both batches and single trees; a single tree
-is a one-replicate chunk.  The forward pass keeps no per-individual
-record of which replicate an individual belongs to: each live
-replicate is one contiguous block of its generation, so its child total
-is read off one running sum of the generation's draws at the block
-boundaries, and an extinct replicate leaves the live set.  The backward
-pass starts from the generation-n individuals of the accepted
-replicates only and follows their ancestors up through the running
-sums; rejected replicates are never marked.
+A batch grows a forest of replicates, stored as per-generation arrays
+of running child totals, never as node objects, in one forward pass
+(``_grow``) and marks the genealogies of its accepted replicates in one
+backward pass (``_mark_backward``).  The forward pass keeps no
+per-individual record of which replicate an individual belongs to:
+each live replicate is one contiguous block of its generation, so its
+child total is read off one running sum of the generation's draws at
+the block boundaries, and an extinct replicate leaves the live set.
+The backward pass starts from the generation-n individuals of the
+accepted replicates only and follows their ancestors up through the
+running sums; rejected replicates are never marked.
 
 The batch sampler simulates replicates in fixed-size chunks, each chunk
 driven by its own child stream of the master seed (spawn key = chunk
@@ -33,11 +33,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import AcceptanceBudgetExhausted, NodeBudgetExceededError
+from .errors import AcceptanceBudgetExhausted
 from .offspring import OffspringLaw, sample_offspring
 
-# nodes one tree may hold before it is cut (simulate_tree raises, a
-# batch counts it in budget_rejected); read at call time
+# nodes one replicate may hold before it is cut and counted in a
+# batch's budget_rejected; read once per batch
 NODE_BUDGET = 10_000_000
 # replicates drawn at most before a batch stops short of its target
 MAX_REPLICATES_DEFAULT = 100_000_000
@@ -53,24 +53,6 @@ def default_chunk_size(n: int) -> int:
     return max(CHUNK_MIN, min(CHUNK_MAX, CHUNK_TARGET_NODES // (n + 1)))
 
 
-@dataclass(frozen=True)
-class GenealogyRecord:
-    """One simulated tree, stored per generation.
-
-    ``offspring_counts[g][i]`` is the child count of the i-th
-    individual of generation g (individuals are ordered so that the
-    children of individual i occupy a contiguous block of g+1).
-    ``sizes`` are the generation sizes, starting at sizes[0] = 1.
-    """
-
-    offspring_counts: tuple
-    sizes: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return len(self.sizes) - 1
-
-
 def _grow(law, n, rng, size, node_budget):
     """Forward pass: grow ``size`` trees to generation n from ``rng``.
 
@@ -84,8 +66,8 @@ def _grow(law, n, rng, size, node_budget):
     position ``child_ends[g][i]`` of g+1), the ids of the replicates
     alive at generation n with their sizes there, and ``budget_ok``.  A
     replicate whose node count passes ``node_budget`` loses the children
-    of that generation, so it is extinct from then on, and is flagged
-    false in ``budget_ok``.
+    of that generation, so it is extinct from then on and never
+    accepted, and is flagged false in ``budget_ok``.
     """
     ids = np.arange(size)
     sizes = np.ones(size, dtype=np.int64)
@@ -111,26 +93,6 @@ def _grow(law, n, rng, size, node_budget):
     return child_ends, ids, sizes, budget_ok
 
 
-def simulate_tree(law: OffspringLaw, n: int, rng: np.random.Generator) -> GenealogyRecord:
-    """Sample one tree to generation n, drawing from ``rng``.
-
-    The tree is a one-replicate run of the batch forward pass.  The
-    node budget guards pathological growth: a tree with more than
-    NODE_BUDGET nodes raises NodeBudgetExceededError instead of
-    returning a partial record.
-    """
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
-    node_budget = NODE_BUDGET
-    child_ends, _, terminal, budget_ok = _grow(law, n, rng, 1, node_budget)
-    if not budget_ok[0]:
-        raise NodeBudgetExceededError(f"tree exceeded the node budget {node_budget}")
-    return GenealogyRecord(
-        offspring_counts=tuple(np.diff(ends, prepend=0) for ends in child_ends),
-        sizes=np.array([*map(len, child_ends), terminal.sum()], dtype=np.int64),
-    )
-
-
 def _mark_backward(child_ends, starts, sizes, kept):
     """Backward marking pass over some replicates of a forest.
 
@@ -148,6 +110,7 @@ def _mark_backward(child_ends, starts, sizes, kept):
     offsets = np.cumsum(sizes) - sizes
     marked = np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())
     replicate = np.repeat(np.arange(len(sizes)), sizes)
+    wanted = set(kept)
     rows = {n: sizes}
     single_line_gens = np.zeros(len(sizes), dtype=np.int64)
     for g in range(n - 1, -1, -1):
@@ -159,41 +122,14 @@ def _mark_backward(child_ends, starts, sizes, kept):
         marked, replicate = parents[first], replicate[first]
         red = np.bincount(replicate, minlength=len(sizes))
         single_line_gens += red == 1
-        rows[g] = red
+        if g in wanted:
+            rows[g] = red
     # reduced profiles are nondecreasing, so the ancestor generation of
     # a surviving replicate is (number of single-line generations g < n) - 1
     distances = n - (single_line_gens - 1)
     if not kept:
         return np.zeros((len(sizes), 0), dtype=np.int64), distances
     return np.stack([rows[g] for g in kept], axis=1), distances
-
-
-def _mark_record(record: GenealogyRecord, kept):
-    # one tree is a one-replicate forest
-    child_ends = [np.cumsum(draws) for draws in record.offspring_counts]
-    reduced, distances = _mark_backward(
-        child_ends, np.zeros(1, dtype=np.int64), record.sizes[-1:], kept
-    )
-    return reduced[0], int(distances[0])
-
-
-def reduced_counts(record: GenealogyRecord, query_generations) -> np.ndarray:
-    """Reduced counts of one record at the queried generations."""
-    n = record.horizon
-    queries = np.atleast_1d(np.asarray(query_generations, dtype=int))
-    if queries.size and (queries.min() < 0 or queries.max() > n):
-        raise ValueError("queried generations must lie in [0, n]")
-    return _mark_record(record, tuple(int(m) for m in queries))[0]
-
-
-def mrca_distance(record: GenealogyRecord) -> int | None:
-    """Distance from the horizon back to the survivors' common ancestor.
-
-    None when the tree is extinct at the horizon.
-    """
-    if record.sizes[record.horizon] == 0:
-        return None
-    return _mark_record(record, ())[1]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Every name the benchmark in ``perfbench/`` uses still exists.
+"""Every name the benchmark in ``perfbench/`` and the scripts in
+``demos/`` use still exists.
 
 The benchmark's trace mode wraps functions by name, and its workloads
-and checks call the package through ``gw.<name>``.  A rename or a
-deletion in ``gwreduced`` should fail here rather than there.
+and checks call the package through ``gw.<name>``.  Some demos are slow
+and run only outside tier-1.  A rename or a deletion in ``gwreduced``
+should fail here rather than there.
 """
 
 import ast
@@ -16,6 +18,7 @@ import gwreduced
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
+DEMOS = sorted((PERFBENCH.parent / "demos").glob("*.py"))
 
 
 def _package_names(path):
@@ -46,6 +49,9 @@ def _package_names(path):
 
 def test_benchmark_sources_found():
     assert {"tracer.py", "workloads.py", "checks.py"} <= {p.name for p in SOURCES}
+    assert {"02_population_series.py", "05_mrca_distance.py"} <= {
+        p.name for p in DEMOS
+    }
 
 
 def test_tracer_targets_resolve():
@@ -59,12 +65,22 @@ def test_tracer_targets_resolve():
         assert callable(getattr(owner, attr)), span_name
 
 
+def _unresolved(path):
+    return [
+        f"{module}.{name}"
+        for module, name in _package_names(path)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_package_names_used_by_benchmark_resolve(path):
-    for module, name in _package_names(path):
-        assert hasattr(importlib.import_module(module), name), (
-            f"{path.name} uses {module}.{name}"
-        )
+    assert _unresolved(path) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_package_names_used_by_demos_resolve(path):
+    assert _unresolved(path) == []
 
 
 def test_all_names_resolve():

@@ -24,7 +24,6 @@ from gwreduced.reduced import (
     ReducedLawTable,
     bounded_survival_prob,
     conditional_reduced_pmf,
-    conditioned_positive_pmf,
     joint_reduced_bounded,
     mrca_distance_cdf,
     reduced_pmf,
@@ -174,21 +173,20 @@ class TestReducedPmf:
 
 
 class TestConditionedPositive:
+    # reduced._positive_part conditions a population pmf on Z > 0
     def test_ternary_one_generation(self):
-        series = conditioned_positive_pmf(TERNARY, 1, 4)
-        assert series.coeffs[:3] == pytest.approx([0.0, 2 / 3, 1 / 3], abs=ORACLE_TOL)
+        coeffs = reduced._positive_part(pmf_Zn(TERNARY, 1, 4).coeffs)
+        assert coeffs[:3] == pytest.approx([0.0, 2 / 3, 1 / 3], abs=ORACLE_TOL)
 
     def test_lf_two_generations(self):
-        series = conditioned_positive_pmf(LF, 2, 10)
-        assert series.coeffs[1] == pytest.approx(1 / 3, abs=ORACLE_TOL)
+        coeffs = reduced._positive_part(pmf_Zn(LF, 2, 10).coeffs)
+        assert coeffs[1] == pytest.approx(1 / 3, abs=ORACLE_TOL)
 
     def test_mass_accounting(self):
-        series = conditioned_positive_pmf(LF, 6, 50)
-        assert series.coeffs.sum() + series.tail == pytest.approx(1.0, abs=1e-10)
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            conditioned_positive_pmf(LF, 0, 10)
+        # given Z(6) > 0 the LF population is geometric with ratio 6/7,
+        # so K = 50 coefficients hold all but (6/7)**50 of the mass
+        coeffs = reduced._positive_part(pmf_Zn(LF, 6, 50).coeffs)
+        assert coeffs.sum() == pytest.approx(1.0 - (6 / 7) ** 50, abs=1e-12)
 
 
 class TestBoundedSurvival:

@@ -7,12 +7,7 @@ import pytest
 import scipy.stats
 
 import brute_force
-from gwreduced import (
-    AcceptanceBudgetExhausted,
-    NodeBudgetExceededError,
-    make_builtin,
-    make_custom,
-)
+from gwreduced import AcceptanceBudgetExhausted, make_builtin, make_custom
 from gwreduced import simulate
 from gwreduced.output import write_output
 from gwreduced.reduced import (
@@ -23,12 +18,11 @@ from gwreduced.reduced import (
 )
 from gwreduced.series import extinction_prob
 from gwreduced.simulate import (
-    GenealogyRecord,
+    NODE_BUDGET,
+    _grow,
+    _mark_backward,
     default_chunk_size,
-    mrca_distance,
-    reduced_counts,
     run_conditioned_batch,
-    simulate_tree,
 )
 
 LF = make_builtin("linear_fractional")
@@ -49,119 +43,65 @@ def _batch_digest(batch):
     return h.hexdigest()
 
 
-def _record_from_counts(counts):
-    sizes = [1]
-    for draws in counts:
-        sizes.append(int(np.sum(draws)))
-    return GenealogyRecord(
-        offspring_counts=tuple(np.asarray(c, dtype=np.int64) for c in counts),
-        sizes=np.asarray(sizes, dtype=np.int64),
-    )
+def _ends(counts):
+    return [np.cumsum(np.asarray(c, dtype=np.int64)) for c in counts]
 
 
-class TestSimulateTree:
-    def test_shape_and_invariants(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            record = simulate_tree(TERNARY, 6, rng)
-            assert record.sizes[0] == 1
-            assert record.horizon == 6
-            for g, draws in enumerate(record.offspring_counts):
-                assert record.sizes[g + 1] == draws.sum()
-                assert len(draws) == record.sizes[g]
-            died = np.nonzero(record.sizes == 0)[0]
-            if died.size:
-                assert np.all(record.sizes[died.min():] == 0)
-
-    def test_one_generation_extinction_rate(self):
-        rng = np.random.default_rng(5)
-        extinct = sum(
-            simulate_tree(TERNARY, 1, rng).sizes[1] == 0 for _ in range(20_000)
+class TestGrow:
+    def test_forest_layout(self):
+        # each generation holds one individual per child counted in the
+        # one before, and an extinct replicate stays extinct
+        size, n = 200, 6
+        child_ends, ids, terminal, budget_ok = _grow(
+            TERNARY, n, np.random.default_rng(3), size, NODE_BUDGET
         )
-        se = math.sqrt(0.25 * 0.75 / 20_000)
-        assert abs(extinct / 20_000 - 0.25) < 4 * se
-
-    def test_node_budget(self, monkeypatch):
-        monkeypatch.setattr(simulate, "NODE_BUDGET", 20)
-        rng = np.random.default_rng(13)
-        with pytest.raises(NodeBudgetExceededError):
-            for _ in range(2000):
-                simulate_tree(LF, 50, rng)
-
-    def test_output_digest_is_pinned(self):
-        # digest of the records as simulate_tree produced them with its
-        # own per-tree loop, before it became a one-replicate forward pass
-        rng = np.random.default_rng(99)
-        h = hashlib.sha256()
-        for name in ("linear_fractional", "poisson", "ternary_uniform"):
-            law = make_builtin(name)
-            for _ in range(300):
-                record = simulate_tree(law, 12, rng)
-                for arr in (record.sizes, *record.offspring_counts,
-                            reduced_counts(record, [0, 6, 12])):
-                    h.update(str(arr.shape).encode())
-                    h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-                h.update(repr(mrca_distance(record)).encode())
-        assert h.hexdigest() == (
-            "b2c0eefa033b54dbbb4f7ffeaaf9348229452dd0c8ef9c2fa0c9ce277b7e3db1"
-        )
+        assert len(child_ends) == n
+        assert len(child_ends[0]) == size
+        for ends, after in zip(child_ends, child_ends[1:]):
+            assert np.all(np.diff(ends) >= 0)
+            assert len(after) == (ends[-1] if len(ends) else 0)
+        assert terminal.sum() == child_ends[-1][-1]
+        assert np.all(terminal > 0)
+        assert np.all(np.diff(ids) > 0)
+        assert budget_ok.all()
 
 
-class TestReducedCounts:
-    def test_terminal_equals_population(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            record = simulate_tree(TERNARY, 5, rng)
-            got = reduced_counts(record, [5])
-            assert got[0] == record.sizes[5]
-
-    def test_root_is_one_on_survival(self):
-        rng = np.random.default_rng(19)
-        for _ in range(200):
-            record = simulate_tree(TERNARY, 4, rng)
-            got = reduced_counts(record, [0])
-            assert got[0] == (1 if record.sizes[4] > 0 else 0)
-
-    def test_hand_built_tree(self):
+class TestMarkBackward:
+    @pytest.mark.parametrize("counts, profile, distance", [
         # root -> 2 children; first child -> 1 grandchild, second -> none
-        record = _record_from_counts([[2], [1, 0]])
-        assert list(reduced_counts(record, [0, 1, 2])) == [1, 1, 1]
+        pytest.param([[2], [1, 0]], [1, 1, 1], 1, id="one_line_survives"),
         # root -> 2, both children keep a line alive
-        record = _record_from_counts([[2], [1, 2]])
-        assert list(reduced_counts(record, [0, 1, 2])) == [1, 2, 3]
-
-    def test_monotone_profile(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            record = simulate_tree(TERNARY, 7, rng)
-            profile = reduced_counts(record, np.arange(8))
-            assert np.all(np.diff(profile) >= 0)
-
-    def test_query_validation(self):
-        record = _record_from_counts([[1], [1]])
-        with pytest.raises(ValueError):
-            reduced_counts(record, [3])
-
-
-class TestMrcaDistance:
-    def test_extinct_tree_has_none(self):
-        record = _record_from_counts([[0], []])
-        assert mrca_distance(record) is None
-
-    def test_single_line_tree(self):
-        record = _record_from_counts([[1], [1], [1]])
-        assert mrca_distance(record) == 1
-
-    def test_split_at_root(self):
+        pytest.param([[2], [1, 2]], [1, 2, 3], 2, id="both_lines_survive"),
+        pytest.param([[1], [1], [1]], [1, 1, 1, 1], 1, id="single_line"),
         # both root children hold lines to the end: ancestor is the root
-        record = _record_from_counts([[2], [1, 1], [1, 1]])
-        assert mrca_distance(record) == 3
-
-    def test_late_split(self):
+        pytest.param([[2], [1, 1], [1, 1]], [1, 2, 2, 2], 3, id="split_at_root"),
         # one line down to generation 1, whose individual spawns two
         # surviving lines: the ancestor sits two levels above the end
-        record = _record_from_counts([[1], [2], [1, 1]])
-        assert mrca_distance(record) == 2
+        pytest.param([[1], [2], [1, 1]], [1, 1, 2, 2], 2, id="late_split"),
+    ])
+    def test_hand_built_tree(self, counts, profile, distance):
+        child_ends = _ends(counts)
+        terminal = np.array([child_ends[-1][-1]])
+        reduced, distances = _mark_backward(
+            child_ends, np.zeros(1, dtype=np.int64), terminal,
+            tuple(range(len(counts) + 1)),
+        )
+        assert reduced.tolist() == [profile]
+        assert distances.tolist() == [distance]
+
+    def test_forest_with_offset_starts(self):
+        # two replicates laid out as a batch grows them: replicate 0
+        # holds generation-2 positions 0..2, replicate 1 positions 3..4
+        child_ends = _ends([[2, 1], [1, 2, 2]])
+        starts = np.array([0, 3])
+        sizes = np.array([3, 2])
+        reduced, distances = _mark_backward(child_ends, starts, sizes, (0, 1, 2))
+        assert reduced.tolist() == [[1, 2, 3], [1, 1, 2]]
+        assert distances.tolist() == [2, 1]
+        # marking replicate 1 alone skips replicate 0's block
+        reduced, distances = _mark_backward(child_ends, starts[1:], sizes[1:], (2, 0))
+        assert reduced.tolist() == [[2, 1]]
+        assert distances.tolist() == [1]
 
 
 class TestConditionedBatch:
@@ -296,6 +236,16 @@ class TestConditionedBatch:
         assert np.all(batch.mrca_distances >= 1)
         assert np.all(batch.mrca_distances <= 8)
 
+    def test_profile_invariants_with_vacuous_bound(self):
+        # a ternary tree holds at most 2**n individuals at generation n,
+        # so every surviving replicate is accepted
+        n = 7
+        batch = run_conditioned_batch(TERNARY, n, 2**n, range(n + 1), 300, seed=23)
+        profiles = batch.reduced_counts
+        assert np.array_equal(profiles[:, n], batch.terminal_sizes)
+        assert np.all(profiles[:, 0] == 1)
+        assert np.all(np.diff(profiles, axis=1) >= 0)
+
     def test_acceptance_rate_tracks_event_probability(self):
         n, C = 64, 2
         batch = run_conditioned_batch(TERNARY, n, C, [], 400, seed=3)
@@ -336,8 +286,6 @@ class TestConditionedBatch:
             run_conditioned_batch(TERNARY, 0, 2, [], 10)
         with pytest.raises(ValueError, match="target_accepted"):
             run_conditioned_batch(TERNARY, 5, 2, [], 0)
-        with pytest.raises(ValueError, match="horizon"):
-            simulate_tree(TERNARY, -1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             run_conditioned_batch(TERNARY, 5, 0, [], 10)
         with pytest.raises(ValueError):
