@@ -204,6 +204,13 @@ def _bounded_sum_masses(s1: np.ndarray):
         s = np.convolve(s, s1)[: C + 1]
 
 
+def _single_line_chain(law: OffspringLaw, qs: np.ndarray) -> np.ndarray:
+    """f_{n-u}'(q_u) = f'(q_u) ... f'(q_{n-1}) for each point q_u of
+    ``qs``, which runs up to q_n, where the product is empty and 1."""
+    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+    return np.append(np.cumprod(slopes[::-1])[::-1], 1.0)
+
+
 def _joint_rows(law, m, n, C, J_max, epsilon):
     """Joint rows and the event probability P(0 < Z(n) <= C).
 
@@ -228,8 +235,8 @@ def _joint_rows(law, m, n, C, J_max, epsilon):
         pass
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
     q, survival = qs[r], 1.0 - qs[n]
-    # p_1 = (1 - q_r) f_m'(q_r) = (1 - q_r) f'(q_r) ... f'(q_{n-1})
-    p1 = (1.0 - q) * np.prod(pgf_derivatives(law, qs[r:n], 1)[1])
+    # p_1 = (1 - q_r) f_m'(q_r)
+    p1 = (1.0 - q) * _single_line_chain(law, qs[r:])[0]
     fits = _bounded_sum_masses(_positive_part(subtree))
     masses = [next(fits), next(fits)]
     floor = 2.0**-52 * p1 * masses[0]
@@ -323,8 +330,5 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
         )
-    # P(one reduced line at n-u, 0 < Z(n) <= C) = f_{n-u}'(q_u) P(1 <= Z(u) <= C),
-    # and f_{n-u}'(q_u) = f'(q_u) ... f'(q_{n-1}), which is 1 at u = n
-    slopes = pgf_derivatives(law, qs[:n], 1)[1]
-    single_line = np.append(np.cumprod(slopes[::-1])[::-1], 1.0)
-    return single_line[grid] * masses[grid] / event_prob
+    # P(one reduced line at n-u, 0 < Z(n) <= C) = f_{n-u}'(q_u) P(1 <= Z(u) <= C)
+    return _single_line_chain(law, qs)[grid] * masses[grid] / event_prob
