@@ -22,11 +22,12 @@ the lower-triangular Toeplitz matrix of h itself: once h_0..h_{a-1}
 are known, one correlation gives their contribution r to degrees
 a..2a-1 and h_a..h_{2a-1} = h * r, so each stage doubles the known
 prefix.  For the exponential e^(g-1), w_i = i g_i and d_k = k, which
-is not Toeplitz.  Its degrees up to PREFIX are solved one coefficient
-at a time, the rest in blocks of BLOCK coefficients: one correlation
-for the contribution of all earlier coefficients, then one matvec with
-the block's inverse, and the inverses are built for all blocks at once
-from a nilpotent Neumann product before the loop.
+is not Toeplitz.  Its first BLOCK degrees are solved one coefficient
+at a time and each later block of BLOCK degrees by its inverse: one
+correlation for the contribution of all earlier coefficients, then one
+matvec, with the inverses built for all blocks at once from a nilpotent
+Neumann product.  Blocks start at fixed degrees, so coefficient k has
+the same bits at every degree K >= k.
 Finite-support laws evaluate the polynomial f at g by Horner's rule.
 Every coefficient involved is nonnegative and no step subtracts, so
 nothing cancels and each coefficient keeps its relative accuracy, deep
@@ -46,11 +47,11 @@ from .offspring import Family, OffspringLaw, pgf_value
 # composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
 # turning into an hour of convolutions
 DEFAULT_COST_CAP = 1e11
-# the Poisson step solves degrees up to PREFIX one coefficient at a
-# time; above it, BLOCK coefficients at a time (a power of two, see
-# _solve_blocked)
-PREFIX = 64
+# the Poisson step solves its degrees BLOCK at a time (a power of two,
+# see _step_exponential); entry (i, j) of a block's lower-triangular
+# matrix is w_{i-j}, and w_0 = 0 fills the diagonal and above
 BLOCK = 16
+_BLOCK_LAG = np.maximum(np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK)), 0)
 
 
 @dataclass(frozen=True)
@@ -84,31 +85,6 @@ def extinction_prob(law: OffspringLaw, n: int) -> float:
     return q
 
 
-def _solve_blocked(w: np.ndarray, d: np.ndarray, h: np.ndarray) -> None:
-    # fill h_k for k > PREFIX from d_k h_k = sum_{i=1..k} w_i h_{k-i},
-    # d_k given for every k.  Within a block the system is
-    # (D - L) h_block = r, r from the earlier h.
-    K = len(h) - 1
-    starts = range(PREFIX + 1, K + 1, BLOCK)
-    idx = np.arange(BLOCK)
-    lag = idx[:, None] - idx[None, :]
-    L = np.where(lag > 0, w[np.maximum(lag, 0)], 0.0)
-    dblk = d[np.minimum(np.array(starts)[:, None] + idx, K)]
-    # N = D^-1 L is nilpotent of order BLOCK, so the Neumann series
-    # (D - L)^-1 = (I + N)(I + N^2)(I + N^4)(I + N^8) D^-1 is exact;
-    # every term is nonnegative, so nothing cancels
-    N = L / dblk[:, :, None]
-    inv = np.eye(BLOCK) + N
-    for _ in range(BLOCK.bit_length() - 2):
-        N = N @ N
-        inv += inv @ N
-    inv /= dblk[:, None, :]
-    for a, M in zip(starts, inv):
-        e = min(a + BLOCK, K + 1)
-        r = np.correlate(w[1:e], h[a - 1 :: -1], "valid")
-        h[a:e] = M[: e - a, : e - a] @ r
-
-
 def _step_reciprocal(g: np.ndarray) -> np.ndarray:
     # f(s) = 1/(2-s): solve (2 - g) h = 1, i.e. (2 - g_0) h_k = sum g_i h_{k-i}.
     # r is the part of that sum from h_0..h_{a-1} at degrees a..e-1; the
@@ -129,15 +105,33 @@ def _step_reciprocal(g: np.ndarray) -> np.ndarray:
 def _step_exponential(g: np.ndarray) -> np.ndarray:
     # f(s) = e^(s-1): h' = g' h gives k h_k = sum i g_i h_{k-i}
     K = len(g) - 1
-    h = np.empty_like(g)
+    # w and h run to the end of the last block; the padding w_k = 0
+    # reaches only degrees past K, so every block is solved whole
+    top = -(-K // BLOCK) * BLOCK
+    w = np.zeros(top + 1)
+    w[: K + 1] = g * np.arange(K + 1)
+    h = np.empty(top + 1)
     h[0] = math.exp(g[0] - 1.0)
-    w = g * np.arange(K + 1)
-    wrev = w[::-1]
-    for k in range(1, min(K, PREFIX) + 1):
-        h[k] = np.dot(wrev[K - k : K], h[:k]) / k
-    if K > PREFIX:
-        _solve_blocked(w, np.arange(K + 1.0), h)
-    return h
+    for k in range(1, min(K, BLOCK) + 1):
+        h[k] = np.dot(w[k:0:-1], h[:k]) / k
+    if K <= BLOCK:
+        return h[: K + 1]
+    # block b solves (D - L) h_b = r: D = diag(d) over its degrees d,
+    # L = w at _BLOCK_LAG and r the contribution of the earlier h.
+    # N = D^-1 L is nilpotent of order BLOCK, so the Neumann series
+    # (D - L)^-1 = (I + N)(I + N^2)(I + N^4)(I + N^8) D^-1 is exact;
+    # every term is nonnegative, so nothing cancels
+    d = np.arange(BLOCK + 1.0, top + 1).reshape(-1, BLOCK)
+    N = w[_BLOCK_LAG] / d[:, :, None]
+    inv = np.eye(BLOCK) + N
+    for _ in range(BLOCK.bit_length() - 2):
+        N = N @ N
+        inv += inv @ N
+    inv /= d[:, None, :]
+    for a, M in zip(range(BLOCK + 1, top, BLOCK), inv):
+        r = np.correlate(w[1 : a + BLOCK], h[a - 1 :: -1], "valid")
+        h[a : a + BLOCK] = M @ r
+    return h[: K + 1]
 
 
 def _step_finite(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
