@@ -105,8 +105,9 @@ def _step_reciprocal(g: np.ndarray) -> np.ndarray:
 def _step_exponential(g: np.ndarray) -> np.ndarray:
     # f(s) = e^(s-1): h' = g' h gives k h_k = sum i g_i h_{k-i}
     K = len(g) - 1
-    # w and h run to the end of the last block; the padding w_k = 0
-    # reaches only degrees past K, so every block is solved whole
+    # w and h run to the end of the last block, so every block is solved
+    # whole and its bits do not depend on K; the padding w_k = 0 reaches
+    # only degrees past K
     top = -(-K // BLOCK) * BLOCK
     w = np.zeros(top + 1)
     w[: K + 1] = g * np.arange(K + 1)

@@ -149,8 +149,9 @@ class TestReducedPmf:
         assert np.max(np.abs(table.pmf - want) / want) < 1e-12
 
     def test_poisson_rows_past_scalar_prefix_match_cauchy_integral(self):
-        # J = 150 reaches the blocked part of the composition kernel;
-        # rows fall by about 0.89 per degree, so aliasing is below 1e-25
+        # J = 150 takes the composition kernel through eight blocks past
+        # its first 16 degrees; rows fall by about 0.89 per degree, so
+        # aliasing is below 1e-25
         m, n, J = 100, 110, 150
         want = _poisson_rows_by_cauchy_integral(m, n, J, nodes=512)
         table = reduced_pmf(POIS, m, n, J_max=J)
@@ -312,7 +313,9 @@ class TestConditionalTable:
             assert steps == m
             assert table.j_max <= J <= C
 
-    @pytest.mark.parametrize("law,m,n,C", [(POIS, 150, 200, 60), (TERNARY, 30, 40, 12)])
+    @pytest.mark.parametrize(
+        "law,m,n,C", [(POIS, 150, 200, 60), (LF, 150, 200, 60), (TERNARY, 30, 40, 12)]
+    )
     def test_fixed_order_keeps_event_prob(self, law, m, n, C):
         # a caller's J_max cuts or extends the rows, below and above the
         # chosen order and past C, and never moves the event probability
