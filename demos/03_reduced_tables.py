@@ -29,28 +29,29 @@ law = make_builtin("ternary_uniform")
 n, m, C = 200, 100, 12
 
 # Unconditional reduced pmf at the halfway generation.  Tables store
-# pmf[j-1] = P(count = j) for j = 1..J_max; prob(j) is the accessor.
-table = reduced_pmf(law, m, n, J_max=6)
-print(f"P(Z({m},{n}) = j), j = 1..6:")
-print(np.array2string(table.pmf, precision=8))
+# pmf[j-1] = P(count = j) for j = 1..j_max, where j_max is the first
+# order whose rows hold all but epsilon of the mass; prob(j) is the
+# accessor.  The first six rows:
+table = reduced_pmf(law, m, n)
+print(f"P(Z({m},{n}) = j), j = 1..6 of {table.j_max}:")
+print(np.array2string(table.pmf[:6], precision=8))
 print(f"mass accounted (against survival): {table.mass_accounted:.8f}")
 
 # Joint with a bounded positive terminal size: P(Z(m,n)=j, 0<Z(n)<=C).
-joint = joint_reduced_bounded(law, m, n, C, J_max=6)
-print(f"\nP(Z({m},{n}) = j, 0 < Z({n}) <= {C}), j = 1..6:")
-print(np.array2string(joint.pmf, precision=8))
+joint = joint_reduced_bounded(law, m, n, C)
+print(f"\nP(Z({m},{n}) = j, 0 < Z({n}) <= {C}), j = 1..6 of {joint.j_max}:")
+print(np.array2string(joint.pmf[:6], precision=8))
 
 # The joint rows sum over j to the bare event probability, which is a
 # useful internal consistency check.
 H = bounded_survival_prob(law, n, C)
-full = joint_reduced_bounded(law, m, n, C)
-print(f"\nsum_j joint = {full.pmf.sum():.12f}")
+print(f"\nsum_j joint = {joint.pmf.sum():.12f}")
 print(f"P(0 < Z({n}) <= {C}) = {H:.12f}")
 
 # Conditioning on the event normalizes the row.
-cond = conditional_reduced_pmf(law, m, n, C, J_max=6)
-print(f"\nP(Z({m},{n}) = j | 0 < Z({n}) <= {C}):")
-print(np.array2string(cond.pmf, precision=6))
+cond = conditional_reduced_pmf(law, m, n, C)
+print(f"\nP(Z({m},{n}) = j | 0 < Z({n}) <= {C}), j = 1..6 of {cond.j_max}:")
+print(np.array2string(cond.pmf[:6], precision=6))
 
 # Distance to the most recent common ancestor of the survivors: the
 # cdf of n - (last generation where the reduced process is still 1).

@@ -30,8 +30,8 @@ print(f"acceptance rate {batch.acceptance_rate:.6f}")
 print(f"exact event prob {bounded_survival_prob(law, n, C):.6f}")
 
 # Empirical reduced-process pmf at generation m vs the exact table.
-exact = conditional_reduced_pmf(law, m, n, C, J_max=12)
-emp = empirical_pmf(batch.reduced_counts[:, 0], 12)
+exact = conditional_reduced_pmf(law, m, n, C)
+emp = empirical_pmf(batch.reduced_counts[:, 0], exact.j_max)
 print(f"\nP(Z({m},{n}) = j | event), exact vs empirical:")
 for j in range(1, 7):
     print(f"  j={j}  {exact.prob(j):.5f}  {emp[j - 1]:.5f}")

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, help="condition on 0 < Z(n) <= bound")
-    p.add_argument("--j-max", type=int, help="fixed table length (default adaptive)")
     p.add_argument("--epsilon", type=float, default=EPSILON_DEFAULT)
     _add_common(p)
     p.set_defaults(handler=_cmd_exact)
@@ -94,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--j-max", type=int, help="pmf rows (default adaptive)")
     _add_common(p)
     p.set_defaults(handler=_cmd_limits)
 
@@ -122,10 +120,10 @@ def _cmd_exact(args) -> int:
     law = law_from_name(args.law)
     if args.bound is not None:
         table = conditional_reduced_pmf(
-            law, args.m, args.n, args.bound, epsilon=args.epsilon, J_max=args.j_max
+            law, args.m, args.n, args.bound, epsilon=args.epsilon
         )
     else:
-        table = reduced_pmf(law, args.m, args.n, epsilon=args.epsilon, J_max=args.j_max)
+        table = reduced_pmf(law, args.m, args.n, epsilon=args.epsilon)
     write_output(_serialised(table, args.format), args.out)
     return 0
 
@@ -154,7 +152,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_limits(args) -> int:
     query = LimitQuery(Regime(args.regime), x=args.x, t=args.t, a=args.a)
-    table = query.table(DEFAULT_S_GRID, j_max=args.j_max)
+    table = query.table(DEFAULT_S_GRID)
     write_output(_serialised(table, args.format), args.out)
     return 0
 
@@ -199,10 +197,10 @@ def _selftest_checks():
         # P(Z(m,n) = j) = (1-q)^j m^(j-1) / (m+1-m q)^(j+1), q = q_{n-m}
         m, n = 30, 40
         q = (n - m) / (n - m + 1)
-        table = reduced_pmf(lf, m, n, J_max=64)
-        for j in range(1, 65):
+        table = reduced_pmf(lf, m, n)
+        for j, got in enumerate(table.pmf, start=1):
             want = (1 - q) ** j * m ** (j - 1) / (m + 1 - m * q) ** (j + 1)
-            assert abs(table.prob(j) - want) < 1e-12, j
+            assert abs(got - want) < 1e-12, j
 
     def check_jet_closed_form():
         n = 5
@@ -215,7 +213,7 @@ def _selftest_checks():
     def check_duality():
         for x in (0.25, 1.0, 4.0):
             q = LimitQuery(regime=Regime.SMALL_PHI, x=x)
-            pmf = q.table((), j_max=399).pmf
+            pmf = q.pmf_values()
             for s in (0.2, 0.5, 0.8):
                 series = sum(s**j * p for j, p in enumerate(pmf, start=1))
                 assert abs(q.gf(s) - series) < 1e-10, (x, s)

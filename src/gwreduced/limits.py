@@ -136,12 +136,10 @@ class LimitQuery:
         below = values < TERM_RATIO * np.cumsum(values)
         return values[: np.flatnonzero(below)[0] + 1]
 
-    def table(self, s_grid, j_max: int | None = None) -> LimitTable:
-        """pmf rows 1..j_max (by default until terms stop mattering) and
-        gf values at each s of ``s_grid``."""
-        if j_max is not None and j_max < 1:
-            raise ValueError(f"j_max must be at least 1, got {j_max}")
-        pmf = (self.pmf_values() if j_max is None else self._values(j_max)).tolist()
+    def table(self, s_grid) -> LimitTable:
+        """The pmf rows of ``pmf_values`` and gf values at each s of
+        ``s_grid``."""
+        pmf = self.pmf_values().tolist()
         return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in s_grid})
 
     def _values(self, J: int) -> np.ndarray:

@@ -44,22 +44,21 @@ J_START = 8
 class ReducedLawTable:
     """Tabulated pmf of the reduced count at generation m out of n.
 
-    ``pmf[j-1]`` is the probability of j reduced lines, j = 1..J_max:
+    ``pmf[j-1]`` is the probability of j reduced lines, j = 1..j_max:
     P(count=j) from ``reduced_pmf``, P(count=j, 0<Z(n)<=C) from
     ``joint_reduced_bounded`` and P(count=j | 0<Z(n)<=C) from
     ``conditional_reduced_pmf``, which is the joint table with its rows
     and row sum divided by ``event_prob``.  ``mass_accounted`` is the
     row sum.
-    Unless the caller fixes it, J_max is the first order at which the
-    remainder against the relevant total is below ``epsilon``: for an
+    One rule sets the length: j_max is the first order at which the
+    remainder against the relevant total is below ``epsilon``.  For an
     unconditional table the orders double from J_START, and a table
     that would need more than the composition budget raises
     SeriesBudgetError instead of coming back short; joint and
-    conditional tables stop at J_max = C at the latest, since rows past
+    conditional tables stop at j_max = C at the latest, since rows past
     C are exactly zero.  Joint and conditional tables also carry
     ``event_prob`` = P(0 < Z(n) <= C), the sum of the joint rows up to
-    an order chosen by a tail bound, which a caller's J_max does not
-    move; it is not serialised.
+    an order chosen by a tail bound; it is not serialised.
     """
 
     law: str
@@ -128,11 +127,6 @@ def _cut(rows: np.ndarray, total: float, tol: float) -> np.ndarray:
     return rows[: small[0] + 1] if len(small) else rows
 
 
-def _check_order(J_max) -> None:
-    if J_max is not None and J_max < 1:
-        raise ValueError("J_max must be at least 1")
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -142,7 +136,6 @@ def reduced_pmf(
     law: OffspringLaw,
     m: int,
     n: int,
-    J_max: int | None = None,
     epsilon: float = EPSILON_DEFAULT,
 ) -> ReducedLawTable:
     """Unconditional pmf of the reduced count at generation m out of n.
@@ -151,33 +144,29 @@ def reduced_pmf(
     so the rows are the coefficients of f_n).  The remainder criterion
     is absolute: the rows approach the survival probability P(Z(n) > 0)
     to within epsilon, or SeriesBudgetError is raised, stating the mass
-    accounted so far.  Unless ``J_max`` is fixed, J doubles from J_START
-    until the remainder is below epsilon and the table is cut at the
-    first order that meets it; the loop ends, since rows at m = 0 are
-    exact and for m >= 1 the row pass reaches the budget as J grows.
+    accounted so far.  J doubles from J_START until the remainder is
+    below epsilon and the table is cut at the first order that meets
+    it; the loop ends, since rows at m = 0 are exact and for m >= 1 the
+    row pass reaches the budget as J grows.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     _check_epsilon(epsilon)
-    _check_order(J_max)
     qs = list(iter_extinction_probs(law, n))
     q, survival = qs[n - m], 1.0 - qs[n]
-    if J_max is not None:
-        probs = _reduced_rows(law, m, q, J_max)
-    else:
-        J, probs = J_START, np.zeros(0)
-        while True:
-            try:
-                probs = _reduced_rows(law, m, q, J)
-            except SeriesBudgetError as exc:
-                raise SeriesBudgetError(
-                    f"{exc}; at order {len(probs)} the rows account for mass "
-                    f"{probs.sum():.6g} of {survival:.6g}, short of epsilon"
-                ) from None
-            if survival - probs.sum() < epsilon:
-                break
-            J *= 2
-        probs = _cut(probs, survival, epsilon)
+    J, probs = J_START, np.zeros(0)
+    while True:
+        try:
+            probs = _reduced_rows(law, m, q, J)
+        except SeriesBudgetError as exc:
+            raise SeriesBudgetError(
+                f"{exc}; at order {len(probs)} the rows account for mass "
+                f"{probs.sum():.6g} of {survival:.6g}, short of epsilon"
+            ) from None
+        if survival - probs.sum() < epsilon:
+            break
+        J *= 2
+    probs = _cut(probs, survival, epsilon)
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -211,25 +200,25 @@ def _single_line_chain(law: OffspringLaw, qs: np.ndarray) -> np.ndarray:
     return np.append(np.cumprod(slopes[::-1])[::-1], 1.0)
 
 
-def _joint_rows(law, m, n, C, J_max, epsilon):
+def _joint_rows(law, m, n, C, epsilon):
     """Joint rows and the event probability P(0 < Z(n) <= C).
 
     Row j is the reduced row p_j times the chance P(S_j <= C) that j
     surviving subtrees keep the total at or below C.  A pass of n - m
     steps at degree C gives the subtree size pmf, from f_{n-m}; one pass
-    of m steps gives the reduced rows.  The event probability is the sum
-    of rows 1..J.  Since P(S_j <= C) falls in j and the p_j sum to
-    P(Z(n) > 0), the rows past J add at most P(S_{J+1} <= C) P(Z(n) > 0),
-    and J is the first order at which that is below 2^-52 times the
-    first row, itself a lower bound on the event probability.  So no pass
-    runs to n at degree C, J is chosen before the row pass, and a
-    caller's ``J_max`` cuts or extends the rows without moving the event
+    of m steps at an order J gives the reduced rows.  The event
+    probability is the sum of rows 1..J.  Since P(S_j <= C) falls in j
+    and the p_j sum to P(Z(n) > 0), the rows past J add at most
+    P(S_{J+1} <= C) P(Z(n) > 0), and J is the first order at which that
+    is below 2^-52 times the first row, itself a lower bound on the
+    event probability.  So no pass runs to n at degree C, J is chosen
+    before the row pass, and the rows returned are those 1..J cut at
+    the first order whose remainder is below epsilon times the event
     probability.
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     _check_epsilon(epsilon)
-    _check_order(J_max)
     r = n - m
     for subtree in iterates(law, r, C):
         pass
@@ -243,12 +232,8 @@ def _joint_rows(law, m, n, C, J_max, epsilon):
     while masses[-1] * survival > floor:
         masses.append(next(fits))
     J = len(masses) - 1
-    order = max(J, J_max or 0)
-    masses += [next(fits) for _ in range(order - len(masses))]
-    rows = _reduced_rows(law, m, q, order) * masses[:order]
-    event_prob = float(rows[:J].sum())
-    if J_max is not None:
-        return rows[:J_max], event_prob
+    rows = _reduced_rows(law, m, q, J) * masses[:J]
+    event_prob = float(rows.sum())
     return _cut(rows, event_prob, epsilon * event_prob), event_prob
 
 
@@ -257,7 +242,6 @@ def joint_reduced_bounded(
     m: int,
     n: int,
     C: int,
-    J_max: int | None = None,
     epsilon: float = EPSILON_DEFAULT,
 ) -> ReducedLawTable:
     """pmf rows P(reduced count at m = j, 0 < Z(n) <= C).
@@ -270,7 +254,7 @@ def joint_reduced_bounded(
     """
     if C < 1:
         raise ValueError("bound must be at least 1")
-    rows, event_prob = _joint_rows(law, m, n, C, J_max, epsilon)
+    rows, event_prob = _joint_rows(law, m, n, C, epsilon)
     return ReducedLawTable(
         law=law.label,
         n=n,
@@ -288,7 +272,6 @@ def conditional_reduced_pmf(
     m: int,
     n: int,
     C: int,
-    J_max: int | None = None,
     epsilon: float = EPSILON_DEFAULT,
 ) -> ReducedLawTable:
     """pmf rows P(reduced count at m = j | 0 < Z(n) <= C).
@@ -299,7 +282,7 @@ def conditional_reduced_pmf(
     impossible = f"conditioning event 0 < Z({n}) <= {C} has probability zero"
     if C < 1:
         raise ConditioningImpossibleError(impossible)
-    joint = joint_reduced_bounded(law, m, n, C, J_max, epsilon)
+    joint = joint_reduced_bounded(law, m, n, C, epsilon)
     if joint.event_prob <= 0.0:
         raise ConditioningImpossibleError(impossible)
     return replace(

@@ -636,9 +636,8 @@ class TestCli:
         "argv, key",
         [
             (["exact", "--n", "20", "--m", "10", "--epsilon", "-1"], "epsilon"),
-            (["limits", "--x", "inf", "--j-max", "2", "--format", "csv"], "x"),
+            (["limits", "--x", "inf", "--format", "csv"], "x"),
             (["limits", "--regime", "linear_band", "--t", "0.5", "--a", "inf"], "a"),
-            (["limits", "--j-max", "0"], "j_max"),
             (["compare", "--regime", "small_phi", "--n", "100", "--x", "inf"], "x"),
             (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e308"], "x"),
             (["compare", "--regime", "linear_band", "--n", "100", "--t", "0.5",
@@ -670,6 +669,12 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and key in captured.err
 
+    @pytest.mark.parametrize("argv", [["exact", "--n", "20", "--m", "10"], ["limits"]])
+    def test_row_count_flag_is_refused(self, argv, capsys):
+        # a table's length comes only from epsilon or the limit's term ratio
+        assert cli_main(argv + ["--j-max", "3"]) == 1
+        assert "unrecognized arguments: --j-max 3" in capsys.readouterr().err
+
     def test_limits_band_csv(self, capsys):
         code = cli_main(
             [
@@ -680,8 +685,6 @@ class TestCli:
                 "0.5",
                 "--a",
                 "1.0",
-                "--j-max",
-                "3",
                 "--format",
                 "csv",
             ]
@@ -689,7 +692,8 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "j,p"
-        assert len(lines) == 4
+        rows = LimitQuery(Regime.LINEAR_BAND, t=0.5, a=1.0).pmf_values()
+        assert len(lines) == len(rows) + 1
 
     def test_simulate_csv_columns(self, tmp_path):
         out = tmp_path / "batch.csv"

@@ -287,8 +287,6 @@ class TestLimitQuery:
                 query.gf(s)
         with pytest.raises(ValueError, match="start at 1"):
             query.pmf(0)
-        with pytest.raises(ValueError, match="j_max"):
-            query.table((), j_max=0)
         # parameters that would give nan or inf probabilities
         for build, key in (
             (lambda: window(math.inf), "x"),
@@ -302,8 +300,9 @@ class TestLimitQuery:
 
     def test_table_serialises_pmf_and_gf(self):
         query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)
-        table = query.table((0.0, 0.5, 1.0), j_max=3)
-        assert table.pmf == [query.pmf(j) for j in (1, 2, 3)]
+        table = query.table((0.0, 0.5, 1.0))
+        assert table.pmf == query.pmf_values().tolist()
+        assert table.pmf == [query.pmf(j) for j in range(1, len(table.pmf) + 1)]
         payload = table.to_json_dict()
         assert list(payload) == ["regime", "t", "a", "pmf", "gf"]
         assert payload["regime"] == "linear_band"

