@@ -121,7 +121,8 @@ class TestReducedPmf:
             reduced_pmf(LF, 3, 6).prob(0)
 
     def test_positional_order_is_refused_as_epsilon(self):
-        # a row count passed where the order used to go lands on epsilon
+        # a row count passed positionally lands on epsilon and must be
+        # refused, never read as one
         with pytest.raises(ValueError, match="epsilon"):
             reduced_pmf(LF, 3, 6, 8)
         with pytest.raises(ValueError, match="epsilon"):
