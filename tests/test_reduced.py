@@ -321,6 +321,36 @@ class TestConditionalTable:
             assert steps == m
             assert table.j_max <= J <= C
 
+    @pytest.mark.parametrize(
+        "law,m,n,C",
+        [(POIS, 150, 200, 60), (LF, 150, 200, 60), (TERNARY, 30, 40, 12),
+         (TERNARY, 15, 20, 2)],
+    )
+    def test_every_row_to_bound_keeps_event_prob(self, law, m, n, C):
+        # Rows 1..C rebuilt from the row pass at order C and the j-fold
+        # convolutions of the surviving-subtree size pmf: row j is zero
+        # past C, so these rows hold the whole event.  The rows past the
+        # tail-bound order move the event probability by under 2^-52,
+        # and both tables carry that one value.
+        r = n - m
+        sizes = pmf_Zn(law, r, C).coeffs
+        q = float(sizes[0])
+        positive = np.concatenate(([0.0], sizes[1:] / (1.0 - q)))
+        fits, conv = np.empty(C), np.array([1.0])
+        for j in range(C):
+            conv = np.convolve(conv, positive)[: C + 1]
+            fits[j] = conv.sum()
+        full = reduced._reduced_rows(law, m, extinction_prob(law, r), C) * fits
+        event = float(full.sum())
+        joint = joint_reduced_bounded(law, m, n, C)
+        cond = conditional_reduced_pmf(law, m, n, C)
+        assert joint.event_prob == cond.event_prob
+        assert joint.event_prob == pytest.approx(event, rel=1e-13)
+        assert joint.j_max <= C
+        k = joint.j_max
+        assert np.allclose(joint.pmf, full[:k], rtol=1e-12, atol=1e-300)
+        assert full[k:].sum() <= joint.epsilon * event
+
     def test_parity_law_cannot_end_with_one_survivor(self):
         # under 1/2 + s^2/2 every Z(n) is even, so 0 < Z(n) <= 1 is empty
         n = 6
