@@ -635,29 +635,41 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, key",
         [
-            (["exact", "--n", "20", "--m", "10", "--epsilon", "-1"], "epsilon"),
-            (["limits", "--x", "inf", "--format", "csv"], "x"),
-            (["limits", "--regime", "linear_band", "--t", "0.5", "--a", "inf"], "a"),
-            (["compare", "--regime", "small_phi", "--n", "100", "--x", "inf"], "x"),
-            (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e308"], "x"),
-            (["compare", "--regime", "linear_band", "--n", "100", "--t", "0.5",
-              "--a", "1e308"], "a"),
-            (["compare", "--regime", "small_phi", "--n", "100", "--x", "1e300"],
-             "x=1e+300"),
-            (["simulate", "--n", "10", "--bound", "3", "--seed", "-1"], "seed"),
-            (["compare", "--regime", "small_phi", "--n", "100", "--x", "1",
-              "--replicates", "10", "--seed", "-1"], "seed"),
-            (["simulate", "--n", "10", "--bound", "3", "--m", "x"], "--m"),
-            (["simulate", "--n", "20", "--bound", "3", "--replicates", "5",
-              "--workers", "-4"], "workers"),
-            (["compare", "--n", "100", "--x", "one"],
-             "error: x: could not convert string to float: 'one'"),
-            (["compare", "--regime", "bogus", "--n", "100", "--x", "1"],
-             "error: regime: 'bogus' is not a valid Regime"),
-            (["compare", "--n", "100,abc", "--x", "1"],
-             "error: n_grid: invalid literal for int() with base 10: 'abc'"),
-            (["compare", "--config", "BAD_CONFIG"],
-             "error: x: could not convert string to float: 'one'"),
+            pytest.param(["exact", "--n", "20", "--m", "10", "--epsilon", "-1"],
+                         "epsilon", id="exact-epsilon"),
+            pytest.param(["limits", "--x", "inf", "--format", "csv"], "x",
+                         id="limits-x-inf"),
+            pytest.param(["limits", "--regime", "linear_band", "--t", "0.5",
+                          "--a", "inf"], "a", id="limits-a-inf"),
+            pytest.param(["compare", "--regime", "small_phi", "--n", "100",
+                          "--x", "inf"], "x", id="compare-x-inf"),
+            pytest.param(["compare", "--regime", "small_phi", "--n", "100",
+                          "--x", "1e308"], "x", id="compare-x-1e308"),
+            pytest.param(["compare", "--regime", "linear_band", "--n", "100",
+                          "--t", "0.5", "--a", "1e308"], "a", id="compare-a-1e308"),
+            pytest.param(["compare", "--regime", "small_phi", "--n", "100",
+                          "--x", "1e300"], "x=1e+300", id="compare-x-1e300"),
+            pytest.param(["simulate", "--n", "10", "--bound", "3", "--seed", "-1"],
+                         "seed", id="simulate-seed"),
+            pytest.param(["compare", "--regime", "small_phi", "--n", "100", "--x",
+                          "1", "--replicates", "10", "--seed", "-1"], "seed",
+                         id="compare-seed"),
+            pytest.param(["simulate", "--n", "10", "--bound", "3", "--m", "x"],
+                         "--m", id="simulate-m"),
+            pytest.param(["simulate", "--n", "20", "--bound", "3", "--replicates",
+                          "5", "--workers", "-4"], "workers", id="simulate-workers"),
+            pytest.param(["compare", "--n", "100", "--x", "one"],
+                         "error: x: could not convert string to float: 'one'",
+                         id="compare-x-text"),
+            pytest.param(["compare", "--regime", "bogus", "--n", "100", "--x", "1"],
+                         "error: regime: 'bogus' is not a valid Regime",
+                         id="compare-regime-text"),
+            pytest.param(["compare", "--n", "100,abc", "--x", "1"],
+                         "error: n_grid: invalid literal for int() with base 10: 'abc'",
+                         id="compare-n-grid-text"),
+            pytest.param(["compare", "--config", "BAD_CONFIG"],
+                         "error: x: could not convert string to float: 'one'",
+                         id="compare-config-x-text"),
         ],
     )
     def test_bad_parameter_is_named(self, argv, key, tmp_path, capsys):
