@@ -31,7 +31,7 @@ print("\nf', f'', f''', f'''' at s=0.5:", np.round(derivs[1:], 4))
 # A custom finite-support law: weights must sum to 1 and average to 1.
 custom = make_custom([0.35, 0.35, 0.25, 0.05])
 print(f"\ncustom law {custom.label}")
-print(f"  B = {custom.half_variance:.4f}, max support = {custom.max_support}")
+print(f"  B = {custom.half_variance:.4f}, max support = {len(custom.support_pmf) - 1}")
 
 # Criticality is enforced: a supercritical pmf is rejected up front.
 try:

@@ -51,13 +51,6 @@ class OffspringLaw:
     support_pmf: np.ndarray | None = None
 
     @property
-    def max_support(self) -> int | None:
-        """Largest possible offspring count, None when unbounded."""
-        if self.support_pmf is None:
-            return None
-        return len(self.support_pmf) - 1
-
-    @property
     def label(self) -> str:
         if self.family is Family.CUSTOM_FINITE:
             probs = ",".join(repr(float(p)) for p in self.support_pmf)
@@ -87,7 +80,7 @@ def make_custom(pmf) -> OffspringLaw:
     variance = float(np.dot(k * k, arr)) - mean * mean
     if variance <= MASS_TOL:
         raise DegenerateVarianceError("offspring variance is zero")
-    # trim trailing zero probabilities so max_support is tight
+    # trim trailing zero probabilities: the last entry is the largest count
     last = int(np.max(np.nonzero(arr)[0]))
     arr = arr[: last + 1]
     return OffspringLaw(

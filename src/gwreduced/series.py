@@ -136,7 +136,8 @@ def _step_exponential(g: np.ndarray) -> np.ndarray:
 
 
 def _step_finite(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
-    # finite support: Horner's rule, max_support truncated products
+    # finite support: Horner's rule over support_pmf, each product
+    # truncated at the degree of g
     K = len(g) - 1
     pmf = law.support_pmf
     h = np.zeros(K + 1)

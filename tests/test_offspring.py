@@ -42,7 +42,7 @@ class TestBuiltins:
         assert pmf[1] == pytest.approx(0.25, abs=TOL)
         assert pmf[5] == pytest.approx(2.0**-6, abs=TOL)
         assert law.half_variance == 1.0
-        assert law.max_support is None
+        assert law.support_pmf is None
 
     def test_poisson_pmf_and_variance(self):
         law = make_builtin("poisson")
@@ -55,7 +55,7 @@ class TestBuiltins:
         law = make_builtin(Family.TERNARY_UNIFORM)
         assert np.allclose(law.support_pmf, [0.25, 0.5, 0.25])
         assert law.half_variance == 0.25
-        assert law.max_support == 2
+        assert len(law.support_pmf) == 3
 
     def test_builtins_reject_parameters(self):
         # a custom law needs its pmf, which only make_custom takes
@@ -100,7 +100,7 @@ class TestCustom:
 
     def test_trailing_zeros_trimmed(self):
         law = make_custom([0.25, 0.5, 0.25, 0.0, 0.0])
-        assert law.max_support == 2
+        assert len(law.support_pmf) == 3
 
 
 class TestNameParsing:
@@ -118,7 +118,7 @@ class TestNameParsing:
     def test_custom_name(self):
         law = law_from_name("custom:0.25,0.5,0.25")
         assert law.family is Family.CUSTOM_FINITE
-        assert law.max_support == 2
+        assert len(law.support_pmf) == 3
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
