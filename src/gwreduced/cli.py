@@ -3,7 +3,7 @@
 Subcommands:
   exact      exact reduced-count tables (unconditional or conditioned)
   simulate   conditioned Monte Carlo batches
-  limits     limit-law pmf and gf values on grids
+  limits     limit-law pmf and gf values on a grid
   compare    exact vs limit vs Monte Carlo comparison reports
   selftest   closed-form and cross-implementation consistency checks
 
@@ -21,7 +21,6 @@ from math import factorial
 from .errors import GWReducedError
 from .harness import (
     CONFIG_KEYS,
-    DEFAULT_S_GRID,
     ExperimentConfig,
     format_report_summary,
     parse_config_file,
@@ -84,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("limits", help="limit-law values on grids")
+    p = sub.add_parser("limits", help="limit-law values on a grid")
     p.add_argument(
         "--regime",
         choices=tuple(r.value for r in Regime),
@@ -152,7 +151,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_limits(args) -> int:
     query = LimitQuery(Regime(args.regime), x=args.x, t=args.t, a=args.a)
-    table = query.table(DEFAULT_S_GRID)
+    table = query.table()
     write_output(_serialised(table, args.format), args.out)
     return 0
 

@@ -4,7 +4,9 @@ A comparison experiment walks a grid of horizons n, builds the exact
 conditional reduced-count table for the regime geometry at each n,
 evaluates the matching limit law, optionally runs a conditioned
 Monte Carlo batch, and reports total-variation distances, generating
-function sup-norms, and acceptance-rate agreement.  `ExperimentConfig`
+function sup-norms over the grid ``limits.GF_GRID``, and
+acceptance-rate agreement.  The final distance and sup-norm pass below
+``FINAL_THRESHOLD``.  `ExperimentConfig`
 is the one definition of an experiment: its field table gives the
 config keys, their text form and the `compare` flags, and building it
 makes every check, down to each horizon's look-back and bound, so
@@ -24,14 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import series
-from .limits import LimitQuery, Regime
+from . import reduced, series
+from .limits import GF_GRID, LimitQuery, Regime
 from .offspring import law_from_name
 from .reduced import EPSILON_DEFAULT, conditional_reduced_pmf
 from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
 
-DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 BOOTSTRAP_RESAMPLES = 200
+FINAL_THRESHOLD = 0.05
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -71,9 +73,9 @@ def table_gf(pmf):
     return evaluate
 
 
-def gf_supnorm(exact_gf, limit_gf, s_grid=DEFAULT_S_GRID) -> float:
-    """Largest absolute gf deviation over a grid of s values."""
-    return float(max(abs(exact_gf(s) - limit_gf(s)) for s in s_grid))
+def gf_supnorm(exact_gf, limit_gf) -> float:
+    """Largest absolute gf deviation over the s values of GF_GRID."""
+    return float(max(abs(exact_gf(s) - limit_gf(s)) for s in GF_GRID))
 
 
 @dataclass(frozen=True)
@@ -107,27 +109,21 @@ def parse_phi(expression: str) -> PhiSpec:
 CONFIG_HASH_EXCLUDE = {"out", "format", "workers", "timestamp"}
 
 
-def _grid_text(to_text, convert):
-    """(to text, from text) of a comma-separated grid."""
-    return (
-        lambda grid: ",".join(map(to_text, grid)),
-        lambda text: tuple(convert(tok) for tok in text.split(",") if tok.strip()),
-    )
-
-
 # ExperimentConfig field -> (flat key, to text, from text), in the order
 # to_mapping writes the keys; report parameters keep this order
 _FIELD_TEXT = {
     "regime": ("regime", lambda regime: regime.value, Regime),
     "law_label": ("law", str, str),
-    "n_grid": ("n_grid", *_grid_text(str, int)),
+    "n_grid": (
+        "n_grid",
+        lambda grid: ",".join(map(str, grid)),
+        lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+    ),
     "phi": ("phi", lambda phi: phi.expression, parse_phi),
     "epsilon": ("epsilon", repr, float),
     "seed": ("seed", str, int),
     "replicates": ("replicates", str, int),
     "max_replicates": ("max_replicates", str, int),
-    "s_grid": ("s_grid", *_grid_text(lambda v: repr(float(v)), float)),
-    "tv_threshold": ("tv_threshold", repr, float),
     "x": ("x", repr, float),
     "t": ("t", repr, float),
     "a": ("a", repr, float),
@@ -191,22 +187,15 @@ class ExperimentConfig:
     replicates: int = 0
     max_replicates: int = MAX_REPLICATES_DEFAULT
     workers: int = 1
-    s_grid: tuple = DEFAULT_S_GRID
-    tv_threshold: float = 0.05
 
     def __post_init__(self):
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
-        if not self.s_grid:
-            raise ValueError("s_grid must be nonempty")
         if any(n < 2 for n in self.n_grid):
             raise ValueError("horizons must be at least 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {self.n_grid}")
-        if not all(0.0 <= s <= 1.0 for s in self.s_grid):
-            raise ValueError(f"s_grid values must lie in [0, 1], got {self.s_grid}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        reduced.check_epsilon(self.epsilon)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replicates < 0:
@@ -214,10 +203,6 @@ class ExperimentConfig:
         if self.max_replicates < 1:
             raise ValueError(
                 f"max_replicates must be at least 1, got {self.max_replicates}"
-            )
-        if not 0.0 < self.tv_threshold < math.inf:
-            raise ValueError(
-                f"tv_threshold must be positive and finite, got {self.tv_threshold}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
@@ -413,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             "epsilon": config.epsilon,
             "mass_accounted": float(table.mass_accounted),
             "tv_exact_limit": tv_distance(table.pmf, limit_pmf),
-            "gf_supnorm": gf_supnorm(table_gf(table.pmf), query.gf, config.s_grid),
+            "gf_supnorm": gf_supnorm(table_gf(table.pmf), query.gf),
         }
         if config.replicates > 0:
             seed = _row_seed(config.seed, index)
@@ -483,15 +468,15 @@ def _build_verdicts(config: ExperimentConfig, rows) -> list:
     verdicts.append(_verdict(
         "tv_exact_vs_limit_final",
         f"{tvs[-1]:.6f}",
-        config.tv_threshold,
-        tvs[-1] < config.tv_threshold,
+        FINAL_THRESHOLD,
+        tvs[-1] < FINAL_THRESHOLD,
     ))
     sups = [row["gf_supnorm"] for row in rows]
     verdicts.append(_verdict(
         "gf_supnorm_final",
         f"{sups[-1]:.6f}",
-        config.tv_threshold,
-        sups[-1] < config.tv_threshold,
+        FINAL_THRESHOLD,
+        sups[-1] < FINAL_THRESHOLD,
     ))
     if config.replicates > 0:
         for row in rows:

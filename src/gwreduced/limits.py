@@ -10,11 +10,13 @@ tail P(N(u) >= j) at u = 1/x or a/(1-t), from one ``poisson_tails`` pass.
 
 ``LimitQuery`` pins a regime and its parameters, validates them once,
 and is the one way to evaluate a law: ``gf``, ``pmf``, ``pmf_values``
-and ``table``.  The limiting cdf of the ancestor distance needs no
-formula of its own.  The most recent common ancestor of the survivors
-is within look-back u exactly when one reduced line is left there, so
-the cdf at u is ``pmf(1)`` of the law at that look-back, as it is for
-the exact tables in ``reduced.mrca_distance_cdf``.
+and ``table``.  ``GF_GRID`` is the one grid of s values on which a
+gf is tabulated and compared.  The limiting cdf of the ancestor
+distance needs no formula of its own.  The most recent common ancestor
+of the survivors is within look-back u exactly when one reduced line
+is left there, so the cdf at u is ``pmf(1)`` of the law at that
+look-back, as it is for the exact tables in
+``reduced.mrca_distance_cdf``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 TERM_RATIO = 1e-16
+GF_GRID = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0, 0.1, ..., 1.0
 
 
 def poisson_tails(u: float, J: int) -> np.ndarray:
@@ -136,11 +139,11 @@ class LimitQuery:
         below = values < TERM_RATIO * np.cumsum(values)
         return values[: np.flatnonzero(below)[0] + 1]
 
-    def table(self, s_grid) -> LimitTable:
+    def table(self) -> LimitTable:
         """The pmf rows of ``pmf_values`` and gf values at each s of
-        ``s_grid``."""
+        ``GF_GRID``."""
         pmf = self.pmf_values().tolist()
-        return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in s_grid})
+        return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in GF_GRID})
 
     def _values(self, J: int) -> np.ndarray:
         """p_1..p_J: the regime factor times the Poisson tails."""
@@ -153,7 +156,7 @@ class LimitQuery:
 
 @dataclass(frozen=True)
 class LimitTable:
-    """A limiting law's pmf p_1, p_2, ... and its gf on a grid."""
+    """A limiting law's pmf p_1, p_2, ... and its gf on GF_GRID."""
 
     query: LimitQuery
     pmf: list

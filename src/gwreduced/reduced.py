@@ -127,7 +127,8 @@ def _cut(rows: np.ndarray, total: float, tol: float) -> np.ndarray:
     return rows[: small[0] + 1] if len(small) else rows
 
 
-def _check_epsilon(epsilon: float) -> None:
+def check_epsilon(epsilon: float) -> None:
+    """Refuse a remainder tolerance outside (0, 1)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
@@ -151,7 +152,7 @@ def reduced_pmf(
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     qs = list(iter_extinction_probs(law, n))
     q, survival = qs[n - m], 1.0 - qs[n]
     J, probs = J_START, np.zeros(0)
@@ -218,7 +219,7 @@ def _joint_rows(law, m, n, C, epsilon):
     """
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     r = n - m
     for subtree in iterates(law, r, C):
         pass

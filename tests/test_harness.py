@@ -26,7 +26,9 @@ from gwreduced import (
 from gwreduced import cli, harness
 from gwreduced.cli import cli_main
 from gwreduced.harness import CONFIG_HASH_EXCLUDE, CONFIG_KEYS
-from gwreduced.limits import LimitQuery
+from gwreduced.limits import GF_GRID, LimitQuery
+from gwreduced.offspring import make_builtin
+from gwreduced.reduced import conditional_reduced_pmf, reduced_pmf
 
 
 class TestTVDistance:
@@ -80,11 +82,6 @@ class TestGfSupnorm:
         f = lambda s: s
         g = lambda s: s + 0.02 * s * s
         assert gf_supnorm(f, g) == pytest.approx(0.02)
-
-    def test_custom_grid(self):
-        f = lambda s: 0.0
-        g = lambda s: s
-        assert gf_supnorm(f, g, s_grid=(0.25, 0.5)) == pytest.approx(0.5)
 
 
 class TestPhiSpec:
@@ -159,8 +156,6 @@ class TestConfigHash:
             "replicates": 10,
             "max_replicates": 1000,
             "workers": 2,
-            "s_grid": (0.99,),
-            "tv_threshold": 0.1,
         }
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert fields == set(changed)
@@ -171,8 +166,10 @@ class TestConfigHash:
             assert same == (name in CONFIG_HASH_EXCLUDE), name
 
 
-    # to_mapping text and config_hash recorded before the text form was
-    # derived from the field table; a change here changes every report
+    # to_mapping text and config_hash, first recorded before the text
+    # form was derived from the field table and re-pinned when the
+    # s_grid and tv_threshold keys were deleted; a change here changes
+    # every report
     PINNED = [
         (
             ExperimentConfig(
@@ -181,7 +178,6 @@ class TestConfigHash:
                 n_grid=(100, 400),
                 x=2.0,
                 phi=parse_phi("n^0.6"),
-                s_grid=(0.25, 0.5, 0.75),
             ),
             [
                 ("regime", "small_phi"),
@@ -192,11 +188,9 @@ class TestConfigHash:
                 ("seed", "0"),
                 ("replicates", "0"),
                 ("max_replicates", "100000000"),
-                ("s_grid", "0.25,0.5,0.75"),
-                ("tv_threshold", "0.05"),
                 ("x", "2.0"),
             ],
-            "a3a93be2d901407d39696fa0b593f96f16075c7029c43852bab3719511709ad1",
+            "b0fe7eebe3e4bc174be9287d99e16ec068ed774c6eb9970dc893052f0e7128d1",
         ),
         (
             ExperimentConfig(
@@ -218,12 +212,10 @@ class TestConfigHash:
                 ("seed", "3"),
                 ("replicates", "200"),
                 ("max_replicates", "100000000"),
-                ("s_grid", "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"),
-                ("tv_threshold", "0.05"),
                 ("t", "0.5"),
                 ("a", "1.5"),
             ],
-            "55e884c6fcb5dcb9c3631642f19e06068060f0a21ad764601dd8d9819aa48eb4",
+            "c0a622db6b0c6500b7f382a34d6065780233e06d324b218d266aba7391f707b3",
         ),
     ]
 
@@ -300,16 +292,8 @@ class TestConfigParsing:
             ("epsilon", "0"),
             ("epsilon", "1"),
             ("n_grid", ""),
-            ("s_grid", ""),
             ("epsilon", "nan"),
-            ("s_grid", "2.0"),
-            ("s_grid", "0.5,-0.1"),
-            ("s_grid", "nan"),
             ("max_replicates", "0"),
-            ("tv_threshold", "-0.1"),
-            ("tv_threshold", "0"),
-            ("tv_threshold", "inf"),
-            ("tv_threshold", "nan"),
             ("n_grid", "2000,500"),
             ("n_grid", "500,500"),
             ("workers", "0"),
@@ -323,9 +307,26 @@ class TestConfigParsing:
 
     def test_unknown_key_is_rejected(self):
         raw = {"regime": "small_phi", "n_grid": "100", "x": "1",
-               "replicatse": "500", "s_grid": "0.5"}
+               "replicatse": "500", "seed": "1"}
         with pytest.raises(ValueError, match="replicatse"):
             ExperimentConfig.from_mapping(raw)
+
+    @pytest.mark.parametrize("key, value", [("s_grid", "0.5"), ("tv_threshold", "0.1")])
+    def test_scoring_keys_are_refused(self, key, value):
+        # the gf grid and the final threshold score a report; neither is
+        # a config key
+        raw = {"regime": "small_phi", "n_grid": "100", "x": "1", key: value}
+        with pytest.raises(ValueError, match=f"unknown config key\\(s\\): {key}$"):
+            ExperimentConfig.from_mapping(raw)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 1.0, math.nan])
+    def test_epsilon_rule_is_the_tables(self, epsilon):
+        # a config refuses the epsilon a table refuses, in the same words
+        with pytest.raises(ValueError) as table_error:
+            reduced_pmf(make_builtin("linear_fractional"), 5, 10, epsilon=epsilon)
+        with pytest.raises(ValueError) as config_error:
+            ExperimentConfig(n_grid=(100,), x=1.0, epsilon=epsilon)
+        assert str(config_error.value) == str(table_error.value)
 
     def test_mapping_round_trips(self):
         # every field but workers (absent from to_mapping) off its default
@@ -341,8 +342,6 @@ class TestConfigParsing:
             seed=1,
             replicates=10,
             max_replicates=1000,
-            s_grid=(0.25, 0.99),
-            tv_threshold=0.1,
         )
         assert ExperimentConfig.from_mapping(config.to_mapping()) == config
 
@@ -763,7 +762,6 @@ class TestCli:
             "--n", "50,60", "--x", "2.0", "--t", "0.25", "--a", "3.0",
             "--phi", "n^0.4", "--epsilon", "1e-7", "--replicates", "5",
             "--max-replicates", "99", "--seed", "4", "--workers", "2",
-            "--s-grid", "0.25,0.75", "--tv-threshold", "0.1",
         ]
         compare = next(
             action.choices["compare"]
@@ -802,8 +800,6 @@ class TestCli:
                 max_replicates=99,
                 seed=4,
                 workers=2,
-                s_grid=(0.25, 0.75),
-                tv_threshold=0.1,
             )
         ]
 
@@ -812,6 +808,56 @@ class TestCli:
         cfg.write_text("regime=small_phi\nn_grid=100\nx=1\nreplicatse=500\n")
         assert cli_main(["compare", "--config", str(cfg)]) == 1
         assert "replicatse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["file", "flag"])
+    @pytest.mark.parametrize("key, value", [("s_grid", "0.5"), ("tv_threshold", "0.1")])
+    def test_compare_refuses_scoring_keys(
+        self, key, value, route, tmp_path, monkeypatch, capsys
+    ):
+        calls = _spy_on_work(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("regime=small_phi\nn_grid=100\nx=1\n")
+        argv = ["compare", "--config", str(cfg)]
+        if route == "file":
+            cfg.write_text(cfg.read_text() + f"{key}={value}\n")
+            want = f"error: unknown config key(s): {key}\n"
+        else:
+            flag = "--" + key.replace("_", "-")
+            argv += [flag, value]
+            want = f"unrecognized arguments: {flag} {value}\n"
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(want)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "limit_argv, n_grid",
+        [
+            (["--regime", "small_phi", "--x", "2.0"], "100,400"),
+            (["--regime", "linear_band", "--t", "0.5", "--a", "1.0"], "40,80"),
+        ],
+        ids=["small_phi", "linear_band"],
+    )
+    def test_limits_and_compare_share_one_gf_grid(
+        self, limit_argv, n_grid, tmp_path, capsys
+    ):
+        assert cli_main(["limits", *limit_argv, "--format", "json"]) == 0
+        limit = json.loads(capsys.readouterr().out)
+        assert GF_GRID == (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        assert list(limit["gf"]) == [repr(s) for s in GF_GRID]
+        out = tmp_path / "report.json"
+        cli_main(["compare", *limit_argv, "--n", n_grid, "--out", str(out)])
+        report = json.loads(out.read_text())
+        law = make_builtin("linear_fractional")
+        for row in report["rows"]:
+            pmf = conditional_reduced_pmf(law, row["m"], row["n"], row["C"]).pmf
+            js = np.arange(1, len(pmf) + 1)
+            sup = max(
+                abs(float(np.dot(np.power(float(s), js), pmf)) - value)
+                for s, value in limit["gf"].items()
+            )
+            assert row["gf_supnorm"] == sup
 
     def test_compare_reruns_identically_across_workers(self, tmp_path):
         args = [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwreduced.limits import (
+    GF_GRID,
     LimitQuery,
     Regime,
     classical_reduced_gf,
@@ -300,18 +301,18 @@ class TestLimitQuery:
 
     def test_table_serialises_pmf_and_gf(self):
         query = LimitQuery(regime=Regime.LINEAR_BAND, t=0.5, a=1.0)
-        table = query.table((0.0, 0.5, 1.0))
+        table = query.table()
         assert table.pmf == query.pmf_values().tolist()
         assert table.pmf == [query.pmf(j) for j in range(1, len(table.pmf) + 1)]
         payload = table.to_json_dict()
         assert list(payload) == ["regime", "t", "a", "pmf", "gf"]
         assert payload["regime"] == "linear_band"
-        assert payload["gf"] == {"0.0": 0.0, "0.5": query.gf(0.5), "1.0": 1.0}
+        assert payload["gf"] == {repr(s): query.gf(s) for s in GF_GRID}
+        assert (payload["gf"]["0.0"], payload["gf"]["1.0"]) == (0.0, 1.0)
         assert list(table.csv_rows()) == [("j", "p"), *enumerate(table.pmf, start=1)]
 
     def test_table_default_length_is_pmf_values(self):
         query = LimitQuery(regime=Regime.SMALL_PHI, x=1.0)
-        table = query.table(())
+        table = query.table()
         assert table.pmf == [float(p) for p in query.pmf_values()]
         assert table.to_json_dict()["x"] == 1.0
-        assert table.gf == {}
