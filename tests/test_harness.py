@@ -166,10 +166,8 @@ class TestConfigHash:
             assert same == (name in CONFIG_HASH_EXCLUDE), name
 
 
-    # to_mapping text and config_hash, first recorded before the text
-    # form was derived from the field table and re-pinned when the
-    # s_grid and tv_threshold keys were deleted; a change here changes
-    # every report
+    # to_mapping text and config_hash of two configs; a change here
+    # changes every report's config_hash and experiment_id
     PINNED = [
         (
             ExperimentConfig(
