@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import reduced, series
+from . import series
 from .limits import GF_GRID, LimitQuery, Regime
 from .offspring import law_from_name
-from .reduced import EPSILON_DEFAULT, conditional_reduced_pmf
+from .reduced import EPSILON_DEFAULT, check_epsilon, conditional_reduced_pmf
 from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
 
 BOOTSTRAP_RESAMPLES = 200
@@ -195,7 +195,7 @@ class ExperimentConfig:
             raise ValueError("horizons must be at least 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {self.n_grid}")
-        reduced.check_epsilon(self.epsilon)
+        check_epsilon(self.epsilon)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replicates < 0:
