@@ -11,12 +11,8 @@ points without any sampling.
 
 import numpy as np
 
-from gwreduced import (
-    extinction_prob,
-    iter_derivative_jets,
-    make_builtin,
-    pmf_Zn,
-)
+from gwreduced import extinction_prob, make_builtin, pmf_Zn
+from gwreduced.series import iterates
 
 law = make_builtin("poisson")
 B = law.half_variance
@@ -29,12 +25,13 @@ for n in (10, 100, 1000):
     print(f"{n:<5d} {Q:.6e} {Q * B * n:.4f}")
 
 # The population pmf at a fixed generation: coefficients c_k of f_n
-# are P(Z(n) = k), with the mass beyond degree K tracked as a tail.
+# are P(Z(n) = k); whatever they miss of total mass one lies beyond
+# degree K.
 n = 50
 series = pmf_Zn(law, n, 8)
 print(f"\nP(Z({n}) = k) for k = 0..8:")
 print(np.array2string(series.coeffs, precision=6, suppress_small=False))
-print(f"mass beyond k=8: {series.tail:.6f}")
+print(f"mass beyond k=8: {1.0 - series.coeffs.sum():.6f}")
 
 # Conditioned on survival the mass spreads out: the conditional mean
 # of Z(n) grows like Bn (exponential limit of Z(n)/(Bn)).
@@ -45,11 +42,12 @@ for n in (100, 200, 400):
     mean_surviving = float(pmf[1:] @ ks[1:]) / float(pmf[1:].sum())
     print(f"n={n:<5d} E[Z(n) | Z(n)>0] / (Bn) = {mean_surviving / (B * n):.4f}")
 
-# Derivative jets: f_m^{(k)} evaluated at a point q, streamed over all
-# m = 0..n in one pass.  Each jet is a plain array whose entry k is
-# f_m^{(k)}(q), read off the Taylor coefficients of f_m(q + s).
+# Derivatives at an extinction point q = q_r, streamed over all
+# m = 0..n in one pass: the coefficients of f_m(q + (1-q)s) are
+# (1-q)^k f_m^{(k)}(q) / k!, the reduced rows, and row k for k >= 1 is
+# the chance of k lines at m with descendants r generations later.
 q = extinction_prob(law, 20)
-jets = list(iter_derivative_jets(law, 10, q, 3))
-print(f"\nf_m^(k)(q_20) for m = 0, 5, 10 (columns k = 0..3):")
+rows = list(iterates(law, 10, 3, q, 1.0 - q))
+print(f"\n(1-q)^k f_m^(k)(q) / k! at q = q_20, m = 0, 5, 10 (columns k = 0..3):")
 for m in (0, 5, 10):
-    print(f"  m={m:<3d}", np.round(jets[m], 6))
+    print(f"  m={m:<3d}", np.round(rows[m], 6))

@@ -37,12 +37,7 @@ from .reduced import (
     mrca_distance_cdf,
     reduced_pmf,
 )
-from .series import (
-    derivative_jet,
-    extinction_prob,
-    iter_derivative_jets,
-    pmf_Zn,
-)
+from .series import derivative_jet, extinction_prob, iterates, pmf_Zn
 from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
 
 
@@ -186,11 +181,12 @@ def _selftest_checks():
             assert abs(series.coeffs[k] - want) < 1e-12, k
 
     def check_derivatives():
+        # row 1 of f_n(q + (1-q)s) is (1-q) f_n'(q), at q = q_r
         for r in (1, 5, 20):
             q = r / (r + 1)
-            for n, jet in enumerate(iter_derivative_jets(lf, 60, q, 1)):
-                want = (r + 1) ** 2 / (n + r + 1) ** 2
-                assert abs(jet[1] - want) < 1e-12, (n, r)
+            for n, row in enumerate(iterates(lf, 60, 1, q, 1 - q)):
+                want = (r + 1) / (n + r + 1) ** 2
+                assert abs(row[1] - want) < 1e-12 * want, (n, r)
 
     def check_reduced_rows():
         # P(Z(m,n) = j) = (1-q)^j m^(j-1) / (m+1-m q)^(j+1), q = q_{n-m}

@@ -55,13 +55,6 @@ def poisson_tails(u: float, J: int) -> np.ndarray:
     return tails
 
 
-def yaglom_cdf(y: float) -> float:
-    """Limiting cdf of Z(n)/(Bn) given survival: standard exponential."""
-    if y < 0.0:
-        raise ValueError("population scale is nonnegative")
-    return -math.expm1(-y)
-
-
 def classical_reduced_gf(s: float, t: float) -> float:
     """Limiting reduced-count gf conditioned on bare survival."""
     _check_s(s)

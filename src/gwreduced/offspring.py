@@ -156,7 +156,9 @@ def pgf_derivatives(law: OffspringLaw, q, J: int) -> np.ndarray:
             out[j] = out[j - 1] * j * base
         return out
     if law.family is Family.POISSON:
-        out[:] = np.exp(q - 1.0)
+        # math.exp, as in pgf_value: np.exp may take a vectorised path
+        # whose last bit differs from it
+        out[:] = np.reshape([math.exp(x) for x in (q - 1.0).flat], q.shape)
         return out
     coeffs = law.support_pmf
     for j in range(J + 1):

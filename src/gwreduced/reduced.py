@@ -303,7 +303,13 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     """
     if C < 1:
         raise ValueError("bound must be at least 1")
-    grid = np.atleast_1d(np.asarray(distances, dtype=int))
+    if C != int(C):
+        raise ValueError(f"bound must be an integer, got {C}")
+    given = np.atleast_1d(np.asarray(distances))
+    grid = given.astype(int)
+    fractional = given[grid != given]
+    if fractional.size:
+        raise ValueError(f"distances must be integers, got {fractional[0]}")
     if grid.size and (grid.min() < 0 or grid.max() > n):
         raise ValueError("distances must lie in [0, n]")
     qs, masses = np.empty(n + 1), np.empty(n + 1)

@@ -9,10 +9,9 @@ composition step g -> f(g) at a time, truncated at the degree K of g,
 under one n*K^2 budget:
 
 - g = s gives the coefficients of f_n, the pmf of Z(n);
-- g = q + s gives the Taylor coefficients of f_n(q + s), so the
-  derivative jet, the array (f_n(q), f_n'(q), ..., f_n^(J)(q)), is k!
-  times the k-th coefficient, at any order J;
-- g = q + (1-q)s gives the reduced-process rows (see ``reduced``).
+- g = q + (1-q)s gives the reduced-process rows (see ``reduced``):
+  coefficient k is (1-q)^k f_n^(k)(q)/k!, which at q = q_r is every
+  derivative of f_n that the reduced formula uses.
 
 Each step is exact at every degree <= K.  For the linear-fractional
 and Poisson families h = f(g) solves a triangular system
@@ -57,14 +56,9 @@ _BLOCK_LAG = np.maximum(np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK)), 0
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients c_0..c_K of f_n, i.e. P(Z(n)=k) for k <= K, where K
-    is ``len(coeffs) - 1``.
-
-    ``tail`` is the probability mass beyond degree K, so the
-    coefficients and the tail always account for total mass one.
-    """
+    is ``len(coeffs) - 1``."""
 
     coeffs: np.ndarray
-    tail: float
 
 
 def iter_extinction_probs(law: OffspringLaw, n: int):
@@ -191,34 +185,19 @@ def pmf_Zn(law: OffspringLaw, n: int, K: int) -> TruncatedSeries:
     """Exact pmf of the generation size Z(n) up to degree K."""
     for coeffs in iterates(law, n, K):
         pass
-    tail = 1.0 - float(coeffs.sum())
-    return TruncatedSeries(coeffs=coeffs, tail=max(tail, 0.0))
-
-
-def iter_derivative_jets(law: OffspringLaw, n: int, q: float, J: int):
-    """Yield the jet of f_m at q for m = 0, 1, ..., n.
-
-    A jet is the array (f_m(q), f_m'(q), ..., f_m^(J)(q)), read off the
-    iterates of q + s at degree J >= 1: the k-th coefficient of
-    f_m(q + s) is f_m^(k)(q)/k!.
-    """
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"jet evaluation point {q} outside [0, 1)")
-    with np.errstate(over="ignore"):
-        scale = np.cumprod(np.concatenate([[1.0], np.arange(1.0, J + 1)]))
-    for m, g in enumerate(iterates(law, n, J, q)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = g * scale
-        if not np.all(np.isfinite(values)):
-            raise JetOverflowError(
-                f"jet of order {J} overflowed at generation {m} (point {q})"
-            )
-        yield values
+    return TruncatedSeries(coeffs=coeffs)
 
 
 def derivative_jet(law: OffspringLaw, n: int, q: float, J: int) -> np.ndarray:
     """Derivatives (f_n(q), f_n'(q), ..., f_n^(J)(q)) of the n-th pgf
-    iterate at a point q of [0, 1)."""
-    for jet in iter_derivative_jets(law, n, q, J):
+    iterate at a point q of [0, 1), read off the iterates of q + s at
+    degree J >= 1: the k-th coefficient of f_n(q + s) is f_n^(k)(q)/k!."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"jet evaluation point {q} outside [0, 1)")
+    for g in iterates(law, n, J, q):
         pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = g * np.cumprod(np.concatenate([[1.0], np.arange(1.0, J + 1)]))
+    if not np.all(np.isfinite(jet)):
+        raise JetOverflowError(f"jet of order {J} overflowed (point {q})")
     return jet

@@ -247,6 +247,8 @@ def run_conditioned_batch(
         raise ValueError("horizon must be at least 1")
     if C < 1:
         raise ValueError("bound must be at least 1")
+    if C != int(C):
+        raise ValueError(f"bound must be an integer, got {C}")
     if target_accepted < 1:
         raise ValueError("target_accepted must be at least 1")
     if max_replicates < 1:
@@ -255,7 +257,11 @@ def run_conditioned_batch(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    queries = tuple(int(m) for m in query_generations)
+    given = tuple(query_generations)
+    queries = tuple(int(m) for m in given)
+    for m, whole in zip(given, queries):
+        if m != whole:
+            raise ValueError(f"queried generations must be integers, got {m}")
     if queries and (min(queries) < 0 or max(queries) > n):
         raise ValueError("queried generations must lie in [0, n]")
     if chunk_size is None:

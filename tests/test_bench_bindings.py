@@ -1,10 +1,12 @@
 """Every name the benchmark in ``perfbench/`` and the scripts in
-``demos/`` use still exists.
+``demos/`` use still exists, and every name the package exports has a
+caller.
 
 The benchmark's trace mode wraps functions by name, and its workloads
 and checks call the package through ``gw.<name>``.  Some demos are slow
 and run only outside tier-1.  A rename or a deletion in ``gwreduced``
-should fail here rather than there.
+should fail here rather than there.  An export that only tests call is
+a second route to something, or a route nothing takes.
 """
 
 import ast
@@ -19,6 +21,7 @@ import gwreduced
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 DEMOS = sorted((PERFBENCH.parent / "demos").glob("*.py"))
+PACKAGE = sorted((PERFBENCH.parent / "src" / "gwreduced").glob("*.py"))
 
 
 def _package_names(path):
@@ -86,3 +89,25 @@ def test_package_names_used_by_demos_resolve(path):
 def test_all_names_resolve():
     missing = [name for name in gwreduced.__all__ if not hasattr(gwreduced, name)]
     assert missing == []
+
+
+def _names_read(path):
+    """Every name a package module reads, apart from the reads of a
+    top-level definition's own name inside it."""
+    for statement in ast.parse(path.read_text()).body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id != own:
+                    yield node.id
+
+
+def test_every_exported_name_has_a_caller():
+    reached = {
+        name
+        for path in PACKAGE
+        if path.name != "__init__.py"
+        for name in _names_read(path)
+    }
+    reached |= {name for path in SOURCES + DEMOS for _, name in _package_names(path)}
+    assert [name for name in gwreduced.__all__ if name not in reached] == []

@@ -14,7 +14,6 @@ from gwreduced.limits import (
     Regime,
     classical_reduced_gf,
     poisson_tails,
-    yaglom_cdf,
 )
 
 TOL = 1e-10
@@ -217,12 +216,6 @@ class TestLinearBandRegime:
 
 
 class TestBaselines:
-    def test_yaglom(self):
-        assert yaglom_cdf(0.0) == 0.0
-        assert yaglom_cdf(1.0) == pytest.approx(1 - math.exp(-1), abs=TOL)
-        with pytest.raises(ValueError):
-            yaglom_cdf(-0.5)
-
     def test_classical_gf(self):
         assert classical_reduced_gf(1.0, 0.7) == 1.0
         assert classical_reduced_gf(0.3, 0.0) == pytest.approx(0.3, abs=TOL)

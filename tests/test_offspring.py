@@ -16,7 +16,7 @@ from gwreduced import (
     pgf_value,
     sample_offspring,
 )
-from gwreduced.series import pmf_Zn
+from gwreduced.series import iter_extinction_probs, pmf_Zn
 
 TOL = 1e-12
 # uniforms on which a search over 1 - 2^-k and an exponent read could part
@@ -147,6 +147,17 @@ class TestPgf:
         law = make_builtin(Family.POISSON)
         vals = pgf_derivatives(law, 0.3, 5)
         assert np.allclose(vals, math.exp(0.3 - 1.0), atol=TOL)
+
+    def test_poisson_slope_is_pgf_value_bit_for_bit(self):
+        # the mrca cdf's chain slopes and the extinction points q_k come
+        # from the same e^(q-1), so they must agree to the last bit
+        law = make_builtin(Family.POISSON)
+        qs = np.concatenate([
+            np.linspace(0.0, 0.999, 20_001),
+            list(iter_extinction_probs(law, 800)),
+        ])
+        slopes = pgf_derivatives(law, qs, 1)[1]
+        assert slopes.tolist() == [pgf_value(law, q) for q in qs]
 
     def test_domain_errors(self):
         law = make_builtin(Family.POISSON)

@@ -440,6 +440,15 @@ class TestMrcaDistance:
         with pytest.raises(ValueError, match="bound"):
             mrca_distance_cdf(LF, 5, 0, [2])
 
+    def test_fractional_distance_and_bound_are_refused(self):
+        # a cast to int would return the cdf at 2 for 2.7
+        with pytest.raises(ValueError, match="integers, got 2.7"):
+            mrca_distance_cdf(LF, 10, 5, [2.7])
+        with pytest.raises(ValueError, match="integer, got 5.5"):
+            mrca_distance_cdf(LF, 10, 5.5, [2])
+        want = mrca_distance_cdf(LF, 10, 5, [2, 3])
+        assert mrca_distance_cdf(LF, 10, 5, [2.0, np.int64(3)]).tolist() == want.tolist()
+
 
 class TestNoSingleChildLaw:
     """The law 1/2 + s^2/2 against exact enumeration; f_u'(0) = 0 here,
@@ -590,7 +599,7 @@ def _digest(law) -> str:
         ("linear_fractional",
          "adc67c4b630245cb0e17637ab24aa45d6e7c299d4b71632d756a77093b51047a"),
         ("poisson",
-         "7d706c74eb5c961e45df46b8d2af032a4e8942cd77974c6420384e88c044cf7c"),
+         "c8bba09e4ed95ffba9a205fa814540f7b7c0e02050a0b60b8dd79d3bd349c738"),
         ("ternary_uniform",
          "7ea285fbad3fc86b71ae1c5745252c803749b6d50e5a07d5cc13cfa36460365a"),
         ([0.5, 0.0, 0.5],
