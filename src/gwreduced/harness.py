@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
+from .errors import whole_number
 from .limits import GF_GRID, LimitQuery, Regime
 from .offspring import law_from_name
 from .reduced import EPSILON_DEFAULT, check_epsilon, conditional_reduced_pmf
-from .simulate import MAX_REPLICATES_DEFAULT, run_conditioned_batch
+from .simulate import MAX_REPLICATES_DEFAULT, check_run_settings, run_conditioned_batch
 
 BOOTSTRAP_RESAMPLES = 200
 FINAL_THRESHOLD = 0.05
@@ -82,8 +83,11 @@ def gf_supnorm(exact_gf, limit_gf) -> float:
 class PhiSpec:
     """Sublinear window growth phi(n) = n^param: sqrt or n^p, 0<p<1."""
 
-    expression: str
     param: float
+
+    def __str__(self) -> str:
+        """The one text form: sqrt for n^0.5, otherwise n^ and repr(p)."""
+        return "sqrt" if self.param == 0.5 else f"n^{self.param!r}"
 
     def window(self, n: int) -> int:
         """Integer window width, rounded up."""
@@ -93,13 +97,13 @@ class PhiSpec:
 def parse_phi(expression: str) -> PhiSpec:
     text = expression.strip().lower().replace(" ", "")
     if text == "sqrt":
-        return PhiSpec(expression="sqrt", param=0.5)
-    m = re.fullmatch(r"n\^([0-9]*\.?[0-9]+)", text)
+        return PhiSpec(param=0.5)
+    m = re.fullmatch(r"n\^([0-9]*\.?[0-9]+(e[-+]?[0-9]+)?)", text)
     if m:
         p = float(m.group(1))
         if not 0.0 < p < 1.0:
             raise ValueError(f"window exponent {p} outside (0, 1)")
-        return PhiSpec(expression=text, param=p)
+        return PhiSpec(param=p)
     raise ValueError(
         f"cannot parse window expression {expression!r}; "
         "expected a sublinear window: sqrt or n^p with 0<p<1"
@@ -110,7 +114,8 @@ CONFIG_HASH_EXCLUDE = {"out", "format", "workers", "timestamp"}
 
 
 # ExperimentConfig field -> (flat key, to text, from text), in the order
-# to_mapping writes the keys; report parameters keep this order
+# to_mapping writes the keys; report parameters keep this order.  Each
+# value has one text form: fields hold canonical values, reals as floats
 _FIELD_TEXT = {
     "regime": ("regime", lambda regime: regime.value, Regime),
     "law_label": ("law", str, str),
@@ -119,14 +124,14 @@ _FIELD_TEXT = {
         lambda grid: ",".join(map(str, grid)),
         lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
     ),
-    "phi": ("phi", lambda phi: phi.expression, parse_phi),
-    "epsilon": ("epsilon", repr, float),
+    "phi": ("phi", str, parse_phi),
+    "epsilon": ("epsilon", lambda eps: repr(float(eps)), float),
     "seed": ("seed", str, int),
     "replicates": ("replicates", str, int),
     "max_replicates": ("max_replicates", str, int),
-    "x": ("x", repr, float),
-    "t": ("t", repr, float),
-    "a": ("a", repr, float),
+    "x": ("x", lambda x: repr(float(x)), float),
+    "t": ("t", lambda t: repr(float(t)), float),
+    "a": ("a", lambda a: repr(float(a)), float),
     "workers": ("workers", str, int),
 }
 CONFIG_KEYS = tuple(key for key, _, _ in _FIELD_TEXT.values())
@@ -173,7 +178,9 @@ def config_hash(config: dict) -> str:
 class ExperimentConfig:
     """Validated comparison-experiment settings; building one also sets
     ``law`` and ``horizons``, the (n, m, C) of every horizon, and checks
-    each horizon's subtree pass against the series budget."""
+    each horizon's subtree pass against the series budget.  Each field
+    then holds its canonical value (the ints of ``errors.whole_number``,
+    the parsed law's label), so every spelling has one config hash."""
 
     regime: Regime = Regime.SMALL_PHI
     law_label: str = "linear_fractional"
@@ -191,23 +198,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
-        if any(n < 2 for n in self.n_grid):
-            raise ValueError("horizons must be at least 2")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+        grid = tuple(whole_number("n_grid horizon", n, 2) for n in self.n_grid)
+        if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"n_grid must be strictly increasing, got {self.n_grid}")
         check_epsilon(self.epsilon)
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.replicates < 0:
-            raise ValueError(f"replicates must be nonnegative, got {self.replicates}")
-        if self.max_replicates < 1:
-            raise ValueError(
-                f"max_replicates must be at least 1, got {self.max_replicates}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        max_replicates, seed, workers = check_run_settings(
+            self.max_replicates, self.seed, self.workers
+        )
         self.limit_query  # checks the regime's limit parameters
-        object.__setattr__(self, "law", law_from_name(self.law_label))
+        law = law_from_name(self.law_label)
+        for name, value in dict(
+            n_grid=grid, replicates=whole_number("replicates", self.replicates),
+            max_replicates=max_replicates, seed=seed, workers=workers,
+            law_label=law.label, law=law,
+        ).items():
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "horizons", tuple(
             (n, *_experiment_geometry(self, n)) for n in self.n_grid
         ))

@@ -27,6 +27,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import whole_number
+
 TERM_RATIO = 1e-16
 GF_GRID = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0, 0.1, ..., 1.0
 
@@ -39,8 +41,7 @@ def poisson_tails(u: float, J: int) -> np.ndarray:
     they are below e^-72 of it.  A tail is the sum of the terms from the
     far end down to j over the whole sum: it lies in [0, 1], and is 1.0
     below the first term kept."""
-    if J < 1:
-        raise ValueError(f"tail count J must be at least 1, got {J}")
+    J = whole_number("tail count J", J, 1)
     if not 0.0 <= u < math.inf:
         raise ValueError(f"Poisson mean must be nonnegative and finite, got {u}")
     mode, reach = _mode_reach(u)
@@ -103,9 +104,8 @@ class LimitQuery:
             x = self.x
             return s * x * -math.expm1(-(1.0 - s) / x) / (1.0 - s)
         t, a = self.t, self.a
-        geometric = s * (1.0 - t) / (1.0 - t * s)
         window = math.expm1(-(1.0 - t * s) * a / (1.0 - t)) / math.expm1(-a)
-        return geometric * window
+        return classical_reduced_gf(s, t) * window
 
     def pmf(self, j: int) -> float:
         """Limiting probability of j reduced lines, j >= 1.

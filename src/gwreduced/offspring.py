@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DegenerateVarianceError, NonCriticalError
+from .errors import DegenerateVarianceError, NonCriticalError, whole_number
 
 MEAN_TOL = 1e-9
 MASS_TOL = 1e-12
@@ -146,8 +146,7 @@ def pgf_derivatives(law: OffspringLaw, q, J: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if not np.all((0.0 <= q) & (q < 1.0)):
         raise ValueError(f"derivative evaluation point {q} outside [0, 1)")
-    if J < 0:
-        raise ValueError("derivative order must be nonnegative")
+    J = whole_number("derivative order J", J)
     out = np.empty((J + 1,) + q.shape)
     if law.family is Family.LINEAR_FRACTIONAL:
         base = 1.0 / (2.0 - q)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConditioningImpossibleError, SeriesBudgetError
+from .errors import ConditioningImpossibleError, SeriesBudgetError, whole_number
 from .offspring import OffspringLaw, pgf_derivatives
 from .series import iter_extinction_probs, iterates, pmf_Zn
 
@@ -107,6 +107,7 @@ def _positive_part(series_coeffs: np.ndarray) -> np.ndarray:
 
 def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     """P(0 < Z(n) <= C), the probability of the small-survival event."""
+    n, C = whole_number("n", n), whole_number("bound C", C)
     if C < 1:
         return 0.0
     return float(pmf_Zn(law, n, C).coeffs[1:].sum())
@@ -150,8 +151,8 @@ def reduced_pmf(
     it; the loop ends, since rows at m = 0 are exact and for m >= 1 the
     row pass reaches the budget as J grows.
     """
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+    n = whole_number("n", n)
+    m = whole_number("m", m, 0, n)
     check_epsilon(epsilon)
     qs = list(iter_extinction_probs(law, n))
     q, survival = qs[n - m], 1.0 - qs[n]
@@ -217,9 +218,6 @@ def _joint_rows(law, m, n, C, epsilon):
     the first order whose remainder is below epsilon times the event
     probability.
     """
-    if not 0 <= m < n:
-        raise ValueError("need 0 <= m < n")
-    check_epsilon(epsilon)
     r = n - m
     for subtree in iterates(law, r, C):
         pass
@@ -253,8 +251,9 @@ def joint_reduced_bounded(
     probability, so the conditional table derived from this one sums
     to 1 within epsilon.
     """
-    if C < 1:
-        raise ValueError("bound must be at least 1")
+    n = whole_number("n", n, 1)
+    m, C = whole_number("m", m, 0, n - 1), whole_number("bound C", C, 1)
+    check_epsilon(epsilon)
     rows, event_prob = _joint_rows(law, m, n, C, epsilon)
     return ReducedLawTable(
         law=law.label,
@@ -280,6 +279,7 @@ def conditional_reduced_pmf(
     The table is the joint table of ``joint_reduced_bounded`` with its
     rows and row sum divided by the event probability, which it keeps.
     """
+    C = whole_number("bound C", C)
     impossible = f"conditioning event 0 < Z({n}) <= {C} has probability zero"
     if C < 1:
         raise ConditioningImpossibleError(impossible)
@@ -299,19 +299,11 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
 
     The ancestor lies within distance u exactly when the reduced count
     at generation n-u is 1; distance 0 means the terminal population
-    itself is a single individual.
+    itself is a single individual.  n, C and each distance in [0, n]
+    must be whole numbers (``errors.whole_number``).
     """
-    if C < 1:
-        raise ValueError("bound must be at least 1")
-    if C != int(C):
-        raise ValueError(f"bound must be an integer, got {C}")
-    given = np.atleast_1d(np.asarray(distances))
-    grid = given.astype(int)
-    fractional = given[grid != given]
-    if fractional.size:
-        raise ValueError(f"distances must be integers, got {fractional[0]}")
-    if grid.size and (grid.min() < 0 or grid.max() > n):
-        raise ValueError("distances must lie in [0, n]")
+    n, C = whole_number("n", n), whole_number("bound C", C, 1)
+    grid = [whole_number("distance", u, 0, n) for u in np.atleast_1d(distances)]
     qs, masses = np.empty(n + 1), np.empty(n + 1)
     for u, coeffs in enumerate(iterates(law, n, C)):
         qs[u], masses[u] = coeffs[0], coeffs[1:].sum()

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JetOverflowError, SeriesBudgetError
+from .errors import JetOverflowError, SeriesBudgetError, whole_number
 from .offspring import Family, OffspringLaw, pgf_value
 
 # composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
@@ -63,8 +63,7 @@ class TruncatedSeries:
 
 def iter_extinction_probs(law: OffspringLaw, n: int):
     """Yield q_0 = 0, q_1, ..., q_n."""
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
+    n = whole_number("n", n)
     q = 0.0
     yield q
     for _ in range(n):
@@ -168,10 +167,7 @@ def iterates(law: OffspringLaw, n: int, K: int, a: float = 0.0, b: float = 1.0):
     yielded array is fresh, so a caller may keep the ones it needs and
     let the rest go.
     """
-    if n < 0:
-        raise ValueError("generation must be nonnegative")
-    if K < 1:
-        raise ValueError("truncation degree must be at least 1")
+    n, K = whole_number("n", n), whole_number("K", K, 1)
     check_budget(n, K)
     g = np.zeros(K + 1)
     g[0], g[1] = a, b
@@ -194,6 +190,7 @@ def derivative_jet(law: OffspringLaw, n: int, q: float, J: int) -> np.ndarray:
     degree J >= 1: the k-th coefficient of f_n(q + s) is f_n^(k)(q)/k!."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"jet evaluation point {q} outside [0, 1)")
+    J = whole_number("J", J, 1)
     for g in iterates(law, n, J, q):
         pass
     with np.errstate(over="ignore", invalid="ignore"):

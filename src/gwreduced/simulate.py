@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import AcceptanceBudgetExhausted
+from .errors import AcceptanceBudgetExhausted, whole_number
 from .offspring import OffspringLaw, sample_offspring
 
 # nodes one replicate may hold before it is cut and counted in a
@@ -51,6 +51,12 @@ LOW_CONFIDENCE_ACCEPTED = 10
 
 def default_chunk_size(n: int) -> int:
     return max(CHUNK_MIN, min(CHUNK_MAX, CHUNK_TARGET_NODES // (n + 1)))
+
+
+def check_run_settings(max_replicates, seed, workers) -> tuple[int, int, int]:
+    """The replicate budget, seed and worker count of a batch as ints."""
+    budget = whole_number("max_replicates", max_replicates, 1)
+    return budget, whole_number("seed", seed), whole_number("workers", workers, 1)
 
 
 def _grow(law, n, rng, size, node_budget):
@@ -241,33 +247,19 @@ def run_conditioned_batch(
     chunk size.  If the replicate budget runs out with fewer than 10
     acceptances the batch is returned anyway and a low-confidence
     warning is emitted.  A replicate with more than NODE_BUDGET nodes is
-    rejected and counted in ``budget_rejected``.
+    rejected and counted in ``budget_rejected``.  Every count, bound and
+    generation argument must be a whole number (``errors.whole_number``);
+    the batch records the ints, and a bad value is refused before any draw.
     """
-    if n < 1:
-        raise ValueError("horizon must be at least 1")
-    if C < 1:
-        raise ValueError("bound must be at least 1")
-    if C != int(C):
-        raise ValueError(f"bound must be an integer, got {C}")
-    if target_accepted < 1:
-        raise ValueError("target_accepted must be at least 1")
-    if max_replicates < 1:
-        raise ValueError("max_replicates must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    given = tuple(query_generations)
-    queries = tuple(int(m) for m in given)
-    for m, whole in zip(given, queries):
-        if m != whole:
-            raise ValueError(f"queried generations must be integers, got {m}")
-    if queries and (min(queries) < 0 or max(queries) > n):
-        raise ValueError("queried generations must lie in [0, n]")
+    n, C = whole_number("n", n, 1), whole_number("bound C", C, 1)
+    queries = tuple(
+        whole_number("query generation", g, 0, n) for g in query_generations
+    )
+    target_accepted = whole_number("target_accepted", target_accepted, 1)
+    max_replicates, seed, workers = check_run_settings(max_replicates, seed, workers)
     if chunk_size is None:
         chunk_size = default_chunk_size(n)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
+    chunk_size = whole_number("chunk_size", chunk_size, 1)
 
     n_chunks = -(-max_replicates // chunk_size)
     # the budget is read here, once, so pool workers get the same value

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gwreduced import (
     ExperimentConfig,
+    PhiSpec,
     Regime,
     bootstrap_tv_se,
     config_hash,
@@ -98,6 +99,13 @@ class TestPhiSpec:
 
     def test_whitespace_tolerated(self):
         assert parse_phi(" n^0.5 ").param == 0.5
+
+    @pytest.mark.parametrize("p", [0.5, 0.6, 0.1 + 0.2, 1e-05])
+    def test_text_form_round_trips(self, p):
+        # the text is sqrt or n^ and repr(p), which for a small p has an
+        # exponent
+        assert parse_phi(str(PhiSpec(p))) == PhiSpec(p)
+        assert (str(PhiSpec(p)) == "sqrt") == (p == 0.5)
 
     @pytest.mark.parametrize(
         "bad", ["n^1.2", "n^0", "n^1", "0*n", "0.5*n", "log n", "2n", ""]
@@ -223,6 +231,45 @@ class TestConfigHash:
         mapping = config.to_mapping()
         assert list(mapping.items()) == items
         assert config_hash(mapping) == digest
+
+    @pytest.mark.parametrize(
+        "key, spellings",
+        [
+            ("phi", ["sqrt", "n^0.5", "n^.5", "n^0.50", " N^0.5 "]),
+            ("law", ["poisson", " poisson"]),
+            ("law", ["custom:0.25,0.5,0.25", "custom:0.25, 0.5, 0.25",
+                     "custom:0.25,0.5,0.25,0"]),
+            ("x", ["1", "1.0", "1e0"]),
+        ],
+        ids=["phi", "law", "custom-law", "x"],
+    )
+    def test_one_hash_per_value_however_spelled(self, key, spellings):
+        base = {"regime": "small_phi", "n_grid": "100,400", "x": "1"}
+        mappings = [
+            ExperimentConfig.from_mapping(dict(base, **{key: text})).to_mapping()
+            for text in spellings
+        ]
+        assert len({mapping[key] for mapping in mappings}) == 1
+        assert len({config_hash(mapping) for mapping in mappings}) == 1
+
+    def test_built_values_are_written_canonically(self):
+        # integral floats, numpy numbers and a padded law name build the
+        # config that plain values build, and write the same text
+        plain = ExperimentConfig(n_grid=(100, 400), x=1.0, seed=3, workers=2)
+        spelled = ExperimentConfig(
+            law_label=" linear_fractional",
+            n_grid=(100.0, np.int64(400)),
+            x=np.float64(1),
+            phi=parse_phi("n^0.50"),
+            seed=3.0,
+            workers=np.int64(2),
+        )
+        assert spelled == plain
+        assert spelled.to_mapping() == plain.to_mapping()
+        assert type(spelled.seed) is int and type(spelled.n_grid[1]) is int
+        # workers is not written, so the text builds the default
+        reread = ExperimentConfig.from_mapping(spelled.to_mapping())
+        assert reread == dataclasses.replace(plain, workers=1)
 
 
 class TestConfigParsing:

@@ -128,7 +128,7 @@ class TestPmfZn:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             pmf_Zn(LF, -1, 10)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="n must be a whole number at least 0"):
             next(iter_extinction_probs(LF, -1))
         with pytest.raises(ValueError):
             pmf_Zn(LF, 3, 0)

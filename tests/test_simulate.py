@@ -303,16 +303,6 @@ class TestConditionedBatch:
         with pytest.raises(ValueError, match="workers"):
             run_conditioned_batch(TERNARY, 5, 2, [], 10, workers=-4)
 
-    def test_fractional_bound_and_generation_are_refused(self):
-        # int() would read them as C = 5 and generation 4 without a word
-        with pytest.raises(ValueError, match="bound must be an integer, got 5.5"):
-            run_conditioned_batch(LF, 10, 5.5, [4], 10)
-        with pytest.raises(ValueError, match="integers, got 4.9"):
-            run_conditioned_batch(LF, 10, 5, [4.9], 10)
-        whole = run_conditioned_batch(LF, 10, 5.0, [np.int64(4), 3.0], 10, seed=3)
-        assert whole.query_generations == (4, 3)
-        assert whole.accepted == run_conditioned_batch(LF, 10, 5, [4, 3], 10, seed=3).accepted
-
     def test_chunk_size_default_shrinks_with_horizon(self):
         assert default_chunk_size(10) == 8192
         assert default_chunk_size(4000) < 2048
