@@ -4,6 +4,8 @@ Each count, bound and generation argument takes an integral float or a
 numpy integer as its int, with a result identical bit for bit to the
 int call, and refuses a fractional, NaN or infinite value with a
 ValueError that names the argument before any pass or draw starts.
+Among them is target_accepted=nan, which no comparison with 1 refuses
+and which no count of acceptances ever reaches.
 """
 
 import dataclasses
