@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -309,3 +310,26 @@ class TestLimitQuery:
         table = query.table()
         assert table.pmf == [float(p) for p in query.pmf_values()]
         assert table.to_json_dict()["x"] == 1.0
+
+
+# x from 1e-4 (10^4 rows) to 1e6, and t, a across the band, t = 0 included
+PIN_WINDOWS = (1e-4, 3e-3, 0.05, 0.25, 1.0, 2.5, 10.0, 123.0, 1e4, 1e6)
+PIN_BANDS = [
+    (t, a)
+    for t in (0.0, 0.2, 0.5, 0.8, 0.99, 0.999)
+    for a in (0.01, 0.5, 1.0, 2.0, 50.0)
+]
+
+
+def test_pmf_outputs_are_pinned():
+    # bit-for-bit over both regimes: any change to the arithmetic or the
+    # row count behind pmf_values or pmf changes the digest (gf is left
+    # out: its floating-point evaluation order may move it by an ulp)
+    h = hashlib.sha256()
+    queries = [window(x) for x in PIN_WINDOWS] + [band(t, a) for t, a in PIN_BANDS]
+    for query in queries:
+        h.update(query.pmf_values().tobytes())
+        h.update(np.array([query.pmf(j) for j in range(1, 6)]).tobytes())
+    assert h.hexdigest() == (
+        "b11110b8b898f97047ab61adcec879dcc67774c01921e88f2ae605df594470a1"
+    )
