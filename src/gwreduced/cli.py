@@ -145,8 +145,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    query = LimitQuery(Regime(args.regime), x=args.x, t=args.t, a=args.a)
-    table = query.table()
+    table = LimitQuery(args.regime, x=args.x, t=args.t, a=args.a).table()
     write_output(_serialised(table, args.format), args.out)
     return 0
 

@@ -177,10 +177,11 @@ def config_hash(config: dict) -> str:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated comparison-experiment settings; building one also sets
-    ``law`` and ``horizons``, the (n, m, C) of every horizon, and checks
-    each horizon's subtree pass against the series budget.  Each field
-    then holds its canonical value (the ints of ``errors.whole_number``,
-    the parsed law's label), so every spelling has one config hash."""
+    ``law``, ``limit_query`` and ``horizons``, the (n, m, C) of every
+    horizon, and checks each horizon's subtree pass against the series
+    budget.  Each field then holds its canonical value (the ints of
+    ``errors.whole_number``, the parsed law's label, the ``Regime``), so
+    every spelling has one config hash."""
 
     regime: Regime = Regime.SMALL_PHI
     law_label: str = "linear_fractional"
@@ -205,12 +206,12 @@ class ExperimentConfig:
         max_replicates, seed, workers = check_run_settings(
             self.max_replicates, self.seed, self.workers
         )
-        self.limit_query  # checks the regime's limit parameters
+        query = LimitQuery(self.regime, x=self.x, t=self.t, a=self.a)
         law = law_from_name(self.law_label)
         for name, value in dict(
             n_grid=grid, replicates=whole_number("replicates", self.replicates),
             max_replicates=max_replicates, seed=seed, workers=workers,
-            law_label=law.label, law=law,
+            law_label=law.label, law=law, regime=query.regime, limit_query=query,
         ).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "horizons", tuple(
@@ -220,11 +221,6 @@ class ExperimentConfig:
         # over-budget horizon before any earlier one is computed
         for n, m, C in self.horizons:
             series.check_budget(n - m, C)
-
-    @property
-    def limit_query(self) -> LimitQuery:
-        """The limit law this experiment compares against."""
-        return LimitQuery(self.regime, x=self.x, t=self.t, a=self.a)
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
@@ -434,7 +430,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     verdicts = _build_verdicts(config, rows)
     raw = config.to_mapping()
     digest = config_hash(raw)
-    report = ComparisonReport(
+    return ComparisonReport(
         experiment_id=(
             f"{config.regime.value}-{config.law_label}-"
             f"n{config.n_grid[0]}to{config.n_grid[-1]}-{digest[:8]}"
@@ -448,7 +444,6 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         version=VERSION,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     )
-    return report
 
 
 def _verdict(criterion: str, value, threshold, passed) -> dict:

@@ -1,22 +1,23 @@
 """Closed forms of the limiting reduced-process laws.
 
 Two scaling regimes appear.  In the sublinear-window regime the
-terminal bound grows like B*phi(n) with phi(n) = o(n), the intermediate
-time sits x window-widths before the end, and the limiting reduced
-count has pmf x * P(Gamma(j,1) <= 1/x).  In the linear-band regime the
-bound is a*B*n, the intermediate time is t*n, and the limit picks up a
-geometric factor in t.  In both, p_j is a regime factor times the Poisson
-tail P(N(u) >= j) at u = 1/x or a/(1-t), from one ``poisson_tails`` pass.
-
-``LimitQuery`` pins a regime and its parameters, validates them once,
-and is the one way to evaluate a law: ``gf``, ``pmf``, ``pmf_values``
-and ``table``.  ``GF_GRID`` is the one grid of s values on which a
-gf is tabulated and compared.  The limiting cdf of the ancestor
-distance needs no formula of its own.  The most recent common ancestor
-of the survivors is within look-back u exactly when one reduced line
-is left there, so the cdf at u is ``pmf(1)`` of the law at that
-look-back, as it is for the exact tables in
-``reduced.mrca_distance_cdf``.
+terminal bound grows like B*phi(n) with phi(n) = o(n) and the
+intermediate time sits x window-widths before the end; in the
+linear-band regime the bound is a*B*n and the intermediate time t*n.
+Both limits have the one form p_j = w * r^(j-1) * P(N(u) >= j), with
+gf(s) = w*s*(1 - e^(-u(1-r*s)))/(1 - r*s) and N(u) Poisson: the window
+has w = x, r = 1, u = 1/x, and the band w = (1-t)/(1-e^-a), r = t and
+u = a/(1-t).  ``LimitQuery`` pins a regime and its parameters, checks
+them and reduces them to (w, r, u) once, and is the one way to evaluate
+a law: ``gf``, ``pmf``, ``pmf_values`` and ``table``, the tails from one
+``poisson_tails`` pass.  ``classical_reduced_gf``, the law conditioned
+on bare survival, is the independent check of the wide band.
+``GF_GRID`` is the one grid of s values on which a gf is tabulated and
+compared.  The limiting cdf of the ancestor distance needs no formula
+of its own: the most recent common ancestor of the survivors is within
+look-back u exactly when one reduced line is left there, so the cdf at
+u is ``pmf(1)`` of the law at that look-back, as it is for the exact
+tables in ``reduced.mrca_distance_cdf``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import whole_number
+from .errors import reduced_count, whole_number
 
 TERM_RATIO = 1e-16
 GF_GRID = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0, 0.1, ..., 1.0
@@ -61,8 +62,6 @@ def classical_reduced_gf(s: float, t: float) -> float:
     _check_s(s)
     if not 0.0 <= t < 1.0:
         raise ValueError(f"time fraction {t} outside [0, 1)")
-    if s == 1.0:
-        return 1.0
     return s * (1.0 - t) / (1.0 - t * s)
 
 
@@ -73,7 +72,8 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class LimitQuery:
-    """One limiting law, pinned to a regime and its parameters."""
+    """One limiting law: a regime, a ``Regime`` or its text, and its
+    parameters, checked and reduced to (w, r, u) once."""
 
     regime: Regime
     x: float | None = None
@@ -81,31 +81,31 @@ class LimitQuery:
     a: float | None = None
 
     def __post_init__(self):
-        if self.regime is Regime.SMALL_PHI:
+        regime = Regime(self.regime)
+        if regime is Regime.SMALL_PHI:
             if self.x is None:
                 raise ValueError("sublinear-window regime needs x")
             _check_positive("x", self.x)
-            _check_positive("1/x", 1.0 / self.x)
+            w, r, u = self.x, 1.0, _check_positive("1/x", 1.0 / self.x)
         else:
             if self.t is None or self.a is None:
                 raise ValueError("linear-band regime needs t and a")
             if not 0.0 <= self.t < 1.0:
                 raise ValueError(f"time fraction {self.t} outside [0, 1)")
             _check_positive("a", self.a)
-            _check_positive("a/(1-t)", self.a / (1.0 - self.t))
-            _check_positive("(1-t)/(1-e^-a)", (1.0 - self.t) / -math.expm1(-self.a))
+            u = _check_positive("a/(1-t)", self.a / (1.0 - self.t))
+            w = _check_positive("(1-t)/(1-e^-a)", (1.0 - self.t) / -math.expm1(-self.a))
+            r = self.t
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "_wru", (w, r, u))
 
     def gf(self, s: float) -> float:
         """Limiting gf of the reduced count at ``s`` in [0, 1]."""
         _check_s(s)
         if s == 1.0:
             return 1.0
-        if self.regime is Regime.SMALL_PHI:
-            x = self.x
-            return s * x * -math.expm1(-(1.0 - s) / x) / (1.0 - s)
-        t, a = self.t, self.a
-        window = math.expm1(-(1.0 - t * s) * a / (1.0 - t)) / math.expm1(-a)
-        return classical_reduced_gf(s, t) * window
+        w, r, u = self._wru
+        return w * s * -math.expm1(-u * (1.0 - r * s)) / (1.0 - r * s)
 
     def pmf(self, j: int) -> float:
         """Limiting probability of j reduced lines, j >= 1.
@@ -115,19 +115,16 @@ class LimitQuery:
         query sits at: u window widths is ``x = u``, and a fraction u
         of n is ``t = 1 - u``.
         """
-        if j < 1:
-            raise ValueError("reduced counts start at 1")
-        return float(self._values(j)[-1])
+        return float(self._values(reduced_count(j))[-1])
 
     def pmf_values(self) -> np.ndarray:
         """pmf values p_1, p_2, ... up to the first p_j below TERM_RATIO
         times p_1 + ... + p_j, which comes by the tails' mode plus reach
-        and, in the band, once t^(j-1) >= p_j/p_1 is below TERM_RATIO."""
-        if self.regime is Regime.SMALL_PHI:
-            J = sum(_mode_reach(1.0 / self.x))
-        else:
-            fall = math.log(TERM_RATIO) / math.log(self.t) if self.t > 0.0 else -1.0
-            J = min(sum(_mode_reach(self.a / (1.0 - self.t))), int(fall) + 3)
+        and, when r < 1, once r^(j-1) >= p_j/p_1 is below TERM_RATIO."""
+        _, r, u = self._wru
+        J = sum(_mode_reach(u))
+        if r < 1.0:
+            J = min(J, int(math.log(TERM_RATIO) / math.log(r)) + 3 if r > 0.0 else 2)
         values = self._values(J)
         below = values < TERM_RATIO * np.cumsum(values)
         return values[: np.flatnonzero(below)[0] + 1]
@@ -139,12 +136,9 @@ class LimitQuery:
         return LimitTable(query=self, pmf=pmf, gf={s: self.gf(s) for s in GF_GRID})
 
     def _values(self, J: int) -> np.ndarray:
-        """p_1..p_J: the regime factor times the Poisson tails."""
-        if self.regime is Regime.SMALL_PHI:
-            return self.x * poisson_tails(1.0 / self.x, J)
-        t, a = self.t, self.a
-        scale = (1.0 - t) / -math.expm1(-a)
-        return scale * t ** np.arange(J) * poisson_tails(a / (1.0 - t), J)
+        """p_1..p_J: w * r^(j-1) times the Poisson tails at u."""
+        w, r, u = self._wru
+        return w * r ** np.arange(J) * poisson_tails(u, J)
 
 
 @dataclass(frozen=True)
@@ -180,6 +174,7 @@ def _check_s(s: float) -> None:
         raise ValueError(f"gf argument {s} outside [0, 1]")
 
 
-def _check_positive(name: str, value: float) -> None:
+def _check_positive(name: str, value: float) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value

@@ -31,7 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConditioningImpossibleError, SeriesBudgetError, whole_number
+from .errors import (
+    ConditioningImpossibleError, SeriesBudgetError, reduced_count, whole_number
+)
 from .offspring import OffspringLaw, pgf_derivatives
 from .series import iter_extinction_probs, iterates, pmf_Zn
 
@@ -76,8 +78,7 @@ class ReducedLawTable:
 
     def prob(self, j: int) -> float:
         """Probability of exactly j reduced lines."""
-        if j < 1:
-            raise ValueError("reduced counts start at 1")
+        j = reduced_count(j)
         if j > len(self.pmf):
             return 0.0
         return float(self.pmf[j - 1])

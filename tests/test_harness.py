@@ -271,6 +271,17 @@ class TestConfigHash:
         reread = ExperimentConfig.from_mapping(spelled.to_mapping())
         assert reread == dataclasses.replace(plain, workers=1)
 
+    @pytest.mark.parametrize("index", range(len(PINNED)))
+    def test_regime_text_builds_the_enum_config(self, index):
+        # a regime given as its text builds the config, text form, hash
+        # and limit law of the Regime
+        config, _, digest = self.PINNED[index]
+        spelled = dataclasses.replace(config, regime=config.regime.value)
+        assert spelled == config and spelled.regime is config.regime
+        assert spelled.to_mapping() == config.to_mapping()
+        assert config_hash(spelled.to_mapping()) == digest
+        assert spelled.limit_query == config.limit_query
+
 
 class TestConfigParsing:
     def test_key_value_file(self, tmp_path):

@@ -305,6 +305,32 @@ class TestLimitQuery:
         assert (payload["gf"]["0.0"], payload["gf"]["1.0"]) == (0.0, 1.0)
         assert list(table.csv_rows()) == [("j", "p"), *enumerate(table.pmf, start=1)]
 
+    @pytest.mark.parametrize(
+        "text, params, query",
+        [
+            ("small_phi", {"x": 1.0}, window(1.0)),
+            ("linear_band", {"t": 0.5, "a": 1.0}, band(0.5, 1.0)),
+            # parameters of the other regime are ignored, whichever is set
+            ("small_phi", {"x": 1.0, "t": 0.5, "a": 1.0}, window(1.0)),
+            ("linear_band", {"x": 1.0, "t": 0.5, "a": 1.0}, band(0.5, 1.0)),
+        ],
+        ids=["window", "band", "window-all-set", "band-all-set"],
+    )
+    def test_regime_text_is_the_regime(self, text, params, query):
+        spelled = LimitQuery(text, **params)
+        assert spelled == LimitQuery(query.regime, **params)
+        assert spelled.regime is query.regime
+        assert spelled.pmf_values().tobytes() == query.pmf_values().tobytes()
+        assert [spelled.gf(s) for s in GF_GRID] == [query.gf(s) for s in GF_GRID]
+
+    def test_window_law_with_band_parameters_set(self):
+        values = LimitQuery("small_phi", x=1.0, t=0.5, a=1.0).pmf_values()
+        assert values[:2] == pytest.approx([1 - 1 / math.e, 1 - 2 / math.e], abs=TOL)
+
+    def test_unknown_regime_is_refused(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid Regime"):
+            LimitQuery("bogus", x=1.0)
+
     def test_table_default_length_is_pmf_values(self):
         query = LimitQuery(regime=Regime.SMALL_PHI, x=1.0)
         table = query.table()

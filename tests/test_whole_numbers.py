@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gwreduced import errors, make_builtin, series, simulate
-from gwreduced.limits import poisson_tails
+from gwreduced.limits import LimitQuery, Regime, poisson_tails
 from gwreduced.offspring import pgf_derivatives
 from gwreduced.reduced import (
     bounded_survival_prob,
@@ -28,6 +28,8 @@ from gwreduced.series import derivative_jet, iter_extinction_probs, iterates, pm
 from gwreduced.simulate import run_conditioned_batch
 
 LF = make_builtin("linear_fractional")
+TABLE = reduced_pmf(LF, 3, 6)
+WINDOW = LimitQuery(Regime.SMALL_PHI, x=1.0)
 
 
 def _batch(n, C, query, target_accepted, max_replicates, seed, workers, chunk_size):
@@ -44,6 +46,8 @@ def _batch(n, C, query, target_accepted, max_replicates, seed, workers, chunk_si
 ENTRY_POINTS = {
     "pgf_derivatives": (lambda order: pgf_derivatives(LF, 0.3, order), {"order": 3}),
     "poisson_tails": (lambda tails: poisson_tails(2.0, tails), {"tails": 5}),
+    "LimitQuery.pmf": (lambda j: WINDOW.pmf(j), {"j": 3}),
+    "ReducedLawTable.prob": (lambda j: TABLE.prob(j), {"j": 2}),
     "iter_extinction_probs": (lambda n: list(iter_extinction_probs(LF, n)), {"n": 6}),
     "iterates": (lambda n, K: list(iterates(LF, n, K)), {"n": 6, "K": 4}),
     "pmf_Zn": (lambda n, K: pmf_Zn(LF, n, K), {"n": 6, "K": 4}),
@@ -74,6 +78,7 @@ MESSAGE_NAME = {
     "query": "query generation",
     "order": "derivative order J",
     "tails": "tail count J",
+    "j": "reduced count j",
 }
 CASES = [
     pytest.param(entry, arg, id=f"{entry}-{arg}")
