@@ -323,10 +323,6 @@ class TestLimitQuery:
         assert spelled.pmf_values().tobytes() == query.pmf_values().tobytes()
         assert [spelled.gf(s) for s in GF_GRID] == [query.gf(s) for s in GF_GRID]
 
-    def test_window_law_with_band_parameters_set(self):
-        values = LimitQuery("small_phi", x=1.0, t=0.5, a=1.0).pmf_values()
-        assert values[:2] == pytest.approx([1 - 1 / math.e, 1 - 2 / math.e], abs=TOL)
-
     def test_unknown_regime_is_refused(self):
         with pytest.raises(ValueError, match="'bogus' is not a valid Regime"):
             LimitQuery("bogus", x=1.0)

@@ -46,8 +46,8 @@ def _batch(n, C, query, target_accepted, max_replicates, seed, workers, chunk_si
 ENTRY_POINTS = {
     "pgf_derivatives": (lambda order: pgf_derivatives(LF, 0.3, order), {"order": 3}),
     "poisson_tails": (lambda tails: poisson_tails(2.0, tails), {"tails": 5}),
-    "LimitQuery.pmf": (lambda j: WINDOW.pmf(j), {"j": 3}),
-    "ReducedLawTable.prob": (lambda j: TABLE.prob(j), {"j": 2}),
+    "LimitQuery.pmf": (WINDOW.pmf, {"j": 3}),
+    "ReducedLawTable.prob": (TABLE.prob, {"j": 2}),
     "iter_extinction_probs": (lambda n: list(iter_extinction_probs(LF, n)), {"n": 6}),
     "iterates": (lambda n, K: list(iterates(LF, n, K)), {"n": 6, "K": 4}),
     "pmf_Zn": (lambda n, K: pmf_Zn(LF, n, K), {"n": 6, "K": 4}),
