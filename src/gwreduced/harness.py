@@ -22,7 +22,7 @@ import hashlib
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,8 +155,10 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, _, value = text.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, value = map(str.strip, text.partition("="))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+            out[key] = value
     return out
 
 
@@ -181,7 +183,9 @@ class ExperimentConfig:
     horizon, and checks each horizon's subtree pass against the series
     budget.  Each field then holds its canonical value (the ints of
     ``errors.whole_number``, the parsed law's label, the ``Regime``), so
-    every spelling has one config hash."""
+    every spelling has one config hash.  The window keeps ``x`` and
+    ``phi`` (``sqrt`` when unset), the band ``t`` and ``a``, and the
+    other regime's values are None: what no run reads is not hashed."""
 
     regime: Regime = Regime.SMALL_PHI
     law_label: str = "linear_fractional"
@@ -189,7 +193,7 @@ class ExperimentConfig:
     x: float | None = None
     t: float | None = None
     a: float | None = None
-    phi: PhiSpec = field(default_factory=lambda: parse_phi("sqrt"))
+    phi: PhiSpec | None = None
     epsilon: float = EPSILON_DEFAULT
     seed: int = 0
     replicates: int = 0
@@ -212,6 +216,8 @@ class ExperimentConfig:
             n_grid=grid, replicates=whole_number("replicates", self.replicates),
             max_replicates=max_replicates, seed=seed, workers=workers,
             law_label=law.label, law=law, regime=query.regime, limit_query=query,
+            x=query.x, t=query.t, a=query.a,
+            phi=None if query.x is None else self.phi or parse_phi("sqrt"),
         ).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "horizons", tuple(
@@ -274,26 +280,9 @@ class ComparisonReport:
         }
 
     def csv_rows(self):
-        yield REPORT_CSV_COLUMNS
+        yield list(self.rows[0])
         for row in self.rows:
-            yield [row.get(col, "") for col in REPORT_CSV_COLUMNS]
-
-
-REPORT_CSV_COLUMNS = (
-    "n",
-    "m",
-    "C",
-    "epsilon",
-    "mass_accounted",
-    "tv_exact_limit",
-    "gf_supnorm",
-    "mc_replicates",
-    "mc_accepted",
-    "tv_mc_exact",
-    "tv_mc_se",
-    "acceptance_rate",
-    "acceptance_expected",
-)
+            yield list(row.values())
 
 
 def format_report_summary(report: ComparisonReport) -> str:
@@ -413,6 +402,9 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
                 seed=seed,
                 workers=config.workers,
             )
+            if batch.accepted == 0:
+                raise ValueError(f"no replicate accepted at n={n} in {batch.replicates}"
+                                 " replicates drawn; raise max_replicates")
             samples = batch.reduced_counts[:, 0]
             row.update(
                 mc_replicates=int(batch.replicates),

@@ -73,7 +73,9 @@ class Regime(str, Enum):
 @dataclass(frozen=True)
 class LimitQuery:
     """One limiting law: a regime, a ``Regime`` or its text, and its
-    parameters, checked and reduced to (w, r, u) once."""
+    parameters, checked and reduced to (w, r, u) once.  The window keeps
+    ``x`` and the band ``t`` and ``a``; the other regime's parameters
+    are set to None, so two queries for one law are equal."""
 
     regime: Regime
     x: float | None = None
@@ -87,6 +89,7 @@ class LimitQuery:
                 raise ValueError("sublinear-window regime needs x")
             _check_positive("x", self.x)
             w, r, u = self.x, 1.0, _check_positive("1/x", 1.0 / self.x)
+            unused = dict(t=None, a=None)
         else:
             if self.t is None or self.a is None:
                 raise ValueError("linear-band regime needs t and a")
@@ -96,8 +99,9 @@ class LimitQuery:
             u = _check_positive("a/(1-t)", self.a / (1.0 - self.t))
             w = _check_positive("(1-t)/(1-e^-a)", (1.0 - self.t) / -math.expm1(-self.a))
             r = self.t
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "_wru", (w, r, u))
+            unused = dict(x=None)
+        for name, value in dict(unused, regime=regime, _wru=(w, r, u)).items():
+            object.__setattr__(self, name, value)
 
     def gf(self, s: float) -> float:
         """Limiting gf of the reduced count at ``s`` in [0, 1]."""
@@ -151,10 +155,10 @@ class LimitTable:
 
     def to_json_dict(self) -> dict:
         q = self.query
-        params = {"x": q.x} if q.regime is Regime.SMALL_PHI else {"t": q.t, "a": q.a}
+        params = {name: getattr(q, name) for name in ("x", "t", "a")}
         return {
             "regime": q.regime.value,
-            **params,
+            **{name: value for name, value in params.items() if value is not None},
             "pmf": self.pmf,
             "gf": {repr(s): v for s, v in self.gf.items()},
         }

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gwreduced import (
+    AcceptanceBudgetExhausted,
     ExperimentConfig,
     PhiSpec,
     Regime,
@@ -140,19 +141,29 @@ class TestConfigHash:
         reordered = dict(reversed(list(self.BASE.items())))
         assert config_hash(reordered) == config_hash(dict(self.BASE))
 
-    def test_every_semantic_field_changes_the_hash(self):
+    @pytest.mark.parametrize(
+        "base, unread",
+        [
+            (ExperimentConfig(n_grid=(100, 200), x=1.0), {"t", "a"}),
+            (
+                ExperimentConfig(
+                    regime=Regime.LINEAR_BAND, n_grid=(100, 200), t=0.5, a=1.0
+                ),
+                {"x", "phi"},
+            ),
+        ],
+        ids=["window", "band"],
+    )
+    def test_every_semantic_field_changes_the_hash(self, base, unread):
         # one changed value per dataclass field; a new field without an
-        # entry here fails the test until its effect on the hash is known
-        base = ExperimentConfig(
-            regime=Regime.SMALL_PHI,
-            law_label="linear_fractional",
-            n_grid=(100, 200),
-            x=1.0,
-            t=0.5,
-            a=1.0,
-        )
+        # entry here fails the test until its effect on the hash is known.
+        # The other regime's parameters are dropped and move no hash; a
+        # changed regime brings its own parameters
+        to_other_regime = {
+            Regime.SMALL_PHI: dict(regime=Regime.LINEAR_BAND, t=0.5, a=1.0),
+            Regime.LINEAR_BAND: dict(regime=Regime.SMALL_PHI, x=1.0),
+        }[base.regime]
         changed = {
-            "regime": Regime.LINEAR_BAND,
             "law_label": "poisson",
             "n_grid": (100, 300),
             "x": 2.0,
@@ -166,12 +177,14 @@ class TestConfigHash:
             "workers": 2,
         }
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert fields == set(changed)
+        assert fields == set(changed) | {"regime"}
         base_hash = config_hash(base.to_mapping())
         for name in sorted(fields):
-            other = dataclasses.replace(base, **{name: changed[name]})
+            change = to_other_regime if name == "regime" else {name: changed[name]}
+            other = dataclasses.replace(base, **change)
             same = config_hash(other.to_mapping()) == base_hash
-            assert same == (name in CONFIG_HASH_EXCLUDE), name
+            assert same == (name in CONFIG_HASH_EXCLUDE | unread), name
+            assert (other == base) == (name in unread), name
 
 
     # to_mapping text and config_hash of two configs; a change here
@@ -213,7 +226,6 @@ class TestConfigHash:
                 ("regime", "linear_band"),
                 ("law", "poisson"),
                 ("n_grid", "60,120"),
-                ("phi", "sqrt"),
                 ("epsilon", "1e-09"),
                 ("seed", "3"),
                 ("replicates", "200"),
@@ -221,7 +233,7 @@ class TestConfigHash:
                 ("t", "0.5"),
                 ("a", "1.5"),
             ],
-            "c0a622db6b0c6500b7f382a34d6065780233e06d324b218d266aba7391f707b3",
+            "7079568fa6ca13809be82848558ccfdac34386581a22c3ac20d91f535f464e1d",
         ),
     ]
 
@@ -271,6 +283,22 @@ class TestConfigHash:
         reread = ExperimentConfig.from_mapping(spelled.to_mapping())
         assert reread == dataclasses.replace(plain, workers=1)
 
+    @pytest.mark.parametrize(
+        "index, unread",
+        [(0, dict(t=0.5, a=1.0)), (1, dict(x=3.0, phi=parse_phi("n^0.3")))],
+        ids=["window", "band"],
+    )
+    def test_other_regime_values_are_dropped(self, index, unread):
+        # values the regime never reads build the config, text form,
+        # hash, limit law and horizons of the config without them
+        config, _, digest = self.PINNED[index]
+        given = dataclasses.replace(config, **unread)
+        assert given == config
+        assert given.to_mapping() == config.to_mapping()
+        assert config_hash(given.to_mapping()) == digest
+        assert given.limit_query == config.limit_query
+        assert given.horizons == config.horizons
+
     @pytest.mark.parametrize("index", range(len(PINNED)))
     def test_regime_text_builds_the_enum_config(self, index):
         # a regime given as its text builds the config, text form, hash
@@ -306,6 +334,12 @@ class TestConfigParsing:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("regime small_phi\n")
         with pytest.raises(ValueError, match="key=value"):
+            parse_config_file(cfg)
+
+    def test_rejects_a_repeated_key(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("regime=small_phi\nx=1\nn_grid=100\nx = 4\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:4: key 'x' given twice$"):
             parse_config_file(cfg)
 
     def test_from_mapping_requires_x_for_sublinear_window(self):
@@ -523,16 +557,25 @@ class TestRunExperiment:
     def test_report_json_round_trips(self, tmp_path):
         from gwreduced import write_output
 
-        report = run_experiment(_small_phi_config(n_grid="100"))
-        jpath = tmp_path / "report.json"
-        cpath = tmp_path / "report.csv"
-        write_output(report.to_json_dict(), jpath)
-        write_output(report.csv_rows(), cpath)
-        payload = json.loads(jpath.read_text())
-        assert payload["config_hash"] == report.config_hash
-        assert payload["rows"][0]["n"] == 100
-        header = cpath.read_text().splitlines()[0]
-        assert header.startswith("n,m,C,epsilon")
+        exact_only = run_experiment(_small_phi_config(n_grid="100"))
+        with_mc = run_experiment(_band_mc_config(replicates="50"))
+        for report, first_n in ((exact_only, 100), (with_mc, 16)):
+            jpath = tmp_path / "report.json"
+            cpath = tmp_path / "report.csv"
+            write_output(report.to_json_dict(), jpath)
+            write_output(report.csv_rows(), cpath)
+            payload = json.loads(jpath.read_text())
+            assert payload["config_hash"] == report.config_hash
+            assert payload["rows"][0]["n"] == first_n
+            # the CSV columns are the JSON row keys, which every row shares
+            keys = list(payload["rows"][0])
+            assert all(list(row) == keys for row in payload["rows"])
+            lines = cpath.read_text().splitlines()
+            assert lines[0].split(",") == keys
+            assert len(lines) == 1 + len(payload["rows"])
+            assert all(len(line.split(",")) == len(keys) for line in lines)
+            assert lines[0].startswith("n,m,C,epsilon")
+            assert ("mc_seed" in keys) == (report is with_mc)
 
     @pytest.mark.parametrize(
         "raw, match",
@@ -811,6 +854,22 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert [row["n"] for row in payload["rows"]] == [100, 200, 400]
         assert "tv_exact_vs_limit_final" in capsys.readouterr().out
+
+    def test_compare_without_acceptances_is_user_error(self, monkeypatch, capsys):
+        # refused before the empirical pmf and the bootstrap divide by
+        # zero accepted replicates
+        for name in ("empirical_pmf", "bootstrap_tv_se"):
+            monkeypatch.setattr(harness, name, None)
+        argv = ["compare", "--regime", "small_phi", "--n", "100", "--x", "1",
+                "--replicates", "10", "--max-replicates", "40"]
+        with pytest.warns(AcceptanceBudgetExhausted):
+            assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no replicate accepted at n=100 in 40 replicates drawn; "
+            "raise max_replicates\n"
+        )
 
     def test_every_compare_flag_reaches_the_config(self, monkeypatch):
         argv = [

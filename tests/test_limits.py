@@ -310,7 +310,7 @@ class TestLimitQuery:
         [
             ("small_phi", {"x": 1.0}, window(1.0)),
             ("linear_band", {"t": 0.5, "a": 1.0}, band(0.5, 1.0)),
-            # parameters of the other regime are ignored, whichever is set
+            # parameters of the other regime are dropped, whichever is set
             ("small_phi", {"x": 1.0, "t": 0.5, "a": 1.0}, window(1.0)),
             ("linear_band", {"x": 1.0, "t": 0.5, "a": 1.0}, band(0.5, 1.0)),
         ],
@@ -319,6 +319,7 @@ class TestLimitQuery:
     def test_regime_text_is_the_regime(self, text, params, query):
         spelled = LimitQuery(text, **params)
         assert spelled == LimitQuery(query.regime, **params)
+        assert spelled == query
         assert spelled.regime is query.regime
         assert spelled.pmf_values().tobytes() == query.pmf_values().tobytes()
         assert [spelled.gf(s) for s in GF_GRID] == [query.gf(s) for s in GF_GRID]
