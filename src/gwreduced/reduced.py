@@ -21,13 +21,24 @@ order fixed in advance by a tail bound, so no joint or conditional
 table runs a pass to n at degree C.  The most recent common ancestor
 of the survivors sits at distance <= u from the terminal time exactly
 when the reduced count at n-u is 1, which turns the ancestor-distance
-cdf into a family of single-line probabilities; by the chain rule each
-is a product of scalars read off one streamed pass over f_0..f_n.
+cdf into a family of single-line probabilities: by the chain rule each
+is a product of slopes f'(q_k) times the mass P(1 <= Z(u) <= C).  The
+masses take one of two routes.  A degree-C pass over f_0, f_1, ...
+gives them directly; it stops at the first split generation r = 2, 4,
+8, ... at which the tail bound of the joint rows, taken over every
+horizon past r, picks an order J <= r below C.  Past r the same
+decomposition gives each mass as sum_{j<=J} p_j(u) P(S_j <= C), with
+the rows p_j(u) read off one pass of n - r steps at degree J, one
+horizon per step.  Where no r qualifies within n steps, or J would
+reach C, the degree-C pass runs on to n.  The split depends only on
+(law, n, C), so the cdf at u has the same bits whatever other
+distances are asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -114,12 +125,17 @@ def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     return float(pmf_Zn(law, n, C).coeffs[1:].sum())
 
 
+def _row_pass(law: OffspringLaw, m: int, q: float, J: int):
+    """Yield the reduced rows p_1..p_J after k = 0, 1, ..., m steps:
+    p_j is the s^j coefficient of f_k(q + (1-q)s)."""
+    return (g[1:] for g in iterates(law, m, J, q, 1.0 - q))
+
+
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
-    """Unconditional reduced pmf p_1..p_J at intermediate generation m:
-    p_j is the s^j coefficient of f_m(q + (1-q)s)."""
-    for g in iterates(law, m, J, q, 1.0 - q):
+    """Unconditional reduced pmf p_1..p_J at intermediate generation m."""
+    for rows in _row_pass(law, m, q, J):
         pass
-    return g[1:]
+    return rows
 
 
 def _cut(rows: np.ndarray, total: float, tol: float) -> np.ndarray:
@@ -196,6 +212,33 @@ def _bounded_sum_masses(s1: np.ndarray):
         s = np.convolve(s, s1)[: C + 1]
 
 
+def _tail_order(s1: np.ndarray, survival, p1, cap: int) -> list | None:
+    """P(S_1 <= C), ..., P(S_J <= C) up to the order J the tail bound picks.
+
+    ``s1`` is the single-copy pmf of ``_bounded_sum_masses``.  Since
+    P(S_j <= C) falls in j and rows p_j of a reduced count sum to the
+    survival probability, the joint rows past J add at most
+    P(S_{J+1} <= C) * survival, and J is the first order at which that
+    is below 2^-52 times the first row p_1 P(S_1 <= C), itself a lower
+    bound on the rows' total.  ``survival`` and ``p1`` may be arrays
+    over several horizons, and then the bound holds at each.  None if
+    J would pass ``cap``; that takes no convolution when P(S_{cap+1} <= C)
+    is already too large for the bound because every copy may be at
+    most C // (cap + 1), which is the whole event at cap = C - 1.
+    """
+    fits = islice(_bounded_sum_masses(s1), cap + 1)
+    masses = [next(fits)]
+    floor = 2.0**-52 * p1 * masses[0]
+    low = s1[: (len(s1) - 1) // (cap + 1) + 1].sum() ** (cap + 1)
+    if np.any(low * survival > floor):
+        return None
+    for mass in fits:
+        masses.append(mass)
+        if not np.any(mass * survival > floor):
+            return masses[:-1]
+    return None
+
+
 def _single_line_chain(law: OffspringLaw, qs: np.ndarray) -> np.ndarray:
     """f_{n-u}'(q_u) = f'(q_u) ... f'(q_{n-1}) for each point q_u of
     ``qs``, which runs up to q_n, where the product is empty and 1."""
@@ -210,11 +253,8 @@ def _joint_rows(law, m, n, C, epsilon):
     surviving subtrees keep the total at or below C.  A pass of n - m
     steps at degree C gives the subtree size pmf, from f_{n-m}; one pass
     of m steps at an order J gives the reduced rows.  The event
-    probability is the sum of rows 1..J.  Since P(S_j <= C) falls in j
-    and the p_j sum to P(Z(n) > 0), the rows past J add at most
-    P(S_{J+1} <= C) P(Z(n) > 0), and J is the first order at which that
-    is below 2^-52 times the first row, itself a lower bound on the
-    event probability.  So no pass runs to n at degree C, J is chosen
+    probability is the sum of rows 1..J, J from the tail bound of
+    ``_tail_order``.  So no pass runs to n at degree C, J is chosen
     before the row pass, and the rows returned are those 1..J cut at
     the first order whose remainder is below epsilon times the event
     probability.
@@ -226,13 +266,9 @@ def _joint_rows(law, m, n, C, epsilon):
     q, survival = qs[r], 1.0 - qs[n]
     # p_1 = (1 - q_r) f_m'(q_r)
     p1 = (1.0 - q) * _single_line_chain(law, qs[r:])[0]
-    fits = _bounded_sum_masses(_positive_part(subtree))
-    masses = [next(fits), next(fits)]
-    floor = 2.0**-52 * p1 * masses[0]
-    while masses[-1] * survival > floor:
-        masses.append(next(fits))
-    J = len(masses) - 1
-    rows = _reduced_rows(law, m, q, J) * masses[:J]
+    # J <= C, as P(S_{C+1} <= C) = 0
+    masses = _tail_order(_positive_part(subtree), survival, p1, C)
+    rows = _reduced_rows(law, m, q, len(masses)) * masses
     event_prob = float(rows.sum())
     return _cut(rows, event_prob, epsilon * event_prob), event_prob
 
@@ -294,24 +330,60 @@ def conditional_reduced_pmf(
     )
 
 
+def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons) -> np.ndarray:
+    """P(1 <= Z(u) <= C) at each horizon u of ``horizons``, from a
+    degree-C pass cut short.
+
+    The pass stops at the first split generation r = 2, 4, 8, ... at
+    which the tail bound of ``_tail_order`` over every horizon u > r
+    picks an order J <= r below C, with the r steps, the J convolutions
+    and those of the earlier tries at most n.  Masses to u = r are read
+    off the pass; past r each is sum_{j<=J} p_j(u) P(S_j <= C), the rows
+    p_j(u) from one pass of n - r steps at degree J started at
+    q_r + (1-q_r)s.  Where no r qualifies the pass runs on to n.
+    """
+    masses = np.empty(n + 1)
+    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+    r, spent, fits = 2, 0, None
+    for u, coeffs in enumerate(iterates(law, n, C)):
+        masses[u] = coeffs[1:].sum()
+        cap = min(r, C - 1)
+        if u == r and r + spent + cap <= n:
+            # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r
+            p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
+            fits = _tail_order(_positive_part(coeffs), 1.0 - qs[r + 1 :], p1, cap)
+            if fits is not None:
+                break
+            r, spent = 2 * r, spent + cap
+    if fits is not None:
+        fits, wanted = np.array(fits), set(horizons)
+        for u, rows in enumerate(_row_pass(law, n - r, qs[r], len(fits)), start=r):
+            if u > r and u in wanted:
+                masses[u] = (rows * fits).sum()
+    return masses[horizons]
+
+
 def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarray:
     """cdf of the distance from the terminal time back to the most
     recent common ancestor of the survivors, given 0 < Z(n) <= C.
 
     The ancestor lies within distance u exactly when the reduced count
     at generation n-u is 1; distance 0 means the terminal population
-    itself is a single individual.  n, C and each distance in [0, n]
-    must be whole numbers (``errors.whole_number``).
+    itself is a single individual.  That probability, jointly with the
+    event, is f_{n-u}'(q_u) P(1 <= Z(u) <= C), and the event
+    probability is the mass at u = n.  ``_bounded_masses`` gives the
+    masses by one of two routes, fixed by (law, n, C) alone, so the cdf
+    at u has the same bits whatever other distances are asked for.
+    n, C and each distance in [0, n] must be whole numbers
+    (``errors.whole_number``).
     """
     n, C = whole_number("n", n), whole_number("bound C", C, 1)
     grid = [whole_number("distance", u, 0, n) for u in np.atleast_1d(distances)]
-    qs, masses = np.empty(n + 1), np.empty(n + 1)
-    for u, coeffs in enumerate(iterates(law, n, C)):
-        qs[u], masses[u] = coeffs[0], coeffs[1:].sum()
-    event_prob = masses[n]
+    qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
+    masses = _bounded_masses(law, n, C, qs, grid + [n])
+    event_prob = masses[-1]
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
         )
-    # P(one reduced line at n-u, 0 < Z(n) <= C) = f_{n-u}'(q_u) P(1 <= Z(u) <= C)
-    return _single_line_chain(law, qs)[grid] * masses[grid] / event_prob
+    return _single_line_chain(law, qs)[grid] * masses[:-1] / event_prob

@@ -415,6 +415,8 @@ class TestMrcaDistance:
 
     @pytest.mark.parametrize("law", [LF, POIS, TERNARY], ids=["lf", "poisson", "ternary"])
     def test_full_grid_is_one_population_pass(self, law, monkeypatch):
+        # one degree-C pass, and at most one row pass at an order below C
+        # that takes the horizons from where the first pass stopped
         passes = []
 
         def counted(*args, **kwargs):
@@ -424,7 +426,10 @@ class TestMrcaDistance:
         monkeypatch.setattr(reduced, "iterates", counted)
         n, C = 60, 20
         cdf = mrca_distance_cdf(law, n, C, range(n + 1))
-        assert passes == [(n, C)]
+        assert passes[0] == (n, C)
+        assert len(passes) <= 2
+        for steps, J in passes[1:]:
+            assert steps < n and J < C
         assert cdf[-1] == pytest.approx(1.0, rel=1e-14)
 
     def test_full_grid_matches_lf_closed_form(self):
@@ -439,6 +444,123 @@ class TestMrcaDistance:
             mrca_distance_cdf(LF, 5, 2, [6])
         with pytest.raises(ValueError, match="bound"):
             mrca_distance_cdf(LF, 5, 0, [2])
+
+
+CUSTOM4 = make_custom([0.3, 0.45, 0.2, 0.05])
+SPLIT_LAWS = {"lf": LF, "poisson": POIS, "ternary": TERNARY, "custom4": CUSTOM4}
+
+
+def _full_pass_cdf(law, n, C, grid):
+    """The ancestor-distance cdf from every mass of one degree-C pass to n."""
+    qs, masses = np.empty(n + 1), np.empty(n + 1)
+    for u, coeffs in enumerate(series.iterates(law, n, C)):
+        qs[u], masses[u] = coeffs[0], coeffs[1:].sum()
+    return reduced._single_line_chain(law, qs)[grid] * masses[grid] / masses[n]
+
+
+def _band_bound(law, n):
+    return math.floor(law.half_variance * n)
+
+
+def _window_bound(law, n):
+    return math.floor(law.half_variance * math.sqrt(n))
+
+
+class TestMrcaSplitRoute:
+    """Past a split generation r0 the masses P(1 <= Z(u) <= C) come from
+    one row pass at a small order J instead of the degree-C pass."""
+
+    @staticmethod
+    def _work(law, n, C, grid, monkeypatch):
+        # the cdf, the degree-C composition steps and the bounded-sum
+        # convolutions of one call, and the degrees of the other steps
+        steps, drawn = [], []
+        step, sums = series.compose_step, reduced._bounded_sum_masses
+
+        def spied_step(law, g):
+            steps.append(len(g) - 1)
+            return step(law, g)
+
+        def spied_sums(s1):
+            drawn.append(0)
+            for mass in sums(s1):
+                drawn[-1] += 1
+                yield mass
+
+        monkeypatch.setattr(series, "compose_step", spied_step)
+        monkeypatch.setattr(reduced, "_bounded_sum_masses", spied_sums)
+        cdf = mrca_distance_cdf(law, n, C, grid)
+        monkeypatch.undo()
+        convolutions = sum(max(k - 1, 0) for k in drawn)
+        degree_c = steps.count(C)
+        return cdf, degree_c, convolutions, [k for k in steps if k != C]
+
+    @pytest.mark.parametrize("law", SPLIT_LAWS.values(), ids=SPLIT_LAWS.keys())
+    @pytest.mark.parametrize(
+        "n,bound",
+        [(800, _band_bound), (2000, _band_bound), (1000, _window_bound),
+         (4000, _window_bound)],
+        ids=["band-800", "band-2000", "window-1000", "window-4000"],
+    )
+    def test_matches_full_pass(self, law, n, bound, monkeypatch):
+        C = bound(law, n)
+        full = list(range(n + 1))
+        sparse = [0, 1, n // 4 - 3, n // 2, 3 * n // 4 + 5, n - 1, n]
+        want = _full_pass_cdf(law, n, C, full)
+        for grid in (full, sparse):
+            cdf, degree_c, convolutions, rows = self._work(law, n, C, grid, monkeypatch)
+            assert cdf == pytest.approx(want[grid], rel=1e-13, abs=0.0)
+            assert degree_c + convolutions <= n
+            # past the split, if any, one row pass at an order below C
+            assert len(rows) == n - degree_c
+            assert len(set(rows)) <= 1 and all(J < C for J in rows)
+
+    @pytest.mark.parametrize("n", [800, 2000, 4000])
+    def test_lf_band_matches_closed_form(self, n):
+        # C = n; the error grows like n * 2^-52 through the extinction
+        # probabilities, as it does on the full pass
+        us = list(range(0, n + 1, n // 40))
+        cdf = mrca_distance_cdf(LF, n, n, us)
+        want = [lf_oracle.mrca_cdf(n, n, u) for u in us]
+        assert cdf == pytest.approx(want, rel=n * 1e-15)
+
+    @pytest.mark.parametrize("law", SPLIT_LAWS.values(), ids=SPLIT_LAWS.keys())
+    def test_cdf_at_u_does_not_depend_on_other_distances(self, law):
+        n = 800
+        C = _band_bound(law, n)
+        grid = [0, 5, 63, 64, 65, 200, 401, 799, 800]
+        together = mrca_distance_cdf(law, n, C, grid)
+        alone = [mrca_distance_cdf(law, n, C, [u])[0] for u in grid]
+        assert together.tobytes() == np.array(alone).tobytes()
+        assert together.tobytes() == mrca_distance_cdf(law, n, C, range(n + 1))[grid].tobytes()
+
+    @pytest.mark.parametrize(
+        "law,n,C,j_reaches_c",
+        [(POIS, 60, 20, False), (TERNARY, 500, 8, True), (LF, 1000, 3, True),
+         (CUSTOM4, 100, 5, True), (LF, 40, 1, True), (CUSTOM4, 3, 2, False)],
+        ids=["poisson-60-20", "ternary-500-8", "lf-1000-3", "custom4-100-5",
+             "lf-bound-1", "custom4-short"],
+    )
+    def test_fallback_is_the_full_pass(self, law, n, C, j_reaches_c, monkeypatch):
+        # no split generation gives an order J <= r below C within n
+        # steps, so the pass runs to n and the cdf keeps the full pass's
+        # bits; where J would reach C, P(S_C <= C) = P(S_1 = 1)^C shows it
+        # before any convolution
+        grid = list(range(n + 1))
+        cdf, degree_c, convolutions, rows = self._work(law, n, C, grid, monkeypatch)
+        assert degree_c == n and rows == []
+        assert cdf.tobytes() == _full_pass_cdf(law, n, C, grid).tobytes()
+        if j_reaches_c:
+            assert convolutions == 0
+
+    @pytest.mark.parametrize("law", SPLIT_LAWS.values(), ids=SPLIT_LAWS.keys())
+    def test_degree_c_steps_stop_at_the_split(self, law, monkeypatch):
+        n = 800
+        C = _band_bound(law, n)
+        _, degree_c, convolutions, rows = self._work(law, n, C, [200, 400, 600], monkeypatch)
+        assert degree_c == 64
+        assert len(rows) == n - 64 and 40 <= rows[0] <= 64
+        assert degree_c + convolutions <= n
 
 
 class TestNoSingleChildLaw:
