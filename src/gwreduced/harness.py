@@ -135,6 +135,8 @@ _FIELD_TEXT = {
     "workers": ("workers", str, int),
 }
 CONFIG_KEYS = tuple(key for key, _, _ in _FIELD_TEXT.values())
+# keys only a Monte Carlo run reads
+_MONTE_CARLO_KEYS = {"seed", "max_replicates"}
 
 
 def _parse_value(key: str, parse, text: str):
@@ -185,7 +187,10 @@ class ExperimentConfig:
     ``errors.whole_number``, the parsed law's label, the ``Regime``), so
     every spelling has one config hash.  The window keeps ``x`` and
     ``phi`` (``sqrt`` when unset), the band ``t`` and ``a``, and the
-    other regime's values are None: what no run reads is not hashed."""
+    other regime's values are None: what no run reads is not hashed.
+    ``seed`` and ``max_replicates`` keep their values but are written
+    and hashed only when ``replicates > 0``, so ``dataclasses.replace``
+    back to a Monte Carlo config still has them."""
 
     regime: Regime = Regime.SMALL_PHI
     law_label: str = "linear_fractional"
@@ -243,11 +248,14 @@ class ExperimentConfig:
         })
 
     def to_mapping(self) -> dict:
-        """Flat text form of every set field outside CONFIG_HASH_EXCLUDE."""
+        """Flat text form of every set field outside CONFIG_HASH_EXCLUDE;
+        ``seed`` and ``max_replicates`` only when Monte Carlo runs
+        (``replicates > 0``), since no other run reads them."""
+        unread = CONFIG_HASH_EXCLUDE | (set() if self.replicates else _MONTE_CARLO_KEYS)
         out = {}
         for name, (key, text, _) in _FIELD_TEXT.items():
             value = getattr(self, name)
-            if key not in CONFIG_HASH_EXCLUDE and value is not None:
+            if key not in unread and value is not None:
                 out[key] = text(value)
         return out
 

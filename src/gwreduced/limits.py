@@ -75,7 +75,8 @@ class LimitQuery:
     """One limiting law: a regime, a ``Regime`` or its text, and its
     parameters, checked and reduced to (w, r, u) once.  The window keeps
     ``x`` and the band ``t`` and ``a``; the other regime's parameters
-    are set to None, so two queries for one law are equal."""
+    are set to None, so two queries for one law are equal.  A given
+    ``x`` must be positive and finite in either regime."""
 
     regime: Regime
     x: float | None = None
@@ -84,10 +85,12 @@ class LimitQuery:
 
     def __post_init__(self):
         regime = Regime(self.regime)
+        # a given x is checked in either regime, before the band drops it
+        if self.x is not None:
+            _check_positive("x", self.x)
         if regime is Regime.SMALL_PHI:
             if self.x is None:
                 raise ValueError("sublinear-window regime needs x")
-            _check_positive("x", self.x)
             w, r, u = self.x, 1.0, _check_positive("1/x", 1.0 / self.x)
             unused = dict(t=None, a=None)
         else:

@@ -147,7 +147,8 @@ class TestConfigHash:
             (ExperimentConfig(n_grid=(100, 200), x=1.0), {"t", "a"}),
             (
                 ExperimentConfig(
-                    regime=Regime.LINEAR_BAND, n_grid=(100, 200), t=0.5, a=1.0
+                    regime=Regime.LINEAR_BAND, n_grid=(100, 200), t=0.5, a=1.0,
+                    replicates=50,
                 ),
                 {"x", "phi"},
             ),
@@ -158,7 +159,8 @@ class TestConfigHash:
         # one changed value per dataclass field; a new field without an
         # entry here fails the test until its effect on the hash is known.
         # The other regime's parameters are dropped and move no hash; a
-        # changed regime brings its own parameters
+        # changed regime brings its own parameters.  Without Monte Carlo
+        # (the window base) seed and max_replicates are kept but not hashed
         to_other_regime = {
             Regime.SMALL_PHI: dict(regime=Regime.LINEAR_BAND, t=0.5, a=1.0),
             Regime.LINEAR_BAND: dict(regime=Regime.SMALL_PHI, x=1.0),
@@ -178,13 +180,28 @@ class TestConfigHash:
         }
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert fields == set(changed) | {"regime"}
+        monte_carlo_only = set() if base.replicates else {"seed", "max_replicates"}
         base_hash = config_hash(base.to_mapping())
         for name in sorted(fields):
             change = to_other_regime if name == "regime" else {name: changed[name]}
             other = dataclasses.replace(base, **change)
             same = config_hash(other.to_mapping()) == base_hash
-            assert same == (name in CONFIG_HASH_EXCLUDE | unread), name
+            assert same == (name in CONFIG_HASH_EXCLUDE | unread | monte_carlo_only), name
             assert (other == base) == (name in unread), name
+
+    def test_monte_carlo_settings_are_hashed_only_with_replicates(self):
+        plain = ExperimentConfig(n_grid=(100,), x=1.0)
+        given = dataclasses.replace(plain, seed=5, max_replicates=10)
+        assert (given.seed, given.max_replicates) == (5, 10)
+        assert given.to_mapping() == plain.to_mapping()
+        assert config_hash(given.to_mapping()) == config_hash(plain.to_mapping())
+        # replaced back to a Monte Carlo config, the kept values count
+        sampled = dataclasses.replace(given, replicates=10)
+        assert sampled.to_mapping()["seed"] == "5"
+        assert sampled.to_mapping()["max_replicates"] == "10"
+        assert config_hash(sampled.to_mapping()) != config_hash(
+            dataclasses.replace(plain, replicates=10).to_mapping()
+        )
 
 
     # to_mapping text and config_hash of two configs; a change here
@@ -204,12 +221,10 @@ class TestConfigHash:
                 ("n_grid", "100,400"),
                 ("phi", "n^0.6"),
                 ("epsilon", "1e-09"),
-                ("seed", "0"),
                 ("replicates", "0"),
-                ("max_replicates", "100000000"),
                 ("x", "2.0"),
             ],
-            "b0fe7eebe3e4bc174be9287d99e16ec068ed774c6eb9970dc893052f0e7128d1",
+            "53b50d27005c21f63005f26f1ee9b6a064d05a6b820348c324437569c36f2140",
         ),
         (
             ExperimentConfig(
@@ -279,9 +294,10 @@ class TestConfigHash:
         assert spelled == plain
         assert spelled.to_mapping() == plain.to_mapping()
         assert type(spelled.seed) is int and type(spelled.n_grid[1]) is int
-        # workers is not written, so the text builds the default
+        # workers is not written, nor seed without Monte Carlo, so the
+        # text builds their defaults
         reread = ExperimentConfig.from_mapping(spelled.to_mapping())
-        assert reread == dataclasses.replace(plain, workers=1)
+        assert reread == dataclasses.replace(plain, workers=1, seed=0)
 
     @pytest.mark.parametrize(
         "index, unread",
@@ -747,6 +763,10 @@ class TestCli:
                           "--t", "0.5", "--a", "1e308"], "a", id="compare-a-1e308"),
             pytest.param(["compare", "--regime", "small_phi", "--n", "100",
                           "--x", "1e300"], "x=1e+300", id="compare-x-1e300"),
+            pytest.param(["compare", "--regime", "linear_band", "--n", "40",
+                          "--t", "0.5", "--a", "1", "--x", "0"],
+                         "error: x must be positive and finite, got 0.0",
+                         id="compare-band-x-0"),
             pytest.param(["simulate", "--n", "10", "--bound", "3", "--seed", "-1"],
                          "seed", id="simulate-seed"),
             pytest.param(["compare", "--regime", "small_phi", "--n", "100", "--x",
