@@ -330,17 +330,19 @@ def conditional_reduced_pmf(
     )
 
 
-def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons) -> np.ndarray:
+def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons):
     """P(1 <= Z(u) <= C) at each horizon u of ``horizons``, from a
     degree-C pass cut short.
 
     The pass stops at the first split generation r = 2, 4, 8, ... at
     which the tail bound of ``_tail_order`` over every horizon u > r
-    picks an order J <= r below C, with the r steps, the J convolutions
-    and those of the earlier tries at most n.  Masses to u = r are read
-    off the pass; past r each is sum_{j<=J} p_j(u) P(S_j <= C), the rows
-    p_j(u) from one pass of n - r steps at degree J started at
-    q_r + (1-q_r)s.  Where no r qualifies the pass runs on to n.
+    picks an order J <= r below C.  A try at r is made only while r,
+    its cap on J and the caps of the earlier tries add up to at most n,
+    so a split never takes more than n degree-C steps and convolutions.
+    Masses to u = r are read off the pass; past r each is
+    sum_{j<=J} p_j(u) P(S_j <= C), the rows p_j(u) from one pass of
+    n - r steps at degree J started at q_r + (1-q_r)s.  Where no r
+    qualifies the pass runs on to n.
     """
     masses = np.empty(n + 1)
     slopes = pgf_derivatives(law, qs[:-1], 1)[1]
