@@ -126,16 +126,16 @@ def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
 
 
 def _row_pass(law: OffspringLaw, m: int, q: float, J: int):
-    """Yield the reduced rows p_1..p_J after k = 0, 1, ..., m steps:
-    p_j is the s^j coefficient of f_k(q + (1-q)s)."""
-    return (g[1:] for g in iterates(law, m, J, q, 1.0 - q))
+    """The series f_k(q + (1-q)s) at degree J for k = 0, 1, ..., m: the
+    s^j coefficient after k steps is the reduced row p_j, j = 1..J."""
+    return iterates(law, m, J, q, 1.0 - q)
 
 
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
     """Unconditional reduced pmf p_1..p_J at intermediate generation m."""
-    for rows in _row_pass(law, m, q, J):
+    for g in _row_pass(law, m, q, J):
         pass
-    return rows
+    return g[1:]
 
 
 def _cut(rows: np.ndarray, total: float, tol: float) -> np.ndarray:
@@ -359,9 +359,9 @@ def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons)
             r, spent = 2 * r, spent + cap
     if fits is not None:
         fits, wanted = np.array(fits), set(horizons)
-        for u, rows in enumerate(_row_pass(law, n - r, qs[r], len(fits)), start=r):
+        for u, g in enumerate(_row_pass(law, n - r, qs[r], len(fits)), start=r):
             if u > r and u in wanted:
-                masses[u] = (rows * fits).sum()
+                masses[u] = (g[1:] * fits).sum()
     return masses[horizons]
 
 
