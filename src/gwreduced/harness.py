@@ -228,8 +228,9 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", tuple(
             (n, *_experiment_geometry(self, n)) for n in self.n_grid
         ))
-        # each table's first pass is n - m steps at degree C; refuse an
-        # over-budget horizon before any earlier one is computed
+        # a table's degree-C pass runs at most n - m steps, and fewer
+        # where it splits; pricing all of them refuses an over-budget
+        # horizon before any earlier one is computed
         for n, m, C in self.horizons:
             series.check_budget(n - m, C)
 

@@ -12,27 +12,36 @@ steps started from q + (1-q)s at degree J: no derivatives, no
 factorials and no cap on J, which grows by doubling until the rows hold
 all but epsilon of their total.  Joint laws with a smallness event
 {0 < Z(n) <= C} use the subtree decomposition: given j reduced lines at
-m, the terminal population is a sum of j iid copies of Z(n-m)
+m, the terminal population is a sum S_j of j iid copies of Z(n-m)
 conditioned positive, so the joint pmf is the unconditional pmf times
-a C-truncated convolution mass, and rows past j = C vanish.  A pass of
-n-m steps at degree C gives the subtree pmf f_{n-m}; the event
+the mass P(S_j <= C), and rows past j = C vanish.  The event
 probability P(0 < Z(n) <= C) is the sum of the joint rows, taken to an
-order fixed in advance by a tail bound, so no joint or conditional
-table runs a pass to n at degree C.  The most recent common ancestor
-of the survivors sits at distance <= u from the terminal time exactly
-when the reduced count at n-u is 1, which turns the ancestor-distance
-cdf into a family of single-line probabilities: by the chain rule each
-is a product of slopes f'(q_k) times the mass P(1 <= Z(u) <= C).  The
-masses take one of two routes.  A degree-C pass over f_0, f_1, ...
-gives them directly; it stops at the first split generation r = 2, 4,
-8, ... at which the tail bound of the joint rows, taken over every
-horizon past r, picks an order J <= r below C.  Past r the same
-decomposition gives each mass as sum_{j<=J} p_j(u) P(S_j <= C), with
-the rows p_j(u) read off one pass of n - r steps at degree J, one
-horizon per step.  Where no r qualifies within n steps, or J would
-reach C, the degree-C pass runs on to n.  The split depends only on
-(law, n, C), so the cdf at u has the same bits whatever other
-distances are asked for.
+order fixed in advance by a tail bound.  The most recent common
+ancestor of the survivors sits at distance <= u from the terminal time
+exactly when the reduced count at n-u is 1, which turns the
+ancestor-distance cdf into a family of single-line probabilities: by
+the chain rule each is a product of slopes f'(q_k) times the mass
+P(1 <= Z(u) <= C).
+
+Tables and the cdf read the subtree sizes off one degree-C pass over
+f_0, f_1, ..., cut short by one rule: the pass stops at the first split
+generation r = 2, 4, 8, ... at which the tail bound, taken over every
+horizon past r, picks an order J <= r below C, trying r only while it
+and the tries' caps on J fit within the pass, n steps for the cdf and
+n - m for a table.  The split depends on (law, n, C) alone, and a
+table's tries are a prefix of the cdf's, so a table splits where the
+cdf does or not at all.  Past r the decomposition applies once more: a
+subtree of depth h > r is a sum of R copies of Z(r) given Z(r) > 0, R
+its reduced count at h - r given survival.  A cdf mass is then
+sum_{j<=J} p_j(u) P(S_j <= C), with the rows p_j(u) read off one pass
+of n - r steps at degree J, one horizon per step; a table's mass
+P(S_j <= C) is sum_k P(R_1 + ... + R_j = k) P(S^(r)_k <= C), with the
+pmf of R from one pass of n - m - r steps at a degree D <= C and the
+j-fold sums convolved at degree D.  Where no r qualifies the
+degree-C pass runs to its end.  The n*K^2 budget prices the steps a
+pass runs: a pass that may split runs as many as the budget allows and
+is refused only if no split qualifies within them.  The cdf at u has
+the same bits whatever other distances are asked for.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import series
 from .errors import (
     ConditioningImpossibleError, SeriesBudgetError, reduced_count, whole_number
 )
@@ -212,30 +222,29 @@ def _bounded_sum_masses(s1: np.ndarray):
         s = np.convolve(s, s1)[: C + 1]
 
 
-def _tail_order(s1: np.ndarray, survival, p1, cap: int) -> list | None:
-    """P(S_1 <= C), ..., P(S_J <= C) up to the order J the tail bound picks.
+def _tail_order(sums, survival, p1, cap: int, low: float = 0.0) -> list | None:
+    """P(S_1 <= C), ..., P(S_{J+1} <= C) drawn from ``sums`` for the order
+    J the tail bound picks.
 
-    ``s1`` is the single-copy pmf of ``_bounded_sum_masses``.  Since
+    ``sums`` yields the masses of ``_bounded_sum_masses``.  Since
     P(S_j <= C) falls in j and rows p_j of a reduced count sum to the
     survival probability, the joint rows past J add at most
     P(S_{J+1} <= C) * survival, and J is the first order at which that
     is below 2^-52 times the first row p_1 P(S_1 <= C), itself a lower
-    bound on the rows' total.  ``survival`` and ``p1`` may be arrays
-    over several horizons, and then the bound holds at each.  None if
-    J would pass ``cap``; that takes no convolution when P(S_{cap+1} <= C)
-    is already too large for the bound because every copy may be at
-    most C // (cap + 1), which is the whole event at cap = C - 1.
+    bound on the rows' total; the last mass returned is the first below
+    the bound.  ``survival`` and ``p1`` may be arrays over several
+    horizons, and then the bound holds at each.  None if J would pass
+    ``cap``; that takes no convolution when ``low``, a lower bound on
+    P(S_{cap+1} <= C), is already too large for the bound.
     """
-    fits = islice(_bounded_sum_masses(s1), cap + 1)
-    masses = [next(fits)]
+    masses = [next(sums)]
     floor = 2.0**-52 * p1 * masses[0]
-    low = s1[: (len(s1) - 1) // (cap + 1) + 1].sum() ** (cap + 1)
     if np.any(low * survival > floor):
         return None
-    for mass in fits:
+    for mass in islice(sums, cap):
         masses.append(mass)
         if not np.any(mass * survival > floor):
-            return masses[:-1]
+            return masses
     return None
 
 
@@ -246,28 +255,125 @@ def _single_line_chain(law: OffspringLaw, qs: np.ndarray) -> np.ndarray:
     return np.append(np.cumprod(slopes[::-1])[::-1], 1.0)
 
 
+def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
+    """The degree-C pass f_0, f_1, ... of at most ``steps`` steps, cut
+    short at the split generation of (law, n, C).
+
+    Tries are made at r = 2, 4, 8, ...: the try at r qualifies if the
+    tail bound of ``_tail_order`` on the sums of copies of Z(r) given
+    Z(r) > 0, over every horizon v in (r, n], picks an order J <= r
+    below C.  A try is made only while r, its cap on J and the caps of
+    the earlier tries add up to at most ``steps``, so a split costs no
+    more degree-C steps and convolutions than the pass it cuts short.
+    A try and its outcome depend on (law, n, C) and r alone, so a pass
+    of fewer steps splits where a longer one does, or not at all.  The
+    pass runs only as many steps as the n*K^2 budget allows at degree
+    C; where no split qualifies within them, the whole pass is refused
+    with SeriesBudgetError.
+
+    Returns the masses P(1 <= Z(u) <= C) for u = 0..r, the pmf of Z(r)
+    to degree C and, at a split, the masses P(S_1 <= C), ...,
+    P(S_{J+1} <= C) of ``_tail_order`` with the generator of the later
+    ones; where the pass runs all ``steps`` steps, the last two are None.
+    """
+    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+    run = min(steps, int(series.DEFAULT_COST_CAP // (float(C) * C)))
+    if run < 2:
+        # too few steps for a try: iterates refuses an over-budget pass
+        run = steps
+    masses, r, spent = [], 2, 0
+    for u, coeffs in enumerate(iterates(law, run, C)):
+        masses.append(coeffs[1:].sum())
+        cap = min(r, C - 1)
+        if u == r and r + spent + cap <= steps:
+            # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r, and
+            # P(S_{cap+1} <= C) >= P(S_1 <= C // (cap + 1))^(cap + 1)
+            p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
+            s1 = _positive_part(coeffs)
+            low = s1[: C // (cap + 1) + 1].sum() ** (cap + 1)
+            sums = _bounded_sum_masses(s1)
+            fits = _tail_order(sums, 1.0 - qs[r + 1 :], p1, cap, low)
+            if fits is not None:
+                return np.array(masses), coeffs, fits, sums
+            r, spent = 2 * r, spent + cap
+    if u < steps:
+        try:
+            next(iterates(law, steps, C))
+        except SeriesBudgetError as exc:
+            raise SeriesBudgetError(
+                f"{exc}; no split generation qualifies within the {u} steps it allows"
+            ) from None
+    return np.array(masses), coeffs, None, None
+
+
+def _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1):
+    """P(S_j <= C) for j = 1..J, S_j a sum of j subtree sizes Z(h) given
+    Z(h) > 0, from a split generation r < h of ``_split_pass``.
+
+    Each subtree size is a sum of R copies of Z(r) given Z(r) > 0, with
+    R the reduced count at h - r out of h given survival, so
+    P(S_j <= C) = sum_k P(R_1 + ... + R_j = k) M_k, M_k = P(S^(r)_k <= C)
+    from ``fits`` and then ``sums``.  The pmf of R is one row pass of
+    h - r steps at a degree D, and the j-fold sums are convolutions at
+    degree D.  J is the tail-bound order of ``_tail_order`` on these
+    masses.  The sum over k stops at the first K at which every row
+    j <= J + 1 keeps its relative accuracy: M_{K+1} P(R_1 + ... + R_j > K)
+    bounds the terms past K and must be below 2^-52 times the row.  D
+    starts at 2(J' + 1), J' the split's order, and doubles, up to C,
+    while J + 1 would pass it or K reaches it; at D = C the sums are
+    exact.
+    """
+    M, D = list(fits), min(C, 2 * len(fits))
+    while True:
+        for g in _row_pass(law, h - r, qs[r], D):
+            pass
+        # row j - 1 is the pmf of R_1 + ... + R_j on 0..D
+        sizes = _positive_part(g)
+        T = [sizes]
+        for _ in range(D - 1):
+            T.append(np.convolve(T[-1], sizes)[: D + 1])
+        T = np.array(T)
+        above = np.maximum(1.0 - np.cumsum(T, axis=1), 0.0)
+        for K in range(len(M) - 1, D + 1):
+            if K == len(M):
+                M.append(next(sums))
+            V = (T[:, 1 : K + 1] * M[:K]).sum(axis=1)
+            stop = np.nonzero(V[1:] * survival <= 2.0**-52 * p1 * V[0])[0]
+            J = stop[0] + 1 if len(stop) else D
+            if J == D < C:
+                break  # row J + 1 lies past degree D
+            if np.all(M[K] * above[: J + 1, K] <= 2.0**-52 * V[: J + 1]):
+                return V[:J]
+        D = min(C, 2 * D)
+
+
 def _joint_rows(law, m, n, C, epsilon):
     """Joint rows and the event probability P(0 < Z(n) <= C).
 
     Row j is the reduced row p_j times the chance P(S_j <= C) that j
-    surviving subtrees keep the total at or below C.  A pass of n - m
-    steps at degree C gives the subtree size pmf, from f_{n-m}; one pass
-    of m steps at an order J gives the reduced rows.  The event
-    probability is the sum of rows 1..J, J from the tail bound of
-    ``_tail_order``.  So no pass runs to n at degree C, J is chosen
-    before the row pass, and the rows returned are those 1..J cut at
-    the first order whose remainder is below epsilon times the event
-    probability.
+    surviving subtrees of n - m generations keep the total at or below
+    C.  The subtree sizes come from the degree-C pass of
+    ``_split_pass`` over n - m steps.  Where it stops at a split
+    generation r, ``_split_sum_masses`` takes the masses on from there,
+    so no pass runs to n - m at degree C; otherwise they are the
+    convolutions of the size pmf at n - m.  One pass of m steps at the
+    order J of the tail bound of ``_tail_order`` gives the reduced rows,
+    so J is chosen before the row pass.  The event probability is the
+    sum of rows 1..J, and the rows returned are those 1..J cut at the
+    first order whose remainder is below epsilon times it.
     """
-    r = n - m
-    for subtree in iterates(law, r, C):
-        pass
+    h = n - m
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
-    q, survival = qs[r], 1.0 - qs[n]
-    # p_1 = (1 - q_r) f_m'(q_r)
-    p1 = (1.0 - q) * _single_line_chain(law, qs[r:])[0]
-    # J <= C, as P(S_{C+1} <= C) = 0
-    masses = _tail_order(_positive_part(subtree), survival, p1, C)
+    head, subtree, fits, sums = _split_pass(law, n, C, qs, h)
+    q, survival = qs[h], 1.0 - qs[n]
+    # p_1 = (1 - q_h) f_m'(q_h)
+    p1 = (1.0 - q) * _single_line_chain(law, qs[h:])[0]
+    if fits is None:
+        # J <= C, as P(S_{C+1} <= C) = 0
+        masses = _tail_order(_bounded_sum_masses(_positive_part(subtree)), survival, p1, C)[:-1]
+    else:
+        r = len(head) - 1
+        masses = _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1)
     rows = _reduced_rows(law, m, q, len(masses)) * masses
     event_prob = float(rows.sum())
     return _cut(rows, event_prob, epsilon * event_prob), event_prob
@@ -331,34 +437,19 @@ def conditional_reduced_pmf(
 
 
 def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons):
-    """P(1 <= Z(u) <= C) at each horizon u of ``horizons``, from a
-    degree-C pass cut short.
+    """P(1 <= Z(u) <= C) at each horizon u of ``horizons``, from the
+    degree-C pass of ``_split_pass`` over n steps.
 
-    The pass stops at the first split generation r = 2, 4, 8, ... at
-    which the tail bound of ``_tail_order`` over every horizon u > r
-    picks an order J <= r below C.  A try at r is made only while r,
-    its cap on J and the caps of the earlier tries add up to at most n,
-    so a split never takes more than n degree-C steps and convolutions.
-    Masses to u = r are read off the pass; past r each is
-    sum_{j<=J} p_j(u) P(S_j <= C), the rows p_j(u) from one pass of
-    n - r steps at degree J started at q_r + (1-q_r)s.  Where no r
-    qualifies the pass runs on to n.
+    Masses to u = r, where the pass stops, are read off it.  Past a
+    split generation r each is sum_{j<=J} p_j(u) P(S_j <= C), the rows
+    p_j(u) from one pass of n - r steps at degree J started at
+    q_r + (1-q_r)s, one horizon per step.
     """
-    masses = np.empty(n + 1)
-    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
-    r, spent, fits = 2, 0, None
-    for u, coeffs in enumerate(iterates(law, n, C)):
-        masses[u] = coeffs[1:].sum()
-        cap = min(r, C - 1)
-        if u == r and r + spent + cap <= n:
-            # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r
-            p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
-            fits = _tail_order(_positive_part(coeffs), 1.0 - qs[r + 1 :], p1, cap)
-            if fits is not None:
-                break
-            r, spent = 2 * r, spent + cap
+    head, _, fits, _ = _split_pass(law, n, C, qs, n)
+    r = len(head) - 1
+    masses = np.concatenate([head, np.empty(n - r)])
     if fits is not None:
-        fits, wanted = np.array(fits), set(horizons)
+        fits, wanted = np.array(fits[:-1]), set(horizons)
         for u, g in enumerate(_row_pass(law, n - r, qs[r], len(fits)), start=r):
             if u > r and u in wanted:
                 masses[u] = (g[1:] * fits).sum()

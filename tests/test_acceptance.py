@@ -285,8 +285,10 @@ def test_a10_monte_carlo_agreement(verdict):
     C = int(a * law.half_variance * n)
     m = n // 2
     table = conditional_reduced_pmf(law, m, n, C)
+    # batches are byte-identical across worker counts, so two workers
+    # draw the same sample in about half the time
     batch = run_conditioned_batch(
-        law, n, C, [m], target_accepted=100_000, seed=20260814
+        law, n, C, [m], target_accepted=100_000, seed=20260814, workers=2
     )
     counts = np.bincount(batch.reduced_counts[:, 0], minlength=table.j_max + 2)
     observed = list(counts[1 : table.j_max + 1]) + [int(counts[table.j_max + 1 :].sum())]

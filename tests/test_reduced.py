@@ -300,26 +300,64 @@ class TestConditionalTable:
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert reduced_pmf(law, m, n).event_prob is None
 
-    @pytest.mark.parametrize("law", [LF, POIS, TERNARY], ids=["lf", "poisson", "ternary"])
-    def test_two_short_passes(self, law, monkeypatch):
-        # n - m steps at degree C for the subtree sizes, m steps at one
-        # degree J for the rows, and no pass of n steps at degree C
-        passes = []
+    @staticmethod
+    def _route(build, *args, monkeypatch):
+        # the output of one call, the (steps, degree) of each pass it asks
+        # of iterates and the degree of each composition step it makes
+        passes, degrees = [], []
+        step, run = series.compose_step, series.iterates
 
-        def counted(*args, **kwargs):
+        def spied_step(law, g):
+            degrees.append(len(g) - 1)
+            return step(law, g)
+
+        def spied_iterates(*args, **kwargs):
             passes.append(args[1:3])
-            return series.iterates(*args, **kwargs)
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(reduced, "iterates", counted)
-        m, n, C = 50, 60, 20
+        monkeypatch.setattr(series, "compose_step", spied_step)
+        monkeypatch.setattr(reduced, "iterates", spied_iterates)
+        out = build(*args)
+        monkeypatch.undo()
+        return out, passes, degrees
+
+    @pytest.mark.parametrize("law", [LF, POIS, TERNARY], ids=["lf", "poisson", "ternary"])
+    def test_split_table_stops_at_the_cdf_split(self, law, monkeypatch):
+        # r0 degree-C steps, r0 that of the cdf at the same (law, n, C),
+        # then a row pass of n - m - r0 steps and one of m steps, both at
+        # degrees below C
+        m, n = 400, 800
+        C = _band_bound(law, n)
+        _, _, cdf_degrees = self._route(
+            mrca_distance_cdf, law, n, C, [n // 2], monkeypatch=monkeypatch
+        )
+        r0 = cdf_degrees.count(C)
+        assert r0 < n - m
         for build in (conditional_reduced_pmf, joint_reduced_bounded):
-            passes.clear()
-            table = build(law, m, n, C)
+            table, passes, degrees = self._route(build, law, m, n, C, monkeypatch=monkeypatch)
+            assert degrees.count(C) == r0
+            assert passes[0] == (n - m, C)
+            (narrow, D), (steps, J) = passes[1:]
+            assert narrow == n - m - r0 and D < C
+            assert steps == m and table.j_max <= J <= D
+
+    @pytest.mark.parametrize(
+        "law,m,n,C",
+        [(LF, 50, 60, 20), (POIS, 50, 60, 20), (TERNARY, 50, 60, 20), (LF, 720, 800, 800)],
+        ids=["lf", "poisson", "ternary", "lf-band-t0.9"],
+    )
+    def test_two_short_passes_where_no_split_pays(self, law, m, n, C, monkeypatch):
+        # n - m steps at degree C for the subtree sizes and m steps at one
+        # degree J for the rows.  At t = 0.9 in the band the cdf splits at
+        # r0 = 64, but r0 and the caps of the tries up to it pass n - m = 80
+        for build in (conditional_reduced_pmf, joint_reduced_bounded):
+            table, passes, degrees = self._route(build, law, m, n, C, monkeypatch=monkeypatch)
             assert len(passes) == 2
             assert passes[0] == (n - m, C)
             steps, J = passes[1]
             assert steps == m
             assert table.j_max <= J <= C
+            assert degrees == [C] * (n - m) + [J] * m
 
     @pytest.mark.parametrize(
         "law,m,n,C",
@@ -561,6 +599,90 @@ class TestMrcaSplitRoute:
         assert degree_c == 64
         assert len(rows) == n - 64 and 40 <= rows[0] <= 64
         assert degree_c + convolutions <= n
+
+
+TABLE_LAWS = {**SPLIT_LAWS, "no_single": NO_SINGLE}
+
+
+def _full_pass_joint_rows(law, m, n, C, epsilon):
+    """Joint rows and event probability from the subtree pmf of one
+    degree-C pass of n - m steps, convolved at degree C."""
+    h = n - m
+    for subtree in series.iterates(law, h, C):
+        pass
+    qs = np.fromiter(series.iter_extinction_probs(law, n), float, n + 1)
+    q, survival = qs[h], 1.0 - qs[n]
+    p1 = (1.0 - q) * reduced._single_line_chain(law, qs[h:])[0]
+    sums = reduced._bounded_sum_masses(reduced._positive_part(subtree))
+    masses = reduced._tail_order(sums, survival, p1, C)[:-1]
+    rows = reduced._reduced_rows(law, m, q, len(masses)) * masses
+    event_prob = float(rows.sum())
+    return reduced._cut(rows, event_prob, epsilon * event_prob), event_prob
+
+
+class TestJointSplitRoute:
+    """Past the split generation r0 of (law, n, C) the joint rows read the
+    subtree sizes as sums of copies of Z(r0) instead of running n - m
+    steps at degree C."""
+
+    @pytest.mark.parametrize("law", TABLE_LAWS.values(), ids=TABLE_LAWS.keys())
+    @pytest.mark.parametrize("t", [0.5, 0.75, 0.9, 0.97])
+    @pytest.mark.parametrize(
+        "n,bound",
+        [(800, _band_bound), (2000, _band_bound), (1000, _window_bound),
+         (4000, _window_bound)],
+        ids=["band-800", "band-2000", "window-1000", "window-4000"],
+    )
+    def test_matches_full_pass(self, law, n, bound, t, monkeypatch):
+        C, m = bound(law, n), round(t * n)
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[1:3])
+            return series.iterates(*args, **kwargs)
+
+        monkeypatch.setattr(reduced, "iterates", counted)
+        table = joint_reduced_bounded(law, m, n, C)
+        monkeypatch.undo()
+        rows, event_prob = _full_pass_joint_rows(law, m, n, C, table.epsilon)
+        split = len(passes) > 2
+        if bound is _band_bound and t <= 0.75:
+            assert split
+        if split:
+            assert table.j_max == len(rows)
+            assert table.pmf == pytest.approx(rows, rel=1e-13, abs=0.0)
+            assert table.event_prob == pytest.approx(event_prob, rel=1e-13, abs=0.0)
+        else:
+            assert table.pmf.tobytes() == rows.tobytes()
+            assert table.event_prob == event_prob
+
+    def test_split_table_is_budgeted_by_its_own_steps(self, monkeypatch):
+        # n - m = 400 steps at degree C = 800 are over this cap, the 64
+        # steps before the split are not; the route and its bits are the
+        # same as under the default cap
+        want = conditional_reduced_pmf(LF, 400, 800, 800)
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e8)
+        got = conditional_reduced_pmf(LF, 400, 800, 800)
+        assert got.pmf.tobytes() == want.pmf.tobytes()
+        assert got.event_prob == want.event_prob
+
+    def test_cdf_over_the_full_budget_splits(self):
+        # n*C^2 = 1.25e11 is over the default cap; the split makes 128
+        # steps at degree C
+        n = C = 5000
+        cdf = mrca_distance_cdf(LF, n, C, [n // 2])
+        assert cdf[0] == pytest.approx(lf_oracle.mrca_cdf(n, C, n // 2), rel=n * 1e-15)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: mrca_distance_cdf(LF, 1000, 3, [5]),
+                  lambda: joint_reduced_bounded(LF, 500, 1000, 3)],
+        ids=["cdf", "table"],
+    )
+    def test_fallback_over_budget_is_refused(self, build, monkeypatch):
+        # no split generation qualifies, so the whole pass is priced
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e3)
+        with pytest.raises(SeriesBudgetError, match="no split generation qualifies"):
+            build()
 
 
 class TestNoSingleChildLaw:
