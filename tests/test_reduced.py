@@ -838,7 +838,7 @@ def _digest(law) -> str:
         ("ternary_uniform",
          "c3744c0280f24ce4f50771d3ea2f2e16ed483bac14eda0972bd284321e1aebf3"),
         ([0.5, 0.0, 0.5],
-         "85e609f4e458df2cb758d7089d4efc05ae2ce633041c768ab7a423c6385d3ce5"),
+         "5709c70ef8f9244b75f0c59ebda67b6bc0ac701d676752115eac2057c896b6ea"),
         ([0.3, 0.45, 0.2, 0.05],
          "441ebcdc9099a44ac81ca2fa3e33604cd2b4ec8fff6a347d722f06e9b48eb8ae"),
     ],
