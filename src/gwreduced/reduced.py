@@ -263,8 +263,8 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
     tail bound of ``_tail_order`` on the sums of copies of Z(r) given
     Z(r) > 0, over every horizon v in (r, n], picks an order J <= r
     below C.  A try is made only while r, its cap on J and the caps of
-    the earlier tries add up to at most ``steps``, so a split costs no
-    more degree-C steps and convolutions than the pass it cuts short.
+    the earlier tries add up to at most ``steps``, so the tries' steps
+    and convolutions at degree C stay within the pass they may cut short.
     A try and its outcome depend on (law, n, C) and r alone, so a pass
     of fewer steps splits where a longer one does, or not at all.  The
     pass runs only as many steps as the n*K^2 budget allows at degree

@@ -264,6 +264,27 @@ class TestJointBounded:
         assert abs(table.mass_accounted - want) < 1e-8
 
 
+def _route(build, *args, monkeypatch):
+    """The output of one call, the (steps, degree) of each pass it asks
+    of iterates and the degree of each composition step it makes."""
+    passes, degrees = [], []
+    step, run = series.compose_step, series.iterates
+
+    def spied_step(law, g):
+        degrees.append(len(g) - 1)
+        return step(law, g)
+
+    def spied_iterates(*args, **kwargs):
+        passes.append(args[1:3])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(series, "compose_step", spied_step)
+    monkeypatch.setattr(reduced, "iterates", spied_iterates)
+    out = build(*args)
+    monkeypatch.undo()
+    return out, passes, degrees
+
+
 class TestConditionalTable:
     def test_normalization(self):
         table = conditional_reduced_pmf(TERNARY, 5, 10, C=3)
@@ -300,27 +321,6 @@ class TestConditionalTable:
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
         assert reduced_pmf(law, m, n).event_prob is None
 
-    @staticmethod
-    def _route(build, *args, monkeypatch):
-        # the output of one call, the (steps, degree) of each pass it asks
-        # of iterates and the degree of each composition step it makes
-        passes, degrees = [], []
-        step, run = series.compose_step, series.iterates
-
-        def spied_step(law, g):
-            degrees.append(len(g) - 1)
-            return step(law, g)
-
-        def spied_iterates(*args, **kwargs):
-            passes.append(args[1:3])
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(series, "compose_step", spied_step)
-        monkeypatch.setattr(reduced, "iterates", spied_iterates)
-        out = build(*args)
-        monkeypatch.undo()
-        return out, passes, degrees
-
     @pytest.mark.parametrize("law", [LF, POIS, TERNARY], ids=["lf", "poisson", "ternary"])
     def test_split_table_stops_at_the_cdf_split(self, law, monkeypatch):
         # r0 degree-C steps, r0 that of the cdf at the same (law, n, C),
@@ -328,13 +328,13 @@ class TestConditionalTable:
         # degrees below C
         m, n = 400, 800
         C = _band_bound(law, n)
-        _, _, cdf_degrees = self._route(
+        _, _, cdf_degrees = _route(
             mrca_distance_cdf, law, n, C, [n // 2], monkeypatch=monkeypatch
         )
         r0 = cdf_degrees.count(C)
         assert r0 < n - m
         for build in (conditional_reduced_pmf, joint_reduced_bounded):
-            table, passes, degrees = self._route(build, law, m, n, C, monkeypatch=monkeypatch)
+            table, passes, degrees = _route(build, law, m, n, C, monkeypatch=monkeypatch)
             assert degrees.count(C) == r0
             assert passes[0] == (n - m, C)
             (narrow, D), (steps, J) = passes[1:]
@@ -351,7 +351,7 @@ class TestConditionalTable:
         # degree J for the rows.  At t = 0.9 in the band the cdf splits at
         # r0 = 64, but r0 and the caps of the tries up to it pass n - m = 80
         for build in (conditional_reduced_pmf, joint_reduced_bounded):
-            table, passes, degrees = self._route(build, law, m, n, C, monkeypatch=monkeypatch)
+            table, passes, degrees = _route(build, law, m, n, C, monkeypatch=monkeypatch)
             assert len(passes) == 2
             assert passes[0] == (n - m, C)
             steps, J = passes[1]
@@ -635,15 +635,7 @@ class TestJointSplitRoute:
     )
     def test_matches_full_pass(self, law, n, bound, t, monkeypatch):
         C, m = bound(law, n), round(t * n)
-        passes = []
-
-        def counted(*args, **kwargs):
-            passes.append(args[1:3])
-            return series.iterates(*args, **kwargs)
-
-        monkeypatch.setattr(reduced, "iterates", counted)
-        table = joint_reduced_bounded(law, m, n, C)
-        monkeypatch.undo()
+        table, passes, _ = _route(joint_reduced_bounded, law, m, n, C, monkeypatch=monkeypatch)
         rows, event_prob = _full_pass_joint_rows(law, m, n, C, table.epsilon)
         split = len(passes) > 2
         if bound is _band_bound and t <= 0.75:
