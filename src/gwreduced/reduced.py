@@ -271,31 +271,36 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
     C; where no split qualifies within them, the whole pass is refused
     with SeriesBudgetError.
 
-    Returns the masses P(1 <= Z(u) <= C) for u = 0..r, the pmf of Z(r)
-    to degree C and, at a split, the masses P(S_1 <= C), ...,
-    P(S_{J+1} <= C) of ``_tail_order`` with the generator of the later
-    ones; where the pass runs all ``steps`` steps, the last two are None.
+    Yields, for u = 0, 1, ..., r, the pmf of Z(u) to degree C with, at
+    a split r, the masses P(S_1 <= C), ..., P(S_{J+1} <= C) of
+    ``_tail_order`` and the generator of the later ones, or else two
+    Nones; without a split, r is ``steps``.
     """
-    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
     run = min(steps, int(series.DEFAULT_COST_CAP // (float(C) * C)))
     if run < 2:
         # too few steps for a try: iterates refuses an over-budget pass
         run = steps
-    masses, r, spent = [], 2, 0
+    r, spent, slopes = 2, 0, None
     for u, coeffs in enumerate(iterates(law, run, C)):
-        masses.append(coeffs[1:].sum())
         cap = min(r, C - 1)
         if u == r and r + spent + cap <= steps:
-            # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r, and
-            # P(S_{cap+1} <= C) >= P(S_1 <= C // (cap + 1))^(cap + 1)
-            p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
+            # P(S_{cap+1} <= C) >= P(S_1 <= C // (cap + 1))^(cap + 1); as
+            # p_1(v) <= 1 - q_v, that alone fails the bound if it passes
+            # 2^-52 P(S_1 <= C), and then no slope is needed
             s1 = _positive_part(coeffs)
             low = s1[: C // (cap + 1) + 1].sum() ** (cap + 1)
-            sums = _bounded_sum_masses(s1)
-            fits = _tail_order(sums, 1.0 - qs[r + 1 :], p1, cap, low)
-            if fits is not None:
-                return np.array(masses), coeffs, fits, sums
+            if low <= 2.0**-52 * s1.sum():
+                if slopes is None:
+                    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+                # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r
+                p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
+                sums = _bounded_sum_masses(s1)
+                fits = _tail_order(sums, 1.0 - qs[r + 1 :], p1, cap, low)
+                if fits is not None:
+                    yield coeffs, fits, sums
+                    return
             r, spent = 2 * r, spent + cap
+        yield coeffs, None, None
     if u < steps:
         try:
             next(iterates(law, steps, C))
@@ -303,7 +308,6 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
             raise SeriesBudgetError(
                 f"{exc}; no split generation qualifies within the {u} steps it allows"
             ) from None
-    return np.array(masses), coeffs, None, None
 
 
 def _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1):
@@ -364,7 +368,8 @@ def _joint_rows(law, m, n, C, epsilon):
     """
     h = n - m
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
-    head, subtree, fits, sums = _split_pass(law, n, C, qs, h)
+    for r, (subtree, fits, sums) in enumerate(_split_pass(law, n, C, qs, h)):
+        pass
     q, survival = qs[h], 1.0 - qs[n]
     # p_1 = (1 - q_h) f_m'(q_h)
     p1 = (1.0 - q) * _single_line_chain(law, qs[h:])[0]
@@ -372,7 +377,6 @@ def _joint_rows(law, m, n, C, epsilon):
         # J <= C, as P(S_{C+1} <= C) = 0
         masses = _tail_order(_bounded_sum_masses(_positive_part(subtree)), survival, p1, C)[:-1]
     else:
-        r = len(head) - 1
         masses = _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1)
     rows = _reduced_rows(law, m, q, len(masses)) * masses
     event_prob = float(rows.sum())
@@ -445,9 +449,9 @@ def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons)
     p_j(u) from one pass of n - r steps at degree J started at
     q_r + (1-q_r)s, one horizon per step.
     """
-    head, _, fits, _ = _split_pass(law, n, C, qs, n)
-    r = len(head) - 1
-    masses = np.concatenate([head, np.empty(n - r)])
+    masses = np.empty(n + 1)
+    for r, (coeffs, fits, _) in enumerate(_split_pass(law, n, C, qs, n)):
+        masses[r] = coeffs[1:].sum()
     if fits is not None:
         fits, wanted = np.array(fits[:-1]), set(horizons)
         for u, g in enumerate(_row_pass(law, n - r, qs[r], len(fits)), start=r):
