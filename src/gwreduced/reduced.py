@@ -285,7 +285,7 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
         cap = min(r, C - 1)
         if u == r and r + spent + cap <= steps:
             # P(S_{cap+1} <= C) >= P(S_1 <= C // (cap + 1))^(cap + 1); as
-            # p_1(v) <= 1 - q_v, that alone fails the bound if it passes
+            # p_1(v) <= 1 - q_v, that alone fails the bound if it exceeds
             # 2^-52 P(S_1 <= C), and then no slope is needed
             s1 = _positive_part(coeffs)
             low = s1[: C // (cap + 1) + 1].sum() ** (cap + 1)
