@@ -22,11 +22,13 @@ are known, one correlation gives their contribution r to degrees
 a..2a-1 and h_a..h_{2a-1} = h * r, so each stage doubles the known
 prefix.  For the exponential e^(g-1), w_i = i g_i and d_k = k, which
 is not Toeplitz.  Its first BLOCK degrees are solved one coefficient
-at a time and each later block of BLOCK degrees by its inverse: one
-correlation for the contribution of all earlier coefficients, then one
-matvec, with the inverses built for all blocks at once from a nilpotent
-Neumann product.  Blocks start at fixed degrees, so coefficient k has
-the same bits at every degree K >= k.
+at a time in Python floats, each sum in a fixed left-to-right order:
+a numpy call per degree cost more than the arithmetic it did.  Each
+later block of BLOCK degrees is solved by its inverse: one correlation
+for the contribution of all earlier coefficients, then one matvec,
+with the inverses built for all blocks at once from a nilpotent
+Neumann product.  The head and the blocks start at fixed degrees, so
+coefficient k has the same bits at every degree K >= k.
 Finite-support laws evaluate the polynomial f at g by Horner's rule.
 Every coefficient involved is nonnegative and no step subtracts, so
 nothing cancels and each coefficient keeps its relative accuracy, deep
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -51,6 +54,7 @@ DEFAULT_COST_CAP = 1e11
 # matrix is w_{i-j}, and w_0 = 0 fills the diagonal and above
 BLOCK = 16
 _BLOCK_LAG = np.maximum(np.subtract.outer(np.arange(BLOCK), np.arange(BLOCK)), 0)
+_EYE = np.eye(BLOCK)
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,27 @@ def _step_reciprocal(g: np.ndarray) -> np.ndarray:
 def _step_exponential(g: np.ndarray) -> np.ndarray:
     # f(s) = e^(s-1): h' = g' h gives k h_k = sum i g_i h_{k-i}
     K = len(g) - 1
+    w = g * np.arange(K + 1)
+    # the head, degrees 1..min(K, BLOCK), in Python floats: a scalar
+    # np.dot per degree cost more than the arithmetic it did.  Each sum
+    # runs left to right in a plain loop, an order no BLAS kernel can
+    # change (sum() compensates float sums from Python 3.12 on)
+    head = w[: BLOCK + 1].tolist()
+    h_head = [math.exp(g[0] - 1.0)]
+    for k in range(1, min(K, BLOCK) + 1):
+        acc = 0.0
+        for term in map(mul, head[k:0:-1], h_head):
+            acc += term
+        h_head.append(acc / k)
+    if K <= BLOCK:
+        return np.array(h_head)
     # w and h run to the end of the last block, so every block is solved
     # whole and its bits do not depend on K; the padding w_k = 0 reaches
     # only degrees past K
     top = -(-K // BLOCK) * BLOCK
-    w = np.zeros(top + 1)
-    w[: K + 1] = g * np.arange(K + 1)
+    w = np.concatenate((w, np.zeros(top - K)))
     h = np.empty(top + 1)
-    h[0] = math.exp(g[0] - 1.0)
-    for k in range(1, min(K, BLOCK) + 1):
-        h[k] = np.dot(w[k:0:-1], h[:k]) / k
-    if K <= BLOCK:
-        return h[: K + 1]
+    h[: BLOCK + 1] = h_head
     # block b solves (D - L) h_b = r: D = diag(d) over its degrees d,
     # L = w at _BLOCK_LAG and r the contribution of the earlier h.
     # N = D^-1 L is nilpotent of order BLOCK, so the Neumann series
@@ -117,7 +130,7 @@ def _step_exponential(g: np.ndarray) -> np.ndarray:
     # every term is nonnegative, so nothing cancels
     d = np.arange(BLOCK + 1.0, top + 1).reshape(-1, BLOCK)
     N = w[_BLOCK_LAG] / d[:, :, None]
-    inv = np.eye(BLOCK) + N
+    inv = _EYE + N
     for _ in range(BLOCK.bit_length() - 2):
         N = N @ N
         inv += inv @ N
