@@ -826,7 +826,7 @@ def _digest(law) -> str:
         ("linear_fractional",
          "daa28f071831d68acc59401b0167854e170c6f635c1ea843b91611ac627d0674"),
         ("poisson",
-         "b20f4ac85fe31d723ae61701a022bff8c499d8e2f33f85f3cd76c7e12bf35cc3"),
+         "a574a987485b91db0fe3a3779dd9d7ac9c02cf8c4b05f2b47770d60725a8b5b3"),
         ("ternary_uniform",
          "c3744c0280f24ce4f50771d3ea2f2e16ed483bac14eda0972bd284321e1aebf3"),
         ([0.5, 0.0, 0.5],
