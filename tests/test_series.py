@@ -270,6 +270,26 @@ class TestComposeStepCrossCheck:
         top = K if law is not POIS and K <= 10 else K + 1
         assert np.array_equal(step[:top], full[:top])
 
+    # the Poisson step solves degrees 1..16 in Python floats, each sum
+    # left to right; that order is fixed, so its bits are those of the
+    # plain loop below at every K, with no BLAS kernel in between
+    @pytest.mark.parametrize("K", [1, 5, 15, 16, 17, 40])
+    @pytest.mark.parametrize(
+        "q", [0.0, extinction_prob(POIS, 30)], ids=["from_s", "row_pass"]
+    )
+    def test_poisson_head_sums_left_to_right(self, q, K):
+        # the steps from s (q = 0) and from a row-pass start q + (1-q)s
+        for g in iterates(POIS, 4, K, q, 1.0 - q):
+            w = [i * x for i, x in enumerate(g.tolist())]
+            want = [math.exp(float(g[0]) - 1.0)]
+            for k in range(1, min(K, series.BLOCK) + 1):
+                acc = 0.0
+                for i in range(k, 0, -1):
+                    acc += w[i] * want[k - i]
+                want.append(acc / k)
+            got = compose_step(POIS, g)[: len(want)]
+            assert got.tolist() == want
+
     @pytest.mark.parametrize("K", [400, 800])
     def test_poisson_step_to_band_degree(self, K):
         # the generic reference overflows past K of about 170, so one step
