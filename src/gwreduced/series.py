@@ -107,11 +107,11 @@ def _step_exponential(g: np.ndarray) -> np.ndarray:
     # np.dot per degree cost more than the arithmetic it did.  Each sum
     # runs left to right in a plain loop, an order no BLAS kernel can
     # change (sum() compensates float sums from Python 3.12 on)
-    head = w[: BLOCK + 1].tolist()
+    w_head = w[: BLOCK + 1].tolist()
     h_head = [math.exp(g[0] - 1.0)]
     for k in range(1, min(K, BLOCK) + 1):
         acc = 0.0
-        for term in map(mul, head[k:0:-1], h_head):
+        for term in map(mul, w_head[k:0:-1], h_head):
             acc += term
         h_head.append(acc / k)
     if K <= BLOCK:
