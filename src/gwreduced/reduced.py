@@ -135,15 +135,10 @@ def bounded_survival_prob(law: OffspringLaw, n: int, C: int) -> float:
     return float(pmf_Zn(law, n, C).coeffs[1:].sum())
 
 
-def _row_pass(law: OffspringLaw, m: int, q: float, J: int):
-    """The series f_k(q + (1-q)s) at degree J for k = 0, 1, ..., m: the
-    s^j coefficient after k steps is the reduced row p_j, j = 1..J."""
-    return iterates(law, m, J, q, 1.0 - q)
-
-
 def _reduced_rows(law: OffspringLaw, m: int, q: float, J: int) -> np.ndarray:
-    """Unconditional reduced pmf p_1..p_J at intermediate generation m."""
-    for g in _row_pass(law, m, q, J):
+    """Unconditional reduced pmf p_1..p_J at intermediate generation m:
+    the s^j coefficients of f_m(q + (1-q)s) at degree J."""
+    for g in iterates(law, m, J, q, 1.0 - q):
         pass
     return g[1:]
 
@@ -181,8 +176,10 @@ def reduced_pmf(
     n = whole_number("n", n)
     m = whole_number("m", m, 0, n)
     check_epsilon(epsilon)
-    qs = list(iter_extinction_probs(law, n))
-    q, survival = qs[n - m], 1.0 - qs[n]
+    for k, q_k in enumerate(iter_extinction_probs(law, n)):
+        if k == n - m:
+            q = q_k
+    survival = 1.0 - q_k
     J, probs = J_START, np.zeros(0)
     while True:
         try:
@@ -207,6 +204,15 @@ def reduced_pmf(
     )
 
 
+def _truncated_powers(s1: np.ndarray):
+    """Yield the pmfs of S_1, S_2, ..., S_j a j-fold sum of iid copies
+    with pmf ``s1``, each truncated at the degree of ``s1``."""
+    s = s1
+    while True:
+        yield s
+        s = np.convolve(s, s1)[: len(s1)]
+
+
 def _bounded_sum_masses(s1: np.ndarray):
     """Yield P(S_j <= C) for j = 1, 2, ..., S_j a j-fold sum of iid
     positive sizes.
@@ -215,11 +221,8 @@ def _bounded_sum_masses(s1: np.ndarray):
     convolutions stay truncated at C since mass above the bound never
     returns below it, and past j = C every mass is exactly 0.
     """
-    C = len(s1) - 1
-    s = s1
-    while True:
+    for s in _truncated_powers(s1):
         yield float(s.sum())
-        s = np.convolve(s, s1)[: C + 1]
 
 
 def _tail_order(sums, survival, p1, cap: int, low: float = 0.0) -> list | None:
@@ -248,59 +251,56 @@ def _tail_order(sums, survival, p1, cap: int, low: float = 0.0) -> list | None:
     return None
 
 
-def _single_line_chain(law: OffspringLaw, qs: np.ndarray) -> np.ndarray:
-    """f_{n-u}'(q_u) = f'(q_u) ... f'(q_{n-1}) for each point q_u of
-    ``qs``, which runs up to q_n, where the product is empty and 1."""
-    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+def _single_line_chain(slopes: np.ndarray) -> np.ndarray:
+    """f_{n-u}'(q_u) = f'(q_u) ... f'(q_{n-1}) for u = 0..n from the
+    slopes f'(q_0), ..., f'(q_{n-1}); at u = n the product is empty
+    and 1."""
     return np.append(np.cumprod(slopes[::-1])[::-1], 1.0)
 
 
-def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
+def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, slopes, steps: int):
     """The degree-C pass f_0, f_1, ... of at most ``steps`` steps, cut
     short at the split generation of (law, n, C).
 
     Tries are made at r = 2, 4, 8, ...: the try at r qualifies if the
     tail bound of ``_tail_order`` on the sums of copies of Z(r) given
     Z(r) > 0, over every horizon v in (r, n], picks an order J <= r
-    below C.  A try is made only while r, its cap on J and the caps of
-    the earlier tries add up to at most ``steps``, so the tries' steps
-    and convolutions at degree C stay within the pass they may cut short.
-    A try and its outcome depend on (law, n, C) and r alone, so a pass
-    of fewer steps splits where a longer one does, or not at all.  The
-    pass runs only as many steps as the n*K^2 budget allows at degree
-    C; where no split qualifies within them, the whole pass is refused
-    with SeriesBudgetError.
+    below C.  ``slopes`` holds f'(q_0), ..., f'(q_{n-1}).  A try is
+    made only while r, its cap on J and the caps of the earlier tries
+    add up to at most ``steps``, so the tries' steps and convolutions
+    at degree C stay within the pass they may cut short.  A try and its
+    outcome depend on (law, n, C) and r alone, so a pass of fewer steps
+    splits where a longer one does, or not at all.  The pass runs only
+    as many steps as the n*K^2 budget allows at degree C; where no
+    split qualifies within them, the whole pass is refused with
+    SeriesBudgetError.
 
-    Yields, for u = 0, 1, ..., r, the pmf of Z(u) to degree C with, at
-    a split r, the masses P(S_1 <= C), ..., P(S_{J+1} <= C) of
-    ``_tail_order`` and the generator of the later ones, or else two
-    Nones; without a split, r is ``steps``.
+    Returns r, the pmf of Z(r) to degree C, an array over u = 0..steps
+    whose entries u <= r are the masses P(1 <= Z(u) <= C), and, at a
+    split, the masses P(S_1 <= C), ..., P(S_{J+1} <= C) of
+    ``_tail_order`` with the generator of the later ones, or else None;
+    without a split, r is ``steps``.
     """
     run = min(steps, int(series.DEFAULT_COST_CAP // (float(C) * C)))
     if run < 2:
         # too few steps for a try: iterates refuses an over-budget pass
         run = steps
-    r, spent, slopes = 2, 0, None
+    masses = np.empty(steps + 1)
+    r, spent = 2, 0
     for u, coeffs in enumerate(iterates(law, run, C)):
+        masses[u] = coeffs[1:].sum()
         cap = min(r, C - 1)
         if u == r and r + spent + cap <= steps:
-            # P(S_{cap+1} <= C) >= P(S_1 <= C // (cap + 1))^(cap + 1); as
-            # p_1(v) <= 1 - q_v, that alone fails the bound if it exceeds
-            # 2^-52 P(S_1 <= C), and then no slope is needed
             s1 = _positive_part(coeffs)
+            # P(S_{cap+1} <= C) >= P(S_1 <= C // (cap + 1))^(cap + 1)
             low = s1[: C // (cap + 1) + 1].sum() ** (cap + 1)
-            if low <= 2.0**-52 * s1.sum():
-                if slopes is None:
-                    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
-                # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r
-                p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
-                sums = _bounded_sum_masses(s1)
-                fits = _tail_order(sums, 1.0 - qs[r + 1 :], p1, cap, low)
-                if fits is not None:
-                    yield coeffs, fits, sums
-                    return
+            # p_1(v) = (1 - q_r) f_{v-r}'(q_r) at each horizon v > r
+            p1 = (1.0 - qs[r]) * np.cumprod(slopes[r:])
+            sums = _bounded_sum_masses(s1)
+            fits = _tail_order(sums, 1.0 - qs[r + 1 :], p1, cap, low)
+            if fits is not None:
+                return r, coeffs, masses, (fits, sums)
             r, spent = 2 * r, spent + cap
-        yield coeffs, None, None
     if u < steps:
         try:
             next(iterates(law, steps, C))
@@ -308,6 +308,7 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, steps: int):
             raise SeriesBudgetError(
                 f"{exc}; no split generation qualifies within the {u} steps it allows"
             ) from None
+    return steps, coeffs, masses, None
 
 
 def _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1):
@@ -320,23 +321,21 @@ def _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1):
     from ``fits`` and then ``sums``.  The pmf of R is one row pass of
     h - r steps at a degree D, and the j-fold sums are convolutions at
     degree D.  J is the tail-bound order of ``_tail_order`` on these
-    masses.  The sum over k stops at the first K at which every row
-    j <= J + 1 keeps its relative accuracy: M_{K+1} P(R_1 + ... + R_j > K)
-    bounds the terms past K and must be below 2^-52 times the row.  D
-    starts at 2(J' + 1), J' the split's order, and doubles, up to C,
-    while J + 1 would pass it or K reaches it; at D = C the sums are
-    exact.
+    masses; it never passes the split's order J' = len(fits) - 1, since
+    by the chain rule this p_1 times P(R = 1) is the split bound's p_1
+    at v = n and P(S_j <= C) <= M_j.  The sum over k stops at the first
+    K at which every row j <= J + 1 keeps its relative accuracy:
+    M_{K+1} P(R_1 + ... + R_j > K) bounds the terms past K and must be
+    below 2^-52 times the row.  D starts at 2(J' + 1), so row J + 1 lies
+    within it, and doubles, up to C, while K reaches it; at D = C the
+    sums are exact.
     """
     M, D = list(fits), min(C, 2 * len(fits))
     while True:
-        for g in _row_pass(law, h - r, qs[r], D):
+        for g in iterates(law, h - r, D, qs[r], 1.0 - qs[r]):
             pass
         # row j - 1 is the pmf of R_1 + ... + R_j on 0..D
-        sizes = _positive_part(g)
-        T = [sizes]
-        for _ in range(D - 1):
-            T.append(np.convolve(T[-1], sizes)[: D + 1])
-        T = np.array(T)
+        T = np.array(list(islice(_truncated_powers(_positive_part(g)), D)))
         above = np.maximum(1.0 - np.cumsum(T, axis=1), 0.0)
         for K in range(len(M) - 1, D + 1):
             if K == len(M):
@@ -344,8 +343,6 @@ def _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1):
             V = (T[:, 1 : K + 1] * M[:K]).sum(axis=1)
             stop = np.nonzero(V[1:] * survival <= 2.0**-52 * p1 * V[0])[0]
             J = stop[0] + 1 if len(stop) else D
-            if J == D < C:
-                break  # row J + 1 lies past degree D
             if np.all(M[K] * above[: J + 1, K] <= 2.0**-52 * V[: J + 1]):
                 return V[:J]
         D = min(C, 2 * D)
@@ -368,16 +365,16 @@ def _joint_rows(law, m, n, C, epsilon):
     """
     h = n - m
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
-    for r, (subtree, fits, sums) in enumerate(_split_pass(law, n, C, qs, h)):
-        pass
+    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+    r, subtree, _, split = _split_pass(law, n, C, qs, slopes, h)
     q, survival = qs[h], 1.0 - qs[n]
     # p_1 = (1 - q_h) f_m'(q_h)
-    p1 = (1.0 - q) * _single_line_chain(law, qs[h:])[0]
-    if fits is None:
+    p1 = (1.0 - q) * _single_line_chain(slopes)[h]
+    if split is None:
         # J <= C, as P(S_{C+1} <= C) = 0
         masses = _tail_order(_bounded_sum_masses(_positive_part(subtree)), survival, p1, C)[:-1]
     else:
-        masses = _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1)
+        masses = _split_sum_masses(law, r, h, C, qs, *split, survival, p1)
     rows = _reduced_rows(law, m, q, len(masses)) * masses
     event_prob = float(rows.sum())
     return _cut(rows, event_prob, epsilon * event_prob), event_prob
@@ -440,7 +437,7 @@ def conditional_reduced_pmf(
     )
 
 
-def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons):
+def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, slopes, horizons):
     """P(1 <= Z(u) <= C) at each horizon u of ``horizons``, from the
     degree-C pass of ``_split_pass`` over n steps.
 
@@ -449,12 +446,10 @@ def _bounded_masses(law: OffspringLaw, n: int, C: int, qs: np.ndarray, horizons)
     p_j(u) from one pass of n - r steps at degree J started at
     q_r + (1-q_r)s, one horizon per step.
     """
-    masses = np.empty(n + 1)
-    for r, (coeffs, fits, _) in enumerate(_split_pass(law, n, C, qs, n)):
-        masses[r] = coeffs[1:].sum()
-    if fits is not None:
-        fits, wanted = np.array(fits[:-1]), set(horizons)
-        for u, g in enumerate(_row_pass(law, n - r, qs[r], len(fits)), start=r):
+    r, _, masses, split = _split_pass(law, n, C, qs, slopes, n)
+    if split is not None:
+        fits, wanted = np.array(split[0][:-1]), set(horizons)
+        for u, g in enumerate(iterates(law, n - r, len(fits), qs[r], 1.0 - qs[r]), start=r):
             if u > r and u in wanted:
                 masses[u] = (g[1:] * fits).sum()
     return masses[horizons]
@@ -477,10 +472,11 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     n, C = whole_number("n", n), whole_number("bound C", C, 1)
     grid = [whole_number("distance", u, 0, n) for u in np.atleast_1d(distances)]
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
-    masses = _bounded_masses(law, n, C, qs, grid + [n])
+    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+    masses = _bounded_masses(law, n, C, qs, slopes, grid + [n])
     event_prob = masses[-1]
     if event_prob <= 0.0:
         raise ConditioningImpossibleError(
             f"conditioning event 0 < Z({n}) <= {C} has probability zero"
         )
-    return _single_line_chain(law, qs)[grid] * masses[:-1] / event_prob
+    return _single_line_chain(slopes)[grid] * masses[:-1] / event_prob

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from gwreduced import (
     SeriesBudgetError,
     make_builtin,
     make_custom,
+    pgf_derivatives,
     reduced,
     series,
 )
@@ -178,6 +180,17 @@ class TestReducedPmf:
         monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e4)
         with pytest.raises(SeriesBudgetError, match="account for mass"):
             reduced_pmf(LF, m, 50)
+
+    def test_extinction_probabilities_are_not_kept(self):
+        # q_{n-m} and q_n are read off one pass as it goes; a list of all
+        # n + 1 Python floats would take about 6.4 MB at n = 200,000
+        tracemalloc.start()
+        try:
+            reduced_pmf(LF, 5, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestConditionedPositive:
@@ -493,7 +506,8 @@ def _full_pass_cdf(law, n, C, grid):
     qs, masses = np.empty(n + 1), np.empty(n + 1)
     for u, coeffs in enumerate(series.iterates(law, n, C)):
         qs[u], masses[u] = coeffs[0], coeffs[1:].sum()
-    return reduced._single_line_chain(law, qs)[grid] * masses[grid] / masses[n]
+    slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+    return reduced._single_line_chain(slopes)[grid] * masses[grid] / masses[n]
 
 
 def _band_bound(law, n):
@@ -502,6 +516,14 @@ def _band_bound(law, n):
 
 def _window_bound(law, n):
     return math.floor(law.half_variance * math.sqrt(n))
+
+
+SPLIT_GEOMETRIES = pytest.mark.parametrize(
+    "n,bound",
+    [(800, _band_bound), (2000, _band_bound), (1000, _window_bound),
+     (4000, _window_bound)],
+    ids=["band-800", "band-2000", "window-1000", "window-4000"],
+)
 
 
 class TestMrcaSplitRoute:
@@ -534,12 +556,7 @@ class TestMrcaSplitRoute:
         return cdf, degree_c, convolutions, [k for k in steps if k != C]
 
     @pytest.mark.parametrize("law", SPLIT_LAWS.values(), ids=SPLIT_LAWS.keys())
-    @pytest.mark.parametrize(
-        "n,bound",
-        [(800, _band_bound), (2000, _band_bound), (1000, _window_bound),
-         (4000, _window_bound)],
-        ids=["band-800", "band-2000", "window-1000", "window-4000"],
-    )
+    @SPLIT_GEOMETRIES
     def test_matches_full_pass(self, law, n, bound, monkeypatch):
         C = bound(law, n)
         full = list(range(n + 1))
@@ -612,7 +629,7 @@ def _full_pass_joint_rows(law, m, n, C, epsilon):
         pass
     qs = np.fromiter(series.iter_extinction_probs(law, n), float, n + 1)
     q, survival = qs[h], 1.0 - qs[n]
-    p1 = (1.0 - q) * reduced._single_line_chain(law, qs[h:])[0]
+    p1 = (1.0 - q) * reduced._single_line_chain(pgf_derivatives(law, qs[h:-1], 1)[1])[0]
     sums = reduced._bounded_sum_masses(reduced._positive_part(subtree))
     masses = reduced._tail_order(sums, survival, p1, C)[:-1]
     rows = reduced._reduced_rows(law, m, q, len(masses)) * masses
@@ -627,12 +644,7 @@ class TestJointSplitRoute:
 
     @pytest.mark.parametrize("law", TABLE_LAWS.values(), ids=TABLE_LAWS.keys())
     @pytest.mark.parametrize("t", [0.5, 0.75, 0.9, 0.97])
-    @pytest.mark.parametrize(
-        "n,bound",
-        [(800, _band_bound), (2000, _band_bound), (1000, _window_bound),
-         (4000, _window_bound)],
-        ids=["band-800", "band-2000", "window-1000", "window-4000"],
-    )
+    @SPLIT_GEOMETRIES
     def test_matches_full_pass(self, law, n, bound, t, monkeypatch):
         C, m = bound(law, n), round(t * n)
         table, passes, _ = _route(joint_reduced_bounded, law, m, n, C, monkeypatch=monkeypatch)
@@ -647,6 +659,27 @@ class TestJointSplitRoute:
         else:
             assert table.pmf.tobytes() == rows.tobytes()
             assert table.event_prob == event_prob
+
+    @pytest.mark.parametrize("law", TABLE_LAWS.values(), ids=TABLE_LAWS.keys())
+    @pytest.mark.parametrize("t", [0.5, 0.75, 0.9, 0.97])
+    @SPLIT_GEOMETRIES
+    def test_table_order_never_passes_the_split_order(self, law, n, bound, t, monkeypatch):
+        # J <= J': by the chain rule the table's p_1 times P(R = 1) is the
+        # split bound's p_1 at v = n, and P(S_j <= C) <= M_j; so the first
+        # degree 2(J' + 1) of the sums over R always holds row J + 1
+        orders, split_sums = [], reduced._split_sum_masses
+
+        def spied(law, r, h, C, qs, fits, *rest):
+            masses = split_sums(law, r, h, C, qs, fits, *rest)
+            orders.append((len(masses), len(fits) - 1))
+            return masses
+
+        monkeypatch.setattr(reduced, "_split_sum_masses", spied)
+        joint_reduced_bounded(law, round(t * n), n, bound(law, n))
+        if bound is _band_bound and t <= 0.75:
+            assert orders
+        for J, J_split in orders:
+            assert J <= J_split
 
     def test_split_table_is_budgeted_by_its_own_steps(self, monkeypatch):
         # n - m = 400 steps at degree C = 800 are over this cap, the 64
@@ -675,6 +708,31 @@ class TestJointSplitRoute:
         monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e3)
         with pytest.raises(SeriesBudgetError, match="no split generation qualifies"):
             build()
+
+
+@pytest.mark.parametrize(
+    "law,n,C",
+    [(LF, 800, 800), (TERNARY, 4000, 40), (POIS, 60, 20), (CUSTOM4, 3, 2)],
+    ids=["lf-band-split", "ternary-window", "poisson-no-split", "custom4-short"],
+)
+def test_one_slope_evaluation_per_call(law, n, C, monkeypatch):
+    # f'(q_0), ..., f'(q_{n-1}) are evaluated once and serve both the
+    # split's tries and the chain-rule product
+    calls, derivs = [], reduced.pgf_derivatives
+
+    def spied(*args):
+        calls.append(args)
+        return derivs(*args)
+
+    monkeypatch.setattr(reduced, "pgf_derivatives", spied)
+    m = n // 2
+    builds = [lambda: mrca_distance_cdf(law, n, C, [0, m, n]),
+              lambda: joint_reduced_bounded(law, m, n, C),
+              lambda: conditional_reduced_pmf(law, m, n, C)]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
 
 
 class TestNoSingleChildLaw:
