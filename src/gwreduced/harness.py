@@ -383,13 +383,11 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Execute one comparison experiment and assemble its report."""
     law = config.law
     query = config.limit_query
-    limit_pmf = None
+    limit_pmf = query.pmf_values()
 
     rows = []
     for index, (n, m, C) in enumerate(config.horizons):
         table = conditional_reduced_pmf(law, m, n, C, epsilon=config.epsilon)
-        if limit_pmf is None:  # after the first table's n*K^2 budget check
-            limit_pmf = query.pmf_values()
         row = {
             "n": n,
             "m": m,

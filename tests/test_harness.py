@@ -638,10 +638,11 @@ class TestRunExperiment:
         assert capsys.readouterr().err.startswith(err)
         assert calls == []
 
-    def test_limit_pmf_comes_after_the_first_table(self, monkeypatch):
+    def test_limit_pmf_comes_first(self, monkeypatch):
+        # one limit pmf serves every horizon
         calls = _spy_on_work(monkeypatch)
         run_experiment(_band_mc_config(replicates="50"))
-        assert calls == ["table", "limit", "batch", "table", "batch"]
+        assert calls == ["limit", "table", "batch", "table", "batch"]
 
 
 class TestCli:
