@@ -1,8 +1,6 @@
 """Exception and warning types shared across the package, and the one
 rule for whole-number arguments (counts, bounds and generations)."""
 
-import numbers
-
 
 def whole_number(name: str, value, low: int = 0, high: int | None = None) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is a
@@ -15,13 +13,6 @@ def whole_number(name: str, value, low: int = 0, high: int | None = None) -> int
         span = f"at least {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be a whole number {span}, got {value}")
     return int(value)
-
-
-def reduced_count(j) -> int:
-    """The reduced-count index j as an int, a whole number at least 1."""
-    if isinstance(j, numbers.Integral) and j < 1:
-        raise ValueError("reduced counts start at 1")
-    return whole_number("reduced count j", j, 1)
 
 
 class GWReducedError(Exception):

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import reduced_count, whole_number
+from .errors import whole_number
 
 TERM_RATIO = 1e-16
 GF_GRID = tuple(round(0.1 * i, 1) for i in range(11))  # 0.0, 0.1, ..., 1.0
@@ -122,7 +122,7 @@ class LimitQuery:
         query sits at: u window widths is ``x = u``, and a fraction u
         of n is ``t = 1 - u``.
         """
-        return float(self._values(reduced_count(j))[-1])
+        return float(self._values(whole_number("reduced count j", j, 1))[-1])
 
     def pmf_values(self) -> np.ndarray:
         """pmf values p_1, p_2, ... up to the first p_j below TERM_RATIO

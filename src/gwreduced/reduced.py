@@ -52,9 +52,7 @@ from itertools import islice
 import numpy as np
 
 from . import series
-from .errors import (
-    ConditioningImpossibleError, SeriesBudgetError, reduced_count, whole_number
-)
+from .errors import ConditioningImpossibleError, SeriesBudgetError, whole_number
 from .offspring import OffspringLaw, pgf_derivatives
 from .series import iter_extinction_probs, iterates, pmf_Zn
 
@@ -99,7 +97,7 @@ class ReducedLawTable:
 
     def prob(self, j: int) -> float:
         """Probability of exactly j reduced lines."""
-        j = reduced_count(j)
+        j = whole_number("reduced count j", j, 1)
         if j > len(self.pmf):
             return 0.0
         return float(self.pmf[j - 1])

@@ -119,7 +119,7 @@ class TestReducedPmf:
     def test_bound_and_count_below_one_are_refused(self):
         with pytest.raises(ValueError, match="bound"):
             joint_reduced_bounded(LF, 3, 6, 0)
-        with pytest.raises(ValueError, match="start at 1"):
+        with pytest.raises(ValueError, match="reduced count j must be a whole number at least 1, got 0"):
             reduced_pmf(LF, 3, 6).prob(0)
 
     def test_positional_order_is_refused_as_epsilon(self):
