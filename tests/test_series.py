@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import lf_oracle
 from gwreduced import (
-    JetOverflowError,
     SeriesBudgetError,
     make_builtin,
     make_custom,
 )
+from gwreduced.errors import JetOverflowError
 from gwreduced import series
 from gwreduced.offspring import pgf_derivatives
 from gwreduced.series import (
