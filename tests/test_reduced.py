@@ -681,6 +681,34 @@ class TestJointSplitRoute:
         for J, J_split in orders:
             assert J <= J_split
 
+    @pytest.mark.parametrize(
+        "law,degrees",
+        [(LF, [4, 8, 16, 32, 64, 128]), (POIS, [4, 8, 16, 32, 64, 128]),
+         (TERNARY, [4, 8, 16, 32, 64])],
+        ids=["lf", "poisson", "ternary"],
+    )
+    def test_degree_doubles_to_the_same_masses(self, law, degrees, monkeypatch):
+        # no public geometry starts D short of row J + 1; handed only
+        # M_1, M_2, the sums over R start at D = 4 and double until every
+        # row keeps its accuracy, and must land on the split's own bits
+        n, m = 800, 400
+        C, h = _band_bound(law, n), n - m
+        qs = np.fromiter(series.iter_extinction_probs(law, n), float, n + 1)
+        slopes = pgf_derivatives(law, qs[:-1], 1)[1]
+        r, subtree, _, (fits, sums) = reduced._split_pass(law, n, C, qs, slopes, h)
+        assert r == 64
+        survival = 1.0 - qs[n]
+        p1 = (1.0 - qs[h]) * reduced._single_line_chain(slopes)[h]
+        own, passes, _ = _route(reduced._split_sum_masses, law, r, h, C, qs, fits,
+                                sums, survival, p1, monkeypatch=monkeypatch)
+        assert passes == [(h - r, 2 * len(fits))]
+        fresh = reduced._bounded_sum_masses(reduced._positive_part(subtree))
+        short = [next(fresh), next(fresh)]
+        doubled, passes, _ = _route(reduced._split_sum_masses, law, r, h, C, qs, short,
+                                    fresh, survival, p1, monkeypatch=monkeypatch)
+        assert passes == [(h - r, D) for D in degrees]
+        assert doubled.tobytes() == own.tobytes()
+
     def test_split_table_is_budgeted_by_its_own_steps(self, monkeypatch):
         # n - m = 400 steps at degree C = 800 are over this cap, the 64
         # steps before the split are not; the route and its bits are the
