@@ -9,9 +9,13 @@ acceptance-rate agreement.  The final distance and sup-norm pass below
 ``FINAL_THRESHOLD``.  `ExperimentConfig`
 is the one definition of an experiment: its field table gives the
 config keys, their text form and the `compare` flags, and building it
-makes every check, down to each horizon's look-back and bound, so
-`run_experiment` refuses nothing and starts no work on a config that
-cannot run.  Reports are pure functions of (config, seed): worker
+checks every value, down to each horizon's look-back and bound.
+Before any work it also prices each horizon's subtree pass, its full
+n - m steps at degree C, against the series budget.  It prices
+neither a split, which runs fewer degree-C steps, nor the m steps of
+a table's row pass, which the table prices as it builds it; so a
+grid the config accepts can still be refused by the budget part way
+through `run_experiment`.  Reports are pure functions of (config, seed): worker
 counts and output paths never influence a number, and both are
 excluded from the config hash.
 """
@@ -182,12 +186,14 @@ def config_hash(config: dict) -> str:
 class ExperimentConfig:
     """Validated comparison-experiment settings; building one also sets
     ``law``, ``limit_query`` and ``horizons``, the (n, m, C) of every
-    horizon, and checks each horizon's subtree pass against the series
-    budget.  Each field then holds its canonical value (the ints of
-    ``errors.whole_number``, the parsed law's label, the ``Regime``), so
-    every spelling has one config hash.  The window keeps ``x`` and
-    ``phi`` (``sqrt`` when unset), the band ``t`` and ``a``, and the
-    other regime's values are None: what no run reads is not hashed.
+    horizon, and prices each horizon's subtree pass at its full n - m
+    steps at degree C against the series budget; neither a split nor
+    the row pass of m steps is priced here.  Each field then holds its
+    canonical value (the ints of ``errors.whole_number``, the parsed
+    law's label, the ``Regime``), so every spelling has one config
+    hash.  The window keeps ``x`` and ``phi`` (``sqrt`` when unset), the
+    band ``t`` and ``a``, and the other regime's values are None: what
+    no run reads is not hashed.
     ``seed`` and ``max_replicates`` keep their values but are written
     and hashed only when ``replicates > 0``, so ``dataclasses.replace``
     back to a Monte Carlo config still has them."""

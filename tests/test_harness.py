@@ -25,7 +25,7 @@ from gwreduced import (
     table_gf,
     tv_distance,
 )
-from gwreduced import cli, harness
+from gwreduced import cli, harness, series
 from gwreduced.cli import cli_main
 from gwreduced.harness import CONFIG_HASH_EXCLUDE, CONFIG_KEYS
 from gwreduced.limits import GF_GRID, LimitQuery
@@ -637,6 +637,19 @@ class TestRunExperiment:
         assert cli_main(["compare", *argv]) == 1
         assert capsys.readouterr().err.startswith(err)
         assert calls == []
+
+    def test_row_pass_is_priced_only_by_its_table(self, monkeypatch, capsys):
+        # the config prices each subtree pass, here 45 steps at degree
+        # C = 45 (91,125 <= 1e5), and not the m-step row pass: the table
+        # is refused once its row pass of 1955 steps at J = 17 is priced
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e5)
+        assert _small_phi_config(n_grid="2000").horizons == ((2000, 1955, 45),)
+        calls = _spy_on_work(monkeypatch)
+        assert cli_main(["compare", "--n", "2000", "--x", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: composition cost n*K^2 = 5.65e+05 exceeds cap 1e+05\n"
+        )
+        assert calls == ["limit", "table"]
 
     def test_limit_pmf_comes_first(self, monkeypatch):
         # one limit pmf serves every horizon

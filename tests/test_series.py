@@ -163,7 +163,8 @@ def _poisson_step_mp(g: np.ndarray) -> np.ndarray:
 def test_one_composition_loop_and_one_budget_check():
     # every exact quantity reads off series.iterates, so a second loop
     # over compose_step, or a second budget rule, fails here; the
-    # comparison config applies the same rule early, to refuse a grid
+    # comparison config prices each horizon's subtree pass by the same
+    # rule, but no row pass, before it builds any table
     calls = {"compose_step": [], "check_budget": []}
     for path in sorted(pathlib.Path(series.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
