@@ -9,13 +9,11 @@ acceptance-rate agreement.  The final distance and sup-norm pass below
 ``FINAL_THRESHOLD``.  `ExperimentConfig`
 is the one definition of an experiment: its field table gives the
 config keys, their text form and the `compare` flags, and building it
-checks every value, down to each horizon's look-back and bound.
-Before any work it also prices each horizon's subtree pass, its full
-n - m steps at degree C, against the series budget.  It prices
-neither a split, which runs fewer degree-C steps, nor the m steps of
-a table's row pass, which the table prices as it builds it; so a
-grid the config accepts can still be refused by the budget part way
-through `run_experiment`.  Reports are pure functions of (config, seed): worker
+checks every value, down to each horizon's look-back and bound, and
+prices each horizon's subtree pass, n - m steps at degree C, against
+the series budget.  A split and the m-step row pass are priced only as
+a table builds them, so `run_experiment` can still refuse a grid the
+config accepts.  Reports are pure functions of (config, seed): worker
 counts and output paths never influence a number, and both are
 excluded from the config hash.
 """
