@@ -280,7 +280,9 @@ class TestLimitQuery:
         for s in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError, match="gf argument"):
                 query.gf(s)
-        with pytest.raises(ValueError, match="reduced count j must be a whole number at least 1, got 0"):
+        with pytest.raises(
+            ValueError, match="reduced count j must be a whole number at least 1, got 0"
+        ):
             query.pmf(0)
         # parameters that would give nan or inf probabilities
         for build, key in (

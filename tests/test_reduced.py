@@ -119,7 +119,9 @@ class TestReducedPmf:
     def test_bound_and_count_below_one_are_refused(self):
         with pytest.raises(ValueError, match="bound"):
             joint_reduced_bounded(LF, 3, 6, 0)
-        with pytest.raises(ValueError, match="reduced count j must be a whole number at least 1, got 0"):
+        with pytest.raises(
+            ValueError, match="reduced count j must be a whole number at least 1, got 0"
+        ):
             reduced_pmf(LF, 3, 6).prob(0)
 
     def test_positional_order_is_refused_as_epsilon(self):
@@ -688,8 +690,8 @@ class TestJointSplitRoute:
         ids=["lf", "poisson", "ternary"],
     )
     def test_degree_doubles_to_the_same_masses(self, law, degrees, monkeypatch):
-        # no public geometry starts D short of row J + 1; handed only
-        # M_1, M_2, the sums over R start at D = 4 and double until every
+        # no public geometry takes the sums over R past D = 2(J' + 1);
+        # handed only M_1, M_2 they start at D = 4 and double until every
         # row keeps its accuracy, and must land on the split's own bits
         n, m = 800, 400
         C, h = _band_bound(law, n), n - m
