@@ -65,20 +65,12 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(pp - qq).sum()) + 0.5 * abs(tail_p - tail_q)
 
 
-def table_gf(pmf):
-    """Generating-function evaluator of a table over j = 1..J."""
+def gf_supnorm(pmf, gf) -> float:
+    """Largest absolute deviation over the s values of GF_GRID between
+    the generating function of a table over j = 1..J and ``gf``."""
     pmf = np.asarray(pmf, dtype=float)
     js = np.arange(1, len(pmf) + 1)
-
-    def evaluate(s: float) -> float:
-        return float(np.dot(np.power(s, js), pmf))
-
-    return evaluate
-
-
-def gf_supnorm(exact_gf, limit_gf) -> float:
-    """Largest absolute gf deviation over the s values of GF_GRID."""
-    return float(max(abs(exact_gf(s) - limit_gf(s)) for s in GF_GRID))
+    return float(max(abs(float(np.dot(np.power(s, js), pmf)) - gf(s)) for s in GF_GRID))
 
 
 @dataclass(frozen=True)
@@ -399,7 +391,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
             "epsilon": config.epsilon,
             "mass_accounted": float(table.mass_accounted),
             "tv_exact_limit": tv_distance(table.pmf, limit_pmf),
-            "gf_supnorm": gf_supnorm(table_gf(table.pmf), query.gf),
+            "gf_supnorm": gf_supnorm(table.pmf, query.gf),
         }
         if config.replicates > 0:
             seed = _row_seed(config.seed, index)

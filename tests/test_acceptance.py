@@ -30,7 +30,6 @@ from gwreduced import (
     pmf_Zn,
     reduced,
     run_conditioned_batch,
-    table_gf,
     tv_distance,
 )
 from gwreduced.cli import cli_main
@@ -225,7 +224,7 @@ def test_a08_band_tv_and_gf_convergence(verdict):
         m = int(t * n)
         table = conditional_reduced_pmf(LF, m, n, C)
         tvs.append(tv_distance(table.pmf, limit))
-        sups.append(gf_supnorm(table_gf(table.pmf), query.gf))
+        sups.append(gf_supnorm(table.pmf, query.gf))
     ok = tvs[0] > tvs[1] > tvs[2] and tvs[2] < 0.05 and sups[2] < 0.05
     verdict(
         "A08",

@@ -22,7 +22,6 @@ from gwreduced import (
     parse_config_file,
     parse_phi,
     run_experiment,
-    table_gf,
     tv_distance,
 )
 from gwreduced import cli, harness, series
@@ -71,19 +70,15 @@ class TestGfSupnorm:
         # sum_j s^j (1-t) t^{j-1} = s(1-t)/(1-ts)
         t = 0.5
         pmf = [(1 - t) * t ** (j - 1) for j in range(1, 200)]
-        gf = table_gf(pmf)
-        for s in (0.0, 0.3, 0.7, 1.0):
-            want = s * (1 - t) / (1 - t * s)
-            assert gf(s) == pytest.approx(want, abs=1e-12)
+        assert gf_supnorm(pmf, lambda s: s * (1 - t) / (1 - t * s)) < 1e-12
 
     def test_supnorm_zero_for_equal_functions(self):
-        gf = table_gf([0.5, 0.25, 0.25])
-        assert gf_supnorm(gf, gf) == 0.0
+        # the point mass at j = 1 has the gf s
+        assert gf_supnorm([1.0], lambda s: s) == 0.0
 
     def test_supnorm_picks_largest_deviation(self):
-        f = lambda s: s
-        g = lambda s: s + 0.02 * s * s
-        assert gf_supnorm(f, g) == pytest.approx(0.02)
+        # s + 0.02 s^2 departs from s most at s = 1
+        assert gf_supnorm([1.0], lambda s: s + 0.02 * s * s) == pytest.approx(0.02)
 
 
 class TestPhiSpec:
