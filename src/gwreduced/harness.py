@@ -13,9 +13,9 @@ checks every value, down to each horizon's look-back and bound, and
 prices each horizon's subtree pass, n - m steps at degree C, against
 the series budget.  A split and the m-step row pass are priced only as
 a table builds them, so `run_experiment` can still refuse a grid the
-config accepts.  Reports are pure functions of (config, seed): worker
-counts and output paths never influence a number, and both are
-excluded from the config hash.
+config accepts.  Reports are pure functions of (config, seed), and a
+report's ``config_hash`` is the hash of its ``parameters``, the
+config's text form, which holds no output path, format or worker count.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def parse_phi(expression: str) -> PhiSpec:
     )
 
 
-CONFIG_HASH_EXCLUDE = {"out", "format", "workers", "timestamp"}
+# no number reads the worker count, so to_mapping leaves it out
+CONFIG_HASH_EXCLUDE = {"workers"}
 
 
 # ExperimentConfig field -> (flat key, to text, from text), in the order
@@ -159,16 +160,9 @@ def parse_config_file(path) -> dict:
 
 
 def config_hash(config: dict) -> str:
-    """Hash of the semantic config entries, hex digest.
-
-    Output paths, formats, worker counts, and timestamps are excluded:
-    they can never change a computed number.
-    """
-    lines = [
-        f"{key}={config[key]}"
-        for key in sorted(config)
-        if key not in CONFIG_HASH_EXCLUDE and config[key] is not None
-    ]
+    """Hex SHA-256 of every ``key=value`` of a flat mapping, in key order;
+    a report's is the hash of its ``parameters``."""
+    lines = [f"{key}={config[key]}" for key in sorted(config)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

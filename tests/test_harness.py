@@ -123,10 +123,20 @@ class TestConfigHash:
     def test_stable_across_runs(self):
         assert config_hash(dict(self.BASE)) == config_hash(dict(self.BASE))
 
-    def test_ignores_output_and_worker_keys(self):
-        noisy = dict(self.BASE)
-        noisy.update(out="/tmp/x.json", format="csv", workers="8", timestamp="now")
-        assert config_hash(noisy) == config_hash(dict(self.BASE))
+    def test_ignores_output_and_worker_keys(self, tmp_path, capsys):
+        # workers is not written, and --out and --format only say where
+        # and how the report goes, so none of them moves a report's hash
+        plain = ExperimentConfig(n_grid=(100,), x=1.0)
+        digest = config_hash(plain.to_mapping())
+        assert config_hash(dataclasses.replace(plain, workers=8).to_mapping()) == digest
+        argv = ["compare", "--n", "100", "--x", "1"]
+        cli_main(argv)
+        bare = capsys.readouterr().out
+        assert f"config_hash={digest[:12]}" in bare
+        for fmt in ("json", "csv"):
+            cli_main(argv + ["--format", fmt, "--out", str(tmp_path / f"r.{fmt}")])
+            assert capsys.readouterr().out == bare
+        assert json.loads((tmp_path / "r.json").read_text())["config_hash"] == digest
 
     def test_sensitive_to_semantic_keys(self):
         other = dict(self.BASE, seed="1")
@@ -564,6 +574,15 @@ class TestRunExperiment:
         assert row["mc_accepted"] >= 300
         assert row["tv_mc_se"] > 0.0
         assert abs(row["acceptance_rate"] - row["acceptance_expected"]) < 0.05
+
+    @pytest.mark.parametrize(
+        "make", [_small_phi_config, lambda: _band_mc_config(replicates="0"),
+                 _band_mc_config],
+        ids=["window", "band", "monte-carlo"],
+    )
+    def test_config_hash_is_the_hash_of_the_parameters(self, make):
+        report = run_experiment(make())
+        assert report.config_hash == config_hash(report.parameters)
 
     def test_report_json_round_trips(self, tmp_path):
         from gwreduced import write_output
