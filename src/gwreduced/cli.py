@@ -7,8 +7,9 @@ Subcommands:
   compare    exact vs limit vs Monte Carlo comparison reports
   selftest   closed-form and cross-implementation consistency checks
 
-Exit codes: 0 success, 1 user error (message on stderr), 2 internal
-invariant violation (full diagnostic dump on stderr).
+Exit codes: 0 success, 1 user error (message on stderr), among them an
+allocation the machine refuses, 2 internal invariant violation (full
+diagnostic dump on stderr).
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def cli_main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.handler(args)
-    except (GWReducedError, ValueError, OSError) as exc:
+    except (GWReducedError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -715,6 +715,21 @@ class TestCli:
         assert "diagnostic dump" in err
         assert "synthetic fault" in err
 
+    def test_refused_allocation_is_user_error(self, capsys, monkeypatch):
+        # n = 1e10 passes every argument check, and its extinction
+        # sequence asks for 74.5 GiB; a stand-in raises what numpy
+        # raises, since a real request may be granted and start filling
+        message = ("Unable to allocate 74.5 GiB for an array with shape "
+                   "(10000000001,) and data type float64")
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "conditional_reduced_pmf", refuse)
+        code = cli_main(["exact", "--n", "10000000000", "--m", "1", "--bound", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_exact_json_output(self, capsys):
         code = cli_main(
             ["exact", "--law", "linear_fractional", "--n", "4", "--m", "2"]
