@@ -339,6 +339,7 @@ def _split_sum_masses(law, r, h, C, qs, fits, sums, survival, p1):
             if K == len(M):
                 M.append(next(sums))
             V = (T[:, 1 : K + 1] * M[:K]).sum(axis=1)
+            # _tail_order's rule over all of V at once; its loop is ~100x slower
             stop = np.nonzero(V[1:] * survival <= 2.0**-52 * p1 * V[0])[0]
             J = stop[0] + 1 if len(stop) else D
             if np.all(M[K] * above[: J + 1, K] <= 2.0**-52 * V[: J + 1]):

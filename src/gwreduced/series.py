@@ -46,8 +46,8 @@ import numpy as np
 from .errors import JetOverflowError, SeriesBudgetError, whole_number
 from .offspring import Family, OffspringLaw, pgf_value
 
-# composition work is ~ n*K^2 multiply-adds; cap keeps a typo from
-# turning into an hour of convolutions
+# the cap prices a pass's n*K^2 multiply-adds only: not the per-step
+# overhead that dominates at narrow K, nor the O(n) extinction sweep
 DEFAULT_COST_CAP = 1e11
 # the Poisson step solves its degrees BLOCK at a time (a power of two,
 # see _step_exponential); entry (i, j) of a block's lower-triangular
