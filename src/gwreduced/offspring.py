@@ -5,13 +5,17 @@ variance.  Three built-in families have closed-form pgf derivatives of
 every order; custom laws must have finite support, so that composing
 the pgf with a series is a Horner evaluation of a polynomial.
 
-Linear-fractional and finite laws are sampled by inverting one uniform
-per draw (Devroye, *Non-Uniform Random Variate Generation*, 1986,
-ch. X), which gives the integers numpy's own samplers give from the same
-stream: the linear-fractional count is read off the binary exponent of
-``1 - u`` and equals ``geometric(0.5) - 1``, and a finite law counts
-the cut points of its cumulative table at or below ``u`` by comparing
-``u`` with each of them.  Poisson draws come from ``Generator.poisson``.
+``sample_offspring`` draws iid counts, for linear-fractional and finite
+laws by inverting one uniform per draw (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. X), which gives the integers numpy's own
+samplers give from the same stream: the linear-fractional count is read
+off the binary exponent of ``1 - u`` and equals ``geometric(0.5) - 1``,
+and a finite law counts the cut points of its cumulative table at or
+below ``u`` by comparing ``u`` with each of them.  Poisson draws come
+from ``Generator.poisson``.  The Monte Carlo sampler does not call it:
+``simulate`` draws whole generation totals from convolution powers.  It
+stays in this module, out of ``gwreduced.__all__``, because the
+benchmark's tracer (``perfbench/tracer.py``) wraps it by name.
 """
 
 from __future__ import annotations

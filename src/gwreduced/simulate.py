@@ -2,17 +2,33 @@
 their reduced counts and most-recent-common-ancestor distances, given a
 small terminal population.
 
-A batch grows a forest of replicates, stored as per-generation arrays
-of running child totals, never as node objects, in one forward pass
-(``_grow``) and marks the genealogies of its accepted replicates in one
-backward pass (``_mark_backward``).  The forward pass keeps no
-per-individual record of which replicate an individual belongs to:
-each live replicate is one contiguous block of its generation, so its
-child total is read off one running sum of the generation's draws at
-the block boundaries, and an extinct replicate leaves the live set.
-The backward pass starts from the generation-n individuals of the
-accepted replicates only and follows their ancestors up through the
-running sums; rejected replicates are never marked.
+A batch draws each replicate's generation sizes first and marks its
+genealogy given the sizes, which the exchangeability of the families
+allows (Zubkov 1975, *Theory Probab. Appl.* 20; Athreya 2012, *J. Appl.
+Probab.* 49).  The forward pass (``_grow``) keeps no individual: a live
+replicate of k individuals draws its next generation total from the
+k-fold convolution power of the offspring law, ``negative_binomial(k,
+1/2)`` for the linear-fractional law, ``poisson(k)`` for Poisson,
+``binomial(2k, 1/2)`` for the ternary law (binomial(2, 1/2) itself),
+and for a custom law the ``multinomial(k, p)`` counts of families of
+each size, which the backward pass reads.  A tree thus costs one draw
+per generation it is alive in, about 1 + log(1 + B n)/B of the n for
+half-variance B, where drawing each individual cost n + 1 draws, and
+holds per such generation an int32 id and an int32 size, 8 bytes,
+plus 4 bytes per family size for a custom law.
+
+The backward pass (``_mark_backward``) marks the accepted replicates
+only.  Given Z(g) = a and Z(g+1) = b, the r marked children of g+1 form
+a uniform r-subset of the b, and the reduced count at g is the number
+of distinct parents among them: a hypergeometric draw for the
+linear-fractional law (the marked children fill a uniform weak
+composition of r into a parts), the distinct values among r uniform
+parents for Poisson, the blocks of two slots hit for the ternary law
+(the children fill a uniform b-subset of the 2a slots), and for a
+custom law a hypergeometric split of the r marks over the family sizes,
+then per size c the blocks of c siblings hit, drawn by inversion.  A
+generation costs O(1) numpy calls over the replicates whose reduced
+tree still has two or more lines there.
 
 The batch sampler simulates replicates in fixed-size chunks, each chunk
 driven by its own child stream of the master seed (spawn key = chunk
@@ -24,33 +40,42 @@ where the accepted target is met.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AcceptanceBudgetExhausted, whole_number
-from .offspring import OffspringLaw, sample_offspring
+from .offspring import Family, OffspringLaw
 
 # nodes one replicate may hold before it is cut and counted in a
 # batch's budget_rejected; read once per batch
 NODE_BUDGET = 10_000_000
+# chunks sized to hold about this many bytes of generation records; a
+# replicate keeps one record per generation it is alive in, at most n,
+# and about log(1 + B n)/B of them for half-variance B
+CHUNK_TARGET_BYTES = 1 << 24
+CHUNK_MAX = 32_768
+CHUNK_MIN = 256
 # replicates drawn at most before a batch stops short of its target
 MAX_REPLICATES_DEFAULT = 100_000_000
-# chunks sized to hold about this many expected nodes (a critical tree
-# carries n+1 of them on average)
-CHUNK_TARGET_NODES = 1 << 22
-CHUNK_MAX = 8192
-CHUNK_MIN = 256
 LOW_CONFIDENCE_ACCEPTED = 10
 
 
-def default_chunk_size(n: int) -> int:
-    return max(CHUNK_MIN, min(CHUNK_MAX, CHUNK_TARGET_NODES // (n + 1)))
+def default_chunk_size(law: OffspringLaw, n: int) -> int:
+    B = law.half_variance
+    records = min(n, 1.0 + math.log1p(B * n) / B)
+    # an id and a size, and for a custom law one count per family size
+    record_bytes = 8
+    if law.family is Family.CUSTOM_FINITE:
+        record_bytes += 4 * (len(law.support_pmf) - 1)
+    return max(CHUNK_MIN, min(CHUNK_MAX, int(CHUNK_TARGET_BYTES / (records * record_bytes))))
 
 
 def check_run_settings(max_replicates, seed, workers) -> tuple[int, int, int]:
@@ -59,83 +84,187 @@ def check_run_settings(max_replicates, seed, workers) -> tuple[int, int, int]:
     return budget, whole_number("seed", seed), whole_number("workers", workers, 1)
 
 
-def _grow(law, n, rng, size, node_budget):
-    """Forward pass: grow ``size`` trees to generation n from ``rng``.
+def _next_generation(law, rng, sizes):
+    """Each replicate's next generation total, from the ``sizes``-fold
+    convolution power of the law, and for a custom law the counts of
+    families of each size c = 1, 2, ... (column c - 1), else None."""
+    if law.family is Family.LINEAR_FRACTIONAL:
+        return rng.negative_binomial(sizes, 0.5), None
+    if law.family is Family.POISSON:
+        return rng.poisson(sizes), None
+    if law.family is Family.TERNARY_UNIFORM:
+        # binomial(2, 1/2): each parent has two slots, filled independently
+        return rng.binomial(2 * sizes, 0.5), None
+    families = rng.multinomial(sizes, law.support_pmf)[:, 1:]
+    return families @ np.arange(1, families.shape[1] + 1), families
 
-    All replicates advance generation by generation in one flat array,
-    in which each live replicate holds one contiguous block, in replicate
-    order, and the children of each individual form one contiguous block
-    of the next generation.  Only the live replicates' ids and block
-    sizes are carried; a replicate is dropped once extinct.  Returns
-    ``child_ends`` (for each generation g = 0..n-1 the running total of
-    its child counts, so the children of individual i of g end at
-    position ``child_ends[g][i]`` of g+1), the ids of the replicates
-    alive at generation n with their sizes there, and ``budget_ok``.  A
-    replicate whose node count passes ``node_budget`` loses the children
-    of that generation, so it is extinct from then on and never
-    accepted, and is flagged false in ``budget_ok``.
+
+def _grow(law, n, rng, size, node_budget):
+    """Forward pass: draw the generation sizes of ``size`` trees to
+    generation n from ``rng``.
+
+    Returns ``history``, whose entry g - 1 holds for generation g =
+    1..n the ids of the replicates alive there (increasing), their sizes
+    and, for a custom law, the family-size counts of their generation
+    g - 1 (else None), all int32; and ``budget_ok``.  A replicate whose
+    node count passes ``node_budget`` loses the children of that
+    generation, so it is extinct from then on and never accepted, and is
+    flagged false in ``budget_ok``.
     """
-    ids = np.arange(size)
-    sizes = np.ones(size, dtype=np.int64)
-    nodes_used = sizes.copy()
+    ids = np.arange(size, dtype=np.int32)
+    sizes = np.ones(size, dtype=np.int32)
+    nodes_used = np.ones(size, dtype=np.int64)
     budget_ok = np.ones(size, dtype=bool)
-    child_ends = []
+    history = []
     for _ in range(n):
-        # an empty generation draws nothing and leaves rng untouched
-        draws = sample_offspring(law, rng, int(sizes.sum()))
-        ends = np.cumsum(draws)
-        # the children of each replicate, read at its block boundaries
-        children = np.diff(np.concatenate(([0], ends[np.cumsum(sizes) - 1])))
+        children, families = _next_generation(law, rng, sizes)
         nodes_used += children
         breached = nodes_used > node_budget
         if breached.any():
             budget_ok[ids[breached]] = False
-            draws[np.repeat(breached, sizes)] = 0
-            ends = np.cumsum(draws)
             children[breached] = 0
-        child_ends.append(ends)
-        alive = children > 0
-        ids, sizes, nodes_used = ids[alive], children[alive], nodes_used[alive]
-    return child_ends, ids, sizes, budget_ok
+        alive = np.flatnonzero(children)
+        ids, sizes, nodes_used = ids[alive], children[alive].astype(np.int32), nodes_used[alive]
+        if families is not None:
+            families = families[alive].astype(np.int32)
+        history.append((ids, sizes, families))
+    return history, budget_ok
 
 
-def _mark_backward(child_ends, starts, sizes, kept):
-    """Backward marking pass over some replicates of a forest.
+@lru_cache(maxsize=64)
+def _hit_table(c, rows, cols):
+    """``log [x^m] ((1+x)^c - 1)^k`` for k = 0..rows and m = 0..cols:
+    the number of ways m marks fall on k given blocks of c slots,
+    hitting each.
 
-    ``child_ends`` lays out the forest as ``_grow`` returns it, and
-    replicate r holds the ``sizes[r]`` individuals of generation n from
-    position ``starts[r]`` on.  Marking every ancestor of those
-    individuals gives each replicate's reduced count at every
-    generation.  Only marked individuals are followed, each with the
-    replicate it belongs to, so the rest of the forest costs nothing.
-    Returns the counts at the ``kept`` generations, one column each, and
-    per replicate the distance from generation n back to the survivors'
-    common ancestor.
+    Row k is the convolution of row k - 1 with the coefficients
+    ``C(c, j)``, j = 1..c, summed in logarithms, so no term is
+    subtracted and none overflows.
     """
-    n = len(child_ends)
-    offsets = np.cumsum(sizes) - sizes
-    marked = np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())
-    replicate = np.repeat(np.arange(len(sizes)), sizes)
-    wanted = set(kept)
-    rows = {n: sizes}
-    single_line_gens = np.zeros(len(sizes), dtype=np.int64)
+    log_comb = np.log([float(math.comb(c, j)) for j in range(1, c + 1)])
+    table = np.full((rows + 1, cols + 1), -np.inf)
+    table[0, 0] = 0.0
+    for k in range(1, rows + 1):
+        padded = np.concatenate((np.full(c, -np.inf), table[k - 1]))
+        # window c - j is row k - 1 shifted right by j
+        shifted = sliding_window_view(padded, cols + 1)[c - 1 :: -1]
+        table[k] = np.logaddexp.reduce(shifted + log_comb[:, None], axis=0)
+    # the cache hands the one array to every caller
+    table.flags.writeable = False
+    return table
+
+
+def _blocks_hit(rng, blocks, marks, c):
+    """The number of distinct blocks hit when ``marks`` marks fall
+    uniformly on distinct slots of ``blocks`` blocks of c slots, one
+    draw per replicate, by inversion over ``C(blocks, k) [x^m]((1+x)^c
+    - 1)^k``.  Every replicate has at least one mark.  The weights span
+    k = 1..K, K the most blocks a replicate can hit; the table of
+    (K + 1)(M + 1) logarithms, M the most marks, is sized to powers of
+    two so that generations and chunks share it."""
+    top = int(marks.max())
+    K = min(top, int(blocks.max()))
+    k = np.arange(K)[:, None]
+    with np.errstate(divide="ignore"):
+        # log C(blocks, k + 1), -inf past blocks
+        log_w = np.cumsum(np.log(np.maximum(blocks - k, 0)) - np.log1p(k), axis=0)
+    table = _hit_table(c, 1 << max(4, K.bit_length()), 1 << max(4, top.bit_length()))
+    log_w += table[1 : K + 1, marks]
+    cdf = np.cumsum(np.exp(log_w - log_w.max(axis=0)), axis=0)
+    u = rng.random(len(marks)) * cdf[-1]
+    return 1 + (cdf[:-1] <= u).sum(axis=0)
+
+
+def _parent_lines(law, rng, parents, lines, families):
+    """One backward step: for each replicate, the number of distinct
+    parents of ``lines`` marked children, which are a uniform subset of
+    their generation, given ``parents`` individuals in the generation
+    above and, for a custom law, the counts of its families of each
+    size."""
+    if law.family is Family.LINEAR_FRACTIONAL:
+        # given the total the family sizes are a uniform weak composition,
+        # and so are the marks' (of r into a parts), of which
+        # hypergeometric(a, r - 1, r) parts are nonempty
+        return rng.hypergeometric(parents, lines - 1, lines)
+    if law.family is Family.POISSON:
+        # given the total each child's parent is uniform and independent
+        owner = np.repeat(np.arange(len(lines)), lines)
+        stride = int(parents.max())
+        key = np.sort(owner * stride + rng.integers(np.repeat(parents, lines)))
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        return np.bincount(key[first] // stride, minlength=len(lines))
+    if law.family is Family.TERNARY_UNIFORM:
+        # the children fill a uniform subset of the 2a slots, and so do
+        # the marked ones
+        return _blocks_hit(rng, parents, lines, 2)
+    sizes = np.flatnonzero(law.support_pmf[1:]) + 1
+    left = families @ np.arange(1, families.shape[1] + 1)
+    rest = lines
+    hit = np.zeros(len(lines), dtype=np.int64)
+    for c in sizes:
+        # the marks on children of families of c, a hypergeometric share
+        # of the marks not yet placed
+        born = c * families[:, c - 1].astype(np.int64)
+        if not born.any():
+            continue
+        left -= born
+        marks = rest if c == sizes[-1] else rng.hypergeometric(born, left, rest)
+        rest = rest - marks
+        if c == 1:
+            hit += marks
+            continue
+        some = np.flatnonzero(marks)
+        if len(some):
+            hit[some] += _blocks_hit(rng, families[some, c - 1], marks[some], int(c))
+    return hit
+
+
+def _mark_backward(law, history, rows, kept, rng):
+    """Backward marking pass over the replicates at positions ``rows``
+    of generation n in ``history`` (as ``_grow`` returns it).
+
+    Starting from all individuals of generation n, each step draws the
+    number of distinct parents of the marked ones given the sizes
+    (``_parent_lines``).  Only replicates with two or more marked lines
+    are stepped: one line stays one line up to the root.  Returns the
+    reduced counts at the ``kept`` generations, one column each, and
+    per replicate the distance from generation n back to the survivors'
+    common ancestor, which is n - g for the last generation g < n with
+    one line.
+    """
+    n = len(history)
+    ids, sizes, _ = history[-1]
+    picked = ids[rows]
+    lines = sizes[rows].astype(np.int64)
+    counts = np.ones((len(rows), len(kept)), dtype=np.int64)
+    columns = {}
+    for k, g in enumerate(kept):
+        columns.setdefault(g, []).append(k)
+    for k in columns.get(n, ()):
+        counts[:, k] = lines
+    distances = np.ones(len(rows), dtype=np.int64)
+    active = np.flatnonzero(lines >= 2)
+    lines, pos = lines[active], rows[active]
     for g in range(n - 1, -1, -1):
-        # a child's parent is the first individual whose child block
-        # ends past it; siblings are adjacent, so each parent is kept once
-        parents = np.searchsorted(child_ends[g], marked, side="right")
-        first = np.ones(len(parents), dtype=bool)
-        np.not_equal(parents[1:], parents[:-1], out=first[1:])
-        marked, replicate = parents[first], replicate[first]
-        red = np.bincount(replicate, minlength=len(sizes))
-        single_line_gens += red == 1
-        if g in wanted:
-            rows[g] = red
-    # reduced profiles are nondecreasing, so the ancestor generation of
-    # a surviving replicate is (number of single-line generations g < n) - 1
-    distances = n - (single_line_gens - 1)
-    if not kept:
-        return np.zeros((len(sizes), 0), dtype=np.int64), distances
-    return np.stack([rows[g] for g in kept], axis=1), distances
+        if not len(active):
+            break
+        families = history[g][2]
+        if families is not None:
+            families = families[pos]
+        if g:
+            ids, sizes, _ = history[g - 1]
+            pos = np.searchsorted(ids, picked[active])
+            parents = sizes[pos]
+        else:
+            parents = np.ones(len(active), dtype=np.int32)
+        lines = _parent_lines(law, rng, parents, lines, families)
+        for k in columns.get(g, ()):
+            counts[active, k] = lines
+        single = lines == 1
+        distances[active[single]] = n - g
+        active, lines, pos = active[~single], lines[~single], pos[~single]
+    return counts, distances
 
 
 @dataclass(frozen=True)
@@ -209,19 +338,17 @@ def _simulate_chunk(law, n, C, queries, seed, chunk_index, size, node_budget):
     replicates are marked.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    child_ends, survivors, terminal, budget_ok = _grow(law, n, rng, size, node_budget)
-    accept = terminal <= C
-    starts = np.cumsum(terminal) - terminal
-    reduced, distances = _mark_backward(
-        child_ends, starts[accept], terminal[accept], queries
-    )
+    history, budget_ok = _grow(law, n, rng, size, node_budget)
+    survivors, terminal, _ = history[-1]
+    rows = np.flatnonzero(terminal <= C)
+    reduced, distances = _mark_backward(law, history, rows, queries, rng)
     return {
         "chunk_index": chunk_index,
         "size": size,
-        "accepted_idx": survivors[accept],
+        "accepted_idx": survivors[rows].astype(np.int64),
         "reduced": reduced,
         "distances": distances,
-        "terminal": terminal[accept],
+        "terminal": terminal[rows].astype(np.int64),
         "budget_rejected": int((~budget_ok).sum()),
     }
 
@@ -258,7 +385,7 @@ def run_conditioned_batch(
     target_accepted = whole_number("target_accepted", target_accepted, 1)
     max_replicates, seed, workers = check_run_settings(max_replicates, seed, workers)
     if chunk_size is None:
-        chunk_size = default_chunk_size(n)
+        chunk_size = default_chunk_size(law, n)
     chunk_size = whole_number("chunk_size", chunk_size, 1)
 
     n_chunks = -(-max_replicates // chunk_size)

@@ -14,8 +14,8 @@ from gwreduced import (
     make_custom,
     pgf_derivatives,
     pgf_value,
-    sample_offspring,
 )
+from gwreduced.offspring import sample_offspring
 from gwreduced.series import iter_extinction_probs, pmf_Zn
 
 TOL = 1e-12

@@ -324,6 +324,15 @@ class TestConditionalTable:
         with pytest.raises(ConditioningImpossibleError):
             conditional_reduced_pmf(LF, 2, 5, C=0)
 
+    @pytest.mark.parametrize("law", [LF, POIS, TERNARY, make_custom([0.35, 0.35, 0.25, 0.05])],
+                             ids=["lf", "poisson", "ternary", "custom4"])
+    @pytest.mark.parametrize("m, n", [(0, 3), (5, 10), (40, 200)])
+    def test_bound_one_is_possible_and_leaves_one_line(self, law, m, n):
+        # C = 1 is the smallest bound with an event of positive probability:
+        # the one survivor's ancestral line is the only line at every m
+        table = conditional_reduced_pmf(law, m, n, 1)
+        assert table.pmf.tolist() == [1.0]
+
     @pytest.mark.parametrize("law,m,n,C", [(LF, 3, 7, 4), (TERNARY, 10, 40, 6)])
     def test_event_prob_is_the_bounded_survival_prob(self, law, m, n, C):
         # the row sum against the f_n pass and, for LF, the closed form

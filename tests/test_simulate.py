@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +21,12 @@ from gwreduced.reduced import (
 )
 from gwreduced.series import extinction_prob
 from gwreduced.simulate import (
+    CHUNK_MAX,
     NODE_BUDGET,
     _grow,
     _mark_backward,
+    _next_generation,
+    _parent_lines,
     default_chunk_size,
     run_conditioned_batch,
 )
@@ -43,65 +49,167 @@ def _batch_digest(batch):
     return h.hexdigest()
 
 
-def _ends(counts):
-    return [np.cumsum(np.asarray(c, dtype=np.int64)) for c in counts]
+def _history(law, profile, families=None):
+    """A one-replicate history as ``_grow`` lays it out, from the sizes
+    Z(1..n) and, for a custom law, the family counts of Z(0..n-1)."""
+    one = np.zeros(1, dtype=np.int32)
+    return [
+        (one, np.array([z], dtype=np.int32),
+         None if families is None else np.array([f], dtype=np.int32))
+        for z, f in zip(profile, families or [None] * len(profile))
+    ]
+
+
+def _exact_parent_count(weights, a, b, r):
+    """Exact law of the number of distinct parents of a uniform r-subset
+    of the b children of a parents whose family sizes are iid with
+    weights ``weights`` (a sequence over 0..b), given that they sum to b."""
+    law = {}
+    for sizes in itertools.product(range(b + 1), repeat=a):
+        if sum(sizes) != b:
+            continue
+        w = math.prod(weights[k] for k in sizes)
+        if not w:
+            continue
+        parent = [i for i, k in enumerate(sizes) for _ in range(k)]
+        subsets = list(itertools.combinations(parent, r))
+        for chosen in subsets:
+            d = len(set(chosen))
+            law[d] = law.get(d, Fraction(0)) + w / len(subsets)
+    total = sum(law.values())
+    return {d: p / total for d, p in law.items()}
+
+
+def _pooled_pvalue(samples, probs):
+    """Chi-square p-value of samples of 0, 1, ... against ``probs``, with
+    the table's missing mass as one more cell and neighbouring cells
+    pooled until each expects 5."""
+    counts = np.bincount(samples, minlength=len(probs) + 1)
+    observed = np.append(counts[: len(probs)], counts[len(probs):].sum())
+    expected = np.append(probs, max(0.0, 1.0 - np.sum(probs))) * len(samples)
+    obs, exp = [0.0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp[-1] >= 5.0:
+            obs.append(0.0)
+            exp.append(0.0)
+        obs[-1] += o
+        exp[-1] += e
+    if exp[-1] < 5.0 and len(exp) > 1:
+        last_obs, last_exp = obs.pop(), exp.pop()
+        obs[-1] += last_obs
+        exp[-1] += last_exp
+    exp = np.asarray(exp) * sum(obs) / sum(exp)
+    return scipy.stats.chisquare(obs, exp).pvalue
 
 
 class TestGrow:
-    def test_forest_layout(self):
-        # each generation holds one individual per child counted in the
-        # one before, and an extinct replicate stays extinct
+    @pytest.mark.parametrize("law", [LF, POISSON, TERNARY, NARROW],
+                             ids=["lf", "poisson", "ternary", "custom4"])
+    def test_size_profile_layout(self, law):
+        # each generation lists, in id order, the replicates alive there,
+        # all alive one generation up; family counts add up to the sizes
         size, n = 200, 6
-        child_ends, ids, terminal, budget_ok = _grow(
-            TERNARY, n, np.random.default_rng(3), size, NODE_BUDGET
-        )
-        assert len(child_ends) == n
-        assert len(child_ends[0]) == size
-        for ends, after in zip(child_ends, child_ends[1:]):
-            assert np.all(np.diff(ends) >= 0)
-            assert len(after) == (ends[-1] if len(ends) else 0)
-        assert terminal.sum() == child_ends[-1][-1]
-        assert np.all(terminal > 0)
-        assert np.all(np.diff(ids) > 0)
+        history, budget_ok = _grow(law, n, np.random.default_rng(3), size, NODE_BUDGET)
+        assert len(history) == n
+        above_ids, above_sizes = np.arange(size), np.ones(size, dtype=np.int32)
+        for ids, sizes, families in history:
+            assert ids.dtype == sizes.dtype == np.int32
+            assert np.all(np.diff(ids) > 0)
+            assert np.all(sizes > 0)
+            parents = above_sizes[np.searchsorted(above_ids, ids)]
+            assert np.array_equal(above_ids[np.searchsorted(above_ids, ids)], ids)
+            if law is NARROW:
+                assert families.dtype == np.int32
+                assert np.array_equal(families @ np.arange(1, 4), sizes)
+                assert np.all(families.sum(axis=1) <= parents)
+            else:
+                assert families is None
+            above_ids, above_sizes = ids, sizes
         assert budget_ok.all()
+
+    @pytest.mark.parametrize("law, weights", [
+        pytest.param(LF, [0.5 ** (k + 1) for k in range(60)], id="lf"),
+        pytest.param(POISSON, [math.exp(-1) / math.factorial(k) for k in range(40)],
+                     id="poisson"),
+        pytest.param(TERNARY, [0.25, 0.5, 0.25], id="ternary"),
+        pytest.param(NARROW, [0.35, 0.35, 0.25, 0.05], id="custom4"),
+    ])
+    def test_generation_total_is_the_convolution_power(self, law, weights):
+        # three parents have the 3-fold convolution of the law as children
+        reps = 40_000
+        totals, _ = _next_generation(law, np.random.default_rng(11),
+                                     np.full(reps, 3, dtype=np.int32))
+        probs = np.convolve(np.convolve(weights, weights), weights)
+        assert _pooled_pvalue(totals, probs) > 0.001
 
 
 class TestMarkBackward:
-    @pytest.mark.parametrize("counts, profile, distance", [
-        # root -> 2 children; first child -> 1 grandchild, second -> none
-        pytest.param([[2], [1, 0]], [1, 1, 1], 1, id="one_line_survives"),
-        # root -> 2, both children keep a line alive
-        pytest.param([[2], [1, 2]], [1, 2, 3], 2, id="both_lines_survive"),
-        pytest.param([[1], [1], [1]], [1, 1, 1, 1], 1, id="single_line"),
-        # both root children hold lines to the end: ancestor is the root
-        pytest.param([[2], [1, 1], [1, 1]], [1, 2, 2, 2], 3, id="split_at_root"),
-        # one line down to generation 1, whose individual spawns two
-        # surviving lines: the ancestor sits two levels above the end
-        pytest.param([[1], [2], [1, 1]], [1, 1, 2, 2], 2, id="late_split"),
+    @pytest.mark.parametrize("law, profile, families, reduced, distance", [
+        pytest.param(LF, [1, 1, 1], None, [1, 1, 1, 1], 1, id="single_line"),
+        # both slots of both parents are filled and marked
+        pytest.param(TERNARY, [2, 4], None, [1, 2, 4], 2, id="full_slots"),
+        # one family of three, whose members have one child each
+        pytest.param(NARROW, [3, 3], [[0, 0, 1], [3, 0, 0]], [1, 3, 3], 2,
+                     id="split_at_root"),
+        # one line to generation 1, whose individual has two children
+        # that each have one
+        pytest.param(NARROW, [1, 2, 2], [[1, 0, 0], [0, 1, 0], [2, 0, 0]],
+                     [1, 1, 2, 2], 2, id="late_split"),
+        # three families of one under one family of three: all marks on
+        # one block at the root
+        pytest.param(NARROW, [3, 3, 3], [[0, 0, 1], [3, 0, 0], [3, 0, 0]],
+                     [1, 3, 3, 3], 3, id="no_coalescence_below_root"),
     ])
-    def test_hand_built_tree(self, counts, profile, distance):
-        child_ends = _ends(counts)
-        terminal = np.array([child_ends[-1][-1]])
-        reduced, distances = _mark_backward(
-            child_ends, np.zeros(1, dtype=np.int64), terminal,
-            tuple(range(len(counts) + 1)),
+    def test_forced_genealogy(self, law, profile, families, reduced, distance):
+        history = _history(law, profile, families)
+        counts, distances = _mark_backward(
+            law, history, np.zeros(1, dtype=np.int64), tuple(range(len(profile) + 1)),
+            np.random.default_rng(0),
         )
-        assert reduced.tolist() == [profile]
+        assert counts.tolist() == [reduced]
         assert distances.tolist() == [distance]
 
-    def test_forest_with_offset_starts(self):
-        # two replicates laid out as a batch grows them: replicate 0
-        # holds generation-2 positions 0..2, replicate 1 positions 3..4
-        child_ends = _ends([[2, 1], [1, 2, 2]])
-        starts = np.array([0, 3])
-        sizes = np.array([3, 2])
-        reduced, distances = _mark_backward(child_ends, starts, sizes, (0, 1, 2))
-        assert reduced.tolist() == [[1, 2, 3], [1, 1, 2]]
-        assert distances.tolist() == [2, 1]
-        # marking replicate 1 alone skips replicate 0's block
-        reduced, distances = _mark_backward(child_ends, starts[1:], sizes[1:], (2, 0))
-        assert reduced.tolist() == [[2, 1]]
-        assert distances.tolist() == [1]
+    def test_rows_and_kept_generations(self):
+        # two replicates; marking replicate 1 alone, in any query order
+        one = np.array([0, 1], dtype=np.int32)
+        history = [(one, np.array([1, 2], dtype=np.int32), None),
+                   (one, np.array([1, 4], dtype=np.int32), None)]
+        counts, distances = _mark_backward(
+            TERNARY, history, np.array([1]), (2, 0, 1, 2), np.random.default_rng(0)
+        )
+        assert counts.tolist() == [[4, 1, 2, 4]]
+        assert distances.tolist() == [2]
+
+    @pytest.mark.parametrize("law, weights", [
+        pytest.param(LF, [Fraction(1, 2 ** (k + 1)) for k in range(7)], id="lf"),
+        pytest.param(POISSON, [Fraction(1, math.factorial(k)) for k in range(7)],
+                     id="poisson"),
+        pytest.param(TERNARY, list(TPMF) + [Fraction(0)] * 4, id="ternary"),
+        pytest.param(NARROW, [Fraction(35, 100), Fraction(35, 100), Fraction(25, 100),
+                              Fraction(5, 100)] + [Fraction(0)] * 3, id="custom4"),
+    ])
+    @pytest.mark.parametrize("a, b, r", [(2, 3, 2), (3, 4, 3), (3, 6, 4), (4, 5, 3)])
+    def test_one_step_matches_enumeration(self, law, weights, a, b, r):
+        # the number of distinct parents of r marked children among b,
+        # against every family-size vector of a parents summing to b
+        rng = np.random.default_rng(1000 * a + 100 * b + r)
+        reps = 20_000
+        families = None
+        if law is NARROW:
+            # family counts given the total, by rejection from the multinomial
+            draws = rng.multinomial(a, law.support_pmf, size=20 * reps)[:, 1:]
+            families = draws[draws @ np.arange(1, 4) == b][:reps].astype(np.int32)
+            reps = len(families)
+        got = _parent_lines(law, rng, np.full(reps, a, dtype=np.int32),
+                            np.full(reps, r, dtype=np.int64), families)
+        want = _exact_parent_count(weights, a, b, r)
+        counts = np.bincount(got, minlength=r + 1)
+        assert set(np.flatnonzero(counts)) <= set(want)
+        cells = sorted(want)
+        obs = [counts[d] for d in cells]
+        exp = [float(want[d]) * reps for d in cells]
+        if len(cells) > 1:
+            assert scipy.stats.chisquare(obs, exp).pvalue > 0.001
 
 
 class TestConditionedBatch:
@@ -116,8 +224,7 @@ class TestConditionedBatch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_output_digest_is_pinned(self, workers):
-        # digest of the batch arrays as the sampler produced them before
-        # its backward marking pass was shared with reduced_counts
+        # digest of the batch arrays as the size-profile sampler draws them
         batch = run_conditioned_batch(
             TERNARY, 8, 3, [2, 4], 200, seed=42, workers=workers
         )
@@ -127,43 +234,42 @@ class TestConditionedBatch:
             h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
         assert h.hexdigest() == (
-            "e18a9f5bc7cfae6c608feb39a0360b69b4a86252e416e6f7d381571179cfcb47"
+            "f8f02c11c7cf2c30f6a55e65f693c12d0ff70a43fc63a776f38c2b91b9d73dfa"
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("law, n, C, queries, target, seed, budget, digest", [
         pytest.param(
             LF, 100, 10, [50, 90], 100, 3, None,
-            "0d0199c198a008132b6810b350b76e1758dcc83ea6a17f1e4cec19a4c81d224b",
+            "b05f9671d61f69d80db9624fcb8c27a79096137e365d09928de82f145a8d7311",
             id="lf",
         ),
         pytest.param(
             POISSON, 40, 5, [10, 30], 300, 5, None,
-            "0ec103cc4284cc2bb54fdfd57d7d867b7926c0c44a6aa1f38a9df9052f949f67",
+            "339e846c83ba04fa94b69e78a28c8a73892a5bb8764beae4476dbf1859a46238",
             id="poisson",
         ),
         pytest.param(
             NARROW, 30, 4, [15], 300, 6, None,
-            "89727d710e07aac0f1fa95bb4f3c17eabc17f919f0033f85b1d909e37148ce91",
+            "deb27aa67803f68e7a129a7d7334cffefa1ffa5fb196b35edff162e508b35bd4",
             id="custom4",
         ),
         pytest.param(
             WIDE, 20, 100, [5, 15], 200, 8, None,
-            "724dd592a88339b1b2990218b5281237c64fd6334d3bc52012e93eb5ad714eff",
+            "1b0ff237c2041ee2632797e8490276d59df7ecc09bcbb8d0d80001f55e56fb5d",
             id="custom40",
         ),
-        # 367 of the 4096 replicates pass the node budget of 30
+        # 412 of the 4096 replicates pass the node budget of 30
         pytest.param(
             LF, 10, 1000, [5], 200, 4, 30,
-            "b39664f942917e9dd623a72fba13aa7791992435a47c200b2d6cf74c795dfe79",
+            "075e710dafc207aa248b4765f1197cd889a74ec05c90537907a206e87cf1c32c",
             id="lf_budget",
         ),
     ])
     def test_law_digest_is_pinned(self, law, n, C, queries, target, seed, budget,
                                   digest, workers, monkeypatch):
-        # digests of the batch arrays as the sampler produced them with
-        # numpy's geometric and searchsorted draws and per-individual
-        # replicate owners
+        # digests of the batch arrays as the size-profile sampler draws
+        # them: generation totals forward, parent counts backward
         kwargs = {"seed": seed, "workers": workers}
         if budget is not None:
             monkeypatch.setattr(simulate, "NODE_BUDGET", budget)
@@ -218,7 +324,7 @@ class TestConditionedBatch:
         monkeypatch.setattr(simulate, "NODE_BUDGET", 30)
         serial = run_conditioned_batch(*args, **kwargs)
         pooled = run_conditioned_batch(*args, workers=2, **kwargs)
-        assert serial.budget_rejected == pooled.budget_rejected == 367
+        assert serial.budget_rejected == pooled.budget_rejected == 412
         assert serial.replicates == pooled.replicates == 4096
         assert serial.accepted == pooled.accepted
         assert serial.stream_ids == pooled.stream_ids
@@ -303,9 +409,48 @@ class TestConditionedBatch:
         with pytest.raises(ValueError, match="workers"):
             run_conditioned_batch(TERNARY, 5, 2, [], 10, workers=-4)
 
-    def test_chunk_size_default_shrinks_with_horizon(self):
-        assert default_chunk_size(10) == 8192
-        assert default_chunk_size(4000) < 2048
+    def test_chunk_size_default_shrinks_with_live_generations(self):
+        # a replicate keeps a record per generation it is alive in: few
+        # for a wide law, most of n for a law close to one child each
+        assert default_chunk_size(LF, 10) == CHUNK_MAX
+        assert default_chunk_size(TERNARY, 1000) == CHUNK_MAX
+        lazy = make_custom([0.005, 0.99, 0.005])
+        assert default_chunk_size(lazy, 100) == 12773
+        assert default_chunk_size(lazy, 4000) == 1719
+
+    def test_target_met_at_a_chunk_boundary_draws_no_further_chunk(self):
+        kwargs = {"seed": 5, "chunk_size": 64}
+        probe = run_conditioned_batch(TERNARY, 12, 2, [], 10**6,
+                                      max_replicates=4 * 64, **kwargs)
+        per_chunk = np.bincount(probe.replicate_ids // 64, minlength=4)
+        assert per_chunk[1] > 0
+        target = int(per_chunk[:2].sum())
+        batch = run_conditioned_batch(TERNARY, 12, 2, [], target, **kwargs)
+        assert batch.stream_ids == (0, 1)
+        assert batch.accepted == target
+        assert batch.replicates == 2 * 64
+
+    @pytest.mark.parametrize("ending, warned", [(9, True), (10, False), ("target", False)])
+    def test_low_confidence_edges(self, ending, warned):
+        # one replicate per chunk, so a run can end after any acceptance:
+        # the budget runs out after the 9th or the 10th, or the target of
+        # 5 is met exactly
+        kwargs = {"seed": 3, "chunk_size": 1}
+        probe = run_conditioned_batch(TERNARY, 2, 4, [], 10**6, max_replicates=40, **kwargs)
+        ids = np.sort(probe.replicate_ids)
+        if ending == "target":
+            target, budget = 5, 40
+        else:
+            target, budget = 10**6, int(ids[ending - 1]) + 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = run_conditioned_batch(TERNARY, 2, 4, [], target,
+                                          max_replicates=budget, **kwargs)
+        assert batch.accepted == (5 if ending == "target" else ending)
+        assert batch.low_confidence is warned
+        assert [type(w.message) for w in caught] == (
+            [AcceptanceBudgetExhausted] if warned else []
+        )
 
 
 class TestAgainstExactLaws:
@@ -351,6 +496,18 @@ class TestAgainstExactLaws:
             got = np.sum(batch.mrca_distances <= u) / batch.accepted
             se = math.sqrt(want * (1 - want) / batch.accepted) + 1e-12
             assert abs(got - want) < 3.5 * se
+
+    @pytest.mark.parametrize("law", [LF, POISSON, NARROW], ids=["lf", "poisson", "custom4"])
+    def test_each_backward_step_against_exact_tables(self, law):
+        # the reduced count at m and the ancestor distance of every family's
+        # route, given 0 < Z(n) <= C; a lone survivor has distance 1
+        n, m, C = 12, 6, 3
+        batch = run_conditioned_batch(law, n, C, [m], 20_000, seed=71)
+        table = conditional_reduced_pmf(law, m, n, C)
+        cdf = mrca_distance_cdf(law, n, C, np.arange(1, n + 1))
+        for samples, probs in ((batch.reduced_counts[:, 0], table.pmf),
+                               (batch.mrca_distances, np.diff(cdf, prepend=0.0))):
+            assert _pooled_pvalue(samples - 1, probs) > 0.001
 
     def test_mrca_agrees_with_enumeration(self):
         n, C = 4, 3
