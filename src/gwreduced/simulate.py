@@ -246,24 +246,22 @@ def _mark_backward(law, history, rows, kept, rng):
     distances = np.ones(len(rows), dtype=np.int64)
     active = np.flatnonzero(lines >= 2)
     lines, pos = lines[active], rows[active]
-    for g in range(n - 1, -1, -1):
+    for g in range(n - 1, 0, -1):
         if not len(active):
             break
         families = history[g][2]
         if families is not None:
             families = families[pos]
-        if g:
-            ids, sizes, _ = history[g - 1]
-            pos = np.searchsorted(ids, picked[active])
-            parents = sizes[pos]
-        else:
-            parents = np.ones(len(active), dtype=np.int32)
-        lines = _parent_lines(law, rng, parents, lines, families)
+        ids, sizes, _ = history[g - 1]
+        pos = np.searchsorted(ids, picked[active])
+        lines = _parent_lines(law, rng, sizes[pos], lines, families)
         for k in columns.get(g, ()):
             counts[active, k] = lines
         single = lines == 1
         distances[active[single]] = n - g
         active, lines, pos = active[~single], lines[~single], pos[~single]
+    # the lines left meet in the one individual of generation 0
+    distances[active] = n
     return counts, distances
 
 
