@@ -10,10 +10,10 @@ acceptance-rate agreement.  The final distance and sup-norm pass below
 is the one definition of an experiment: its field table gives the
 config keys, their text form and the `compare` flags, and building it
 checks every value, down to each horizon's look-back and bound, and
-prices each horizon's subtree pass, n - m steps at degree C, against
-the series budget.  A split and the m-step row pass are priced only as
-a table builds them, so `run_experiment` can still refuse a grid the
-config accepts.  Reports are pure functions of (config, seed), and a
+asks of each horizon its table's first question,
+``series.check_horizon``, which prices only work every table does.
+`run_experiment` may refuse a grid the config accepts, never the
+reverse.  Reports are pure functions of (config, seed), and a
 report's ``config_hash`` is the hash of its ``parameters``, the
 config's text form, which holds no output path, format or worker count.
 """
@@ -170,9 +170,8 @@ def config_hash(config: dict) -> str:
 class ExperimentConfig:
     """Validated comparison-experiment settings; building one also sets
     ``law``, ``limit_query`` and ``horizons``, the (n, m, C) of every
-    horizon, and prices each horizon's subtree pass at its full n - m
-    steps at degree C against the series budget; neither a split nor
-    the row pass of m steps is priced here.  Each field then holds its
+    horizon, and asks each its table's first question,
+    ``series.check_horizon``; no pass runs.  Each field then holds its
     canonical value (the ints of ``errors.whole_number``, the parsed
     law's label, the ``Regime``), so every spelling has one config
     hash.  The window keeps ``x`` and ``phi`` (``sqrt`` when unset), the
@@ -218,11 +217,9 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", tuple(
             (n, *_experiment_geometry(self, n)) for n in self.n_grid
         ))
-        # a table's degree-C pass runs at most n - m steps, and fewer
-        # where it splits; pricing all of them refuses an over-budget
-        # horizon before any earlier one is computed
-        for n, m, C in self.horizons:
-            series.check_budget(n - m, C)
+        # before any table, so no horizon is computed before a refusal
+        for n in grid:
+            series.check_horizon(n)
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":

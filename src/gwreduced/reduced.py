@@ -38,10 +38,11 @@ of n - r steps at degree J, one horizon per step; a table's mass
 P(S_j <= C) is sum_k P(R_1 + ... + R_j = k) P(S^(r)_k <= C), with the
 pmf of R from one pass of n - m - r steps at a degree D <= C and the
 j-fold sums convolved at degree D.  Where no r qualifies the
-degree-C pass runs to its end.  The n*K^2 budget prices the steps a
-pass runs: a pass that may split runs as many as the budget allows and
-is refused only if no split qualifies within them.  The cdf at u has
-the same bits whatever other distances are asked for.
+degree-C pass runs to its end.  A table or cdf first asks
+``series.check_horizon``, then each pass runs only what the budget
+allows: a pass that may split is refused only if no split qualifies
+within its allowance.  The cdf at u has the same bits whatever other
+distances are asked for.
 """
 
 from __future__ import annotations
@@ -268,10 +269,9 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, slopes, steps
     add up to at most ``steps``, so the tries' steps and convolutions
     at degree C stay within the pass they may cut short.  A try and its
     outcome depend on (law, n, C) and r alone, so a pass of fewer steps
-    splits where a longer one does, or not at all.  The pass runs only
-    as many steps as the n*K^2 budget allows at degree C; where no
-    split qualifies within them, the whole pass is refused with
-    SeriesBudgetError.
+    splits where a longer one does, or not at all.  The pass runs at most
+    ``series.step_allowance(C)`` steps; short of ``steps``, it is refused
+    unless a split qualifies within them.
 
     Returns r, the pmf of Z(r) to degree C, an array over u = 0..steps
     whose entries u <= r are the masses P(1 <= Z(u) <= C), and, at a
@@ -279,12 +279,10 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, slopes, steps
     ``_tail_order`` with the generator of the later ones, or else None;
     without a split, r is ``steps``.
     """
-    run = min(steps, int(series.DEFAULT_COST_CAP // (float(C) * C)))
-    if run < 2:
-        # too few steps for a try: iterates refuses an over-budget pass
-        run = steps
-    masses = np.empty(steps + 1)
     r, spent = 2, 0
+    # a pass that cannot afford its first try is refused by iterates unrun
+    run = min(steps, max(r, series.step_allowance(C)))
+    masses = np.empty(steps + 1)
     for u, coeffs in enumerate(iterates(law, run, C)):
         masses[u] = coeffs[1:].sum()
         cap = min(r, C - 1)
@@ -300,12 +298,8 @@ def _split_pass(law: OffspringLaw, n: int, C: int, qs: np.ndarray, slopes, steps
                 return r, coeffs, masses, (fits, sums)
             r, spent = 2 * r, spent + cap
     if u < steps:
-        try:
-            next(iterates(law, steps, C))
-        except SeriesBudgetError as exc:
-            raise SeriesBudgetError(
-                f"{exc}; no split generation qualifies within the {u} steps it allows"
-            ) from None
+        raise SeriesBudgetError(f"no split generation qualifies within the {u} of "
+                                f"{steps} steps at degree {C} that the budget allows")
     return steps, coeffs, masses, None
 
 
@@ -363,6 +357,7 @@ def _joint_rows(law, m, n, C, epsilon):
     first order whose remainder is below epsilon times it.
     """
     h = n - m
+    series.check_horizon(n)
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
     slopes = pgf_derivatives(law, qs[:-1], 1)[1]
     r, subtree, _, split = _split_pass(law, n, C, qs, slopes, h)
@@ -470,6 +465,7 @@ def mrca_distance_cdf(law: OffspringLaw, n: int, C: int, distances) -> np.ndarra
     """
     n, C = whole_number("n", n), whole_number("bound C", C, 1)
     grid = [whole_number("distance", u, 0, n) for u in np.atleast_1d(distances)]
+    series.check_horizon(n)
     qs = np.fromiter(iter_extinction_probs(law, n), float, n + 1)
     slopes = pgf_derivatives(law, qs[:-1], 1)[1]
     masses = _bounded_masses(law, n, C, qs, slopes, grid + [n])

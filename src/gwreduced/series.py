@@ -6,7 +6,7 @@ the pass from g = s below bit for bit, at every degree, for a small
 fraction of the cost.  Everything else is read off ``iterates``, the
 one loop that applies the recursion to a starting series g, one
 composition step g -> f(g) at a time, truncated at the degree K of g,
-under one n*K^2 budget:
+under one budget (``check_budget``):
 
 - g = s gives the coefficients of f_n, the pmf of Z(n);
 - g = q + (1-q)s gives the reduced-process rows (see ``reduced``):
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from operator import mul
 
 import numpy as np
@@ -46,9 +47,12 @@ import numpy as np
 from .errors import JetOverflowError, SeriesBudgetError, whole_number
 from .offspring import Family, OffspringLaw, pgf_value
 
-# the cap prices a pass's n*K^2 multiply-adds only: not the per-step
-# overhead that dominates at narrow K, nor the O(n) extinction sweep
+# one budget: n steps at degree K cost n*(K^2 + STEP_COST) multiply-adds,
+# STEP_COST being a step's fixed cost (3-6 us at K <= 3 against 0.14-0.74
+# ns per K^2 at K = 800, 2 cores).  The extinction sweep is priced as
+# degree 0, so the cap admits 5e6 generations: 80 MB of q_k and slopes
 DEFAULT_COST_CAP = 1e11
+STEP_COST = 2e4
 # the Poisson step solves its degrees BLOCK at a time (a power of two,
 # see _step_exponential); entry (i, j) of a block's lower-triangular
 # matrix is w_{i-j}, and w_0 = 0 fills the diagonal and above
@@ -66,13 +70,11 @@ class TruncatedSeries:
 
 
 def iter_extinction_probs(law: OffspringLaw, n: int):
-    """Yield q_0 = 0, q_1, ..., q_n."""
+    """An iterator over q_0 = 0, q_1, ..., q_n.  n is checked, and the
+    sweep priced as n steps at degree 0, when it is called."""
     n = whole_number("n", n)
-    q = 0.0
-    yield q
-    for _ in range(n):
-        q = pgf_value(law, q)
-        yield q
+    check_budget(n, 0)
+    return accumulate(repeat(None, n), lambda q, _: pgf_value(law, q), initial=0.0)
 
 
 def extinction_prob(law: OffspringLaw, n: int) -> float:
@@ -163,20 +165,31 @@ def compose_step(law: OffspringLaw, g: np.ndarray) -> np.ndarray:
     return _step_finite(law, g)
 
 
+def step_allowance(K: int) -> int:
+    """The most steps at degree K whose cost is within DEFAULT_COST_CAP."""
+    # a float K^2 is inf, not an OverflowError, for a huge K
+    return int(DEFAULT_COST_CAP // (float(K) * K + STEP_COST))
+
+
 def check_budget(steps: int, K: int) -> None:
-    """Refuse a composition pass whose n*K^2 work exceeds DEFAULT_COST_CAP."""
-    cost = steps * float(K) * K  # inf, not OverflowError, for a huge K
-    if cost > DEFAULT_COST_CAP:
-        raise SeriesBudgetError(
-            f"composition cost n*K^2 = {cost:.3g} exceeds cap {DEFAULT_COST_CAP:.3g}"
-        )
+    """Refuse a pass of more steps at degree K than ``step_allowance``."""
+    if steps > step_allowance(K):
+        raise SeriesBudgetError(f"a pass of {steps} steps at degree {K} exceeds cap "
+                                f"{DEFAULT_COST_CAP:.3g}, which admits {step_allowance(K)}")
+
+
+def check_horizon(n: int) -> None:
+    """Refuse a table or cdf at horizon n before any work: its sweep of n
+    steps at degree 0 and its n or more composition steps at degree >= 1
+    are priced together as 2n steps at degree 1."""
+    check_budget(2 * n, 1)
 
 
 def iterates(law: OffspringLaw, n: int, K: int, a: float = 0.0, b: float = 1.0):
     """Yield g, f(g), ..., f_n(g) for g = a + b s, each truncated at degree K.
 
     This is the one loop over ``compose_step``.  The whole pass is
-    checked against the n*K^2 budget before any array is made.  Each
+    checked against the budget before any array is made.  Each
     yielded array is fresh, so a caller may keep the ones it needs and
     let the rest go.
     """

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -637,33 +638,54 @@ class TestRunExperiment:
             (["--law", "nonsense", "--n", "100", "--x", "1"], "error: "),
             (["--regime", "linear_band", "--n", "100", "--t", "0", "--a", "1e308"],
              "error: "),
-            # the n = 400 horizon is cheap, but the subtree pass of the
-            # n = 1e10 one is over the n*K^2 budget: refused with the
-            # message its table would give, before the n = 400 work
+            # the n = 400 horizon is cheap, but the sweep of the n = 1e10
+            # one is over the budget: refused with the message its table
+            # would give, before the n = 400 work
             (["--law", "ternary_uniform", "--n", "400,10000000000", "--x", "1",
               "--replicates", "500"],
-             "error: composition cost n*K^2 = 6.25e+13 exceeds cap 1e+11\n"),
+             "error: a pass of 20000000000 steps at degree 1 exceeds cap 1e+11, "
+             "which admits 4999750\n"),
+            # the subtree pass of the n = 1e7 window horizon is only 31
+            # steps at degree C = 3163, but its table sweeps 1e7 generations
+            (["--n", "10000000", "--x", "0.01"],
+             "error: a pass of 20000000 steps at degree 1 exceeds cap"),
         ],
-        ids=["ternary-400-4", "x-1e-7", "unknown-law", "a-1e308", "over-budget"],
+        ids=["ternary-400-4", "x-1e-7", "unknown-law", "a-1e308", "over-budget",
+             "window-sweep-over-budget"],
     )
     def test_refused_config_starts_no_work(self, argv, err, monkeypatch, capsys):
         calls = _spy_on_work(monkeypatch)
+        start = time.perf_counter()
         assert cli_main(["compare", *argv]) == 1
+        assert time.perf_counter() - start < 0.1
         assert capsys.readouterr().err.startswith(err)
         assert calls == []
 
-    def test_row_pass_is_priced_only_by_its_table(self, monkeypatch, capsys):
-        # the config prices each subtree pass, here 45 steps at degree
-        # C = 45 (91,125 <= 1e5), and not the m-step row pass: the table
-        # is refused once its row pass of 1955 steps at J = 17 is priced
-        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e5)
-        assert _small_phi_config(n_grid="2000").horizons == ((2000, 1955, 45),)
+    def test_split_band_horizon_is_accepted(self):
+        # 4000 steps at degree C = 8000 are over the budget, but the
+        # table splits at r0 = 256 and the config prices no pass
+        config = ExperimentConfig.from_mapping(
+            {"regime": "linear_band", "t": "0.5", "a": "1", "n_grid": "8000"}
+        )
+        assert config.horizons == ((8000, 4000, 8000),)
+
+    def test_table_passes_are_priced_only_by_the_table(self, monkeypatch, capsys):
+        # at the least cap that admits the horizon, the config accepts
+        # it; the table's degree-800 pass can afford 24 of its 200 steps,
+        # too few for a split, and is refused once the table builds it
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 2 * 400 * (1 + series.STEP_COST))
+        argv = ["--regime", "linear_band", "--t", "0.5", "--a", "2", "--n", "400"]
         calls = _spy_on_work(monkeypatch)
-        assert cli_main(["compare", "--n", "2000", "--x", "1"]) == 1
+        assert cli_main(["compare", *argv]) == 1
         assert capsys.readouterr().err == (
-            "error: composition cost n*K^2 = 5.65e+05 exceeds cap 1e+05\n"
+            f"error: no split generation qualifies within the {series.step_allowance(800)} "
+            "of 200 steps at degree 800 that the budget allows\n"
         )
         assert calls == ["limit", "table"]
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 2 * 400 * (1 + series.STEP_COST) - 1)
+        calls.clear()
+        assert cli_main(["compare", *argv]) == 1
+        assert calls == []
 
     def test_limit_pmf_comes_first(self, monkeypatch):
         # one limit pmf serves every horizon
@@ -693,6 +715,16 @@ class TestCli:
 
     def test_missing_subcommand_is_user_error(self):
         assert cli_main([]) == 1
+
+    def test_exact_over_budget_sweep_allocates_nothing(self, monkeypatch, capsys):
+        # the sweep of 1e10 generations would ask numpy for 80 GB
+        sized = []
+        monkeypatch.setattr(np, "fromiter", lambda *args: sized.append(args[2:]))
+        assert cli_main(["exact", "--n", "10000000000", "--m", "1", "--bound", "3"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: a pass of 20000000000 steps at degree 1 exceeds cap"
+        )
+        assert sized == []
 
     def test_unknown_law_is_user_error(self, capsys):
         code = cli_main(["exact", "--law", "nonsense", "--n", "4", "--m", "2"])

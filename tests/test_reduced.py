@@ -177,11 +177,16 @@ class TestReducedPmf:
         want = lf_oracle.pmf(n, table.j_max)[1:]
         assert np.max(np.abs(table.pmf - want)) < ORACLE_TOL
 
-    @pytest.mark.parametrize("m", [30, 50])
-    def test_budget_error_instead_of_short_table(self, monkeypatch, m):
-        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e4)
+    @pytest.mark.parametrize(
+        "m, n", [pytest.param(30, 31, id="30"), pytest.param(50, 50, id="50")]
+    )
+    def test_budget_error_instead_of_short_table(self, monkeypatch, m, n):
+        # the cap admits the sweep of n generations and no more, so the
+        # row pass of m steps is refused at an order too small for
+        # epsilon: J = 32 at m = 30 and J = 8 at m = 50
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", n * series.STEP_COST)
         with pytest.raises(SeriesBudgetError, match="account for mass"):
-            reduced_pmf(LF, m, 50)
+            reduced_pmf(LF, m, n)
 
     def test_extinction_probabilities_are_not_kept(self):
         # q_{n-m} and q_n are read off one pass as it goes; a list of all
@@ -731,22 +736,74 @@ class TestJointSplitRoute:
         assert got.event_prob == want.event_prob
 
     def test_cdf_over_the_full_budget_splits(self):
-        # n*C^2 = 1.25e11 is over the default cap; the split makes 128
-        # steps at degree C
+        # n = 5000 steps at degree C = 5000 are over the default cap; the
+        # split makes 128
         n = C = 5000
         cdf = mrca_distance_cdf(LF, n, C, [n // 2])
         assert cdf[0] == pytest.approx(lf_oracle.mrca_cdf(n, C, n // 2), rel=n * 1e-15)
 
     @pytest.mark.parametrize(
-        "build", [lambda: mrca_distance_cdf(LF, 1000, 3, [5]),
-                  lambda: joint_reduced_bounded(LF, 500, 1000, 3)],
+        "build, steps", [(lambda: mrca_distance_cdf(LF, 800, 800, [5]), 800),
+                         (lambda: joint_reduced_bounded(LF, 400, 800, 800), 400)],
         ids=["cdf", "table"],
     )
-    def test_fallback_over_budget_is_refused(self, build, monkeypatch):
-        # no split generation qualifies, so the whole pass is priced
-        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e3)
-        with pytest.raises(SeriesBudgetError, match="no split generation qualifies"):
+    def test_fallback_over_budget_is_refused(self, build, steps, monkeypatch):
+        # the least cap that admits the horizon admits 48 steps at degree
+        # C = 800, short of the split at r0 = 64: the tries within them
+        # fail, so the pass would run to its end and is refused
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", 2 * 800 * (1 + series.STEP_COST))
+        run = series.step_allowance(800)
+        assert 32 <= run < 64
+        with pytest.raises(SeriesBudgetError, match=(
+            f"^no split generation qualifies within the {run} of {steps} steps at degree 800"
+        )):
             build()
+
+    @pytest.mark.parametrize("m, r", [(610, 64), (611, 189)])
+    def test_tries_fit_at_equality(self, m, r, monkeypatch):
+        # n - m = 190 holds the try at r0 = 64, its cap of 64 on J and
+        # the earlier tries' caps 2 + 4 + ... + 32 exactly; one step
+        # fewer, and the pass runs to its end
+        splits, split_pass = [], reduced._split_pass
+
+        def spied(*args):
+            out = split_pass(*args)
+            splits.append(out[0])
+            return out
+
+        monkeypatch.setattr(reduced, "_split_pass", spied)
+        joint_reduced_bounded(LF, m, 800, 800)
+        assert splits == [r]
+
+    def test_two_affordable_steps_make_the_first_try(self, monkeypatch):
+        # where the cap admits exactly 2 steps at degree C the try at
+        # r = 2 (cap 2 on J) is still made; one multiply-add less and the
+        # pass is refused before its first step
+        n, C = 40, 800
+        qs = np.fromiter(series.iter_extinction_probs(LF, n), float, n + 1)
+        slopes = pgf_derivatives(LF, qs[:-1], 1)[1]
+        tries, steps, tail_order, step = [], [], reduced._tail_order, series.compose_step
+
+        def spied_tail_order(*args):
+            tries.append(args[3])
+            return tail_order(*args)
+
+        def spied_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(reduced, "_tail_order", spied_tail_order)
+        monkeypatch.setattr(series, "compose_step", spied_step)
+        two_steps = 2 * (C * C + series.STEP_COST)
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", two_steps)
+        with pytest.raises(SeriesBudgetError, match="within the 2 of 40 steps at degree 800"):
+            reduced._split_pass(LF, n, C, qs, slopes, n)
+        assert tries == [2] and len(steps) == 2
+        tries.clear(), steps.clear()
+        monkeypatch.setattr(series, "DEFAULT_COST_CAP", two_steps - 1)
+        with pytest.raises(SeriesBudgetError, match="^a pass of 2 steps at degree 800 exceeds"):
+            reduced._split_pass(LF, n, C, qs, slopes, n)
+        assert tries == [] and steps == []
 
 
 @pytest.mark.parametrize(
@@ -858,9 +915,10 @@ class TestSerialization:
 
 
 @st.composite
-def critical_pmfs(draw):
+def critical_pmfs(draw, max_size=4):
+    # weights on 1..k, and the mass at 0 that brings the mean to 1
     weights = draw(
-        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=4)
+        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=max_size)
     )
     w = np.asarray(weights)
     zero_mass = float(np.dot(np.arange(len(w)), w))
@@ -885,6 +943,28 @@ class TestDecompositionProperty:
         table = joint_reduced_bounded(law, m, n, C)
         want = bounded_survival_prob(law, n, C)
         assert abs(table.mass_accounted - want) < 1e-8
+
+
+@given(
+    st.one_of(st.sampled_from([LF, POIS, TERNARY]), critical_pmfs(8).map(make_custom)),
+    st.integers(min_value=40, max_value=900),
+    st.sampled_from(["one", "window", "band"]),
+    st.floats(min_value=0.1, max_value=1.0),
+)
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_routes_agree_through_the_split(law, n, bound, a):
+    # laws on 3 to 9 values and the built-ins, at bounds from C = 1 to
+    # a band a*B*n, where the tables and the cdf split: the event
+    # probability of each joint table against the full degree-C pass,
+    # and the cdf at u against row 1 of the table at n - u
+    C = max(1, {"one": 1, "window": math.floor(law.half_variance * math.sqrt(n)),
+                "band": math.floor(a * law.half_variance * n)}[bound])
+    event = bounded_survival_prob(law, n, C)
+    us = [1, n // 3, n - n // 3, n]
+    for u, cdf in zip(us, mrca_distance_cdf(law, n, C, us)):
+        joint = joint_reduced_bounded(law, n - u, n, C)
+        assert joint.event_prob == pytest.approx(event, rel=1e-13, abs=0.0)
+        assert cdf == pytest.approx(joint.pmf[0] / joint.event_prob, rel=1e-13, abs=0.0)
 
 
 def _digest(law) -> str:

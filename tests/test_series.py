@@ -60,6 +60,13 @@ class TestExtinction:
         constants = [float(g[0]) for g in iterates(law, 400, 3)]
         assert list(iter_extinction_probs(law, 400)) == constants
 
+    def test_sweep_is_priced_when_called(self):
+        # the sweep costs STEP_COST a generation, so the cap admits 5e6 of
+        # them; the refusal comes before the first value is asked for
+        with pytest.raises(SeriesBudgetError, match="^a pass of 5000001 steps at degree 0"):
+            iter_extinction_probs(LF, 5 * 10**6 + 1)
+        assert len(list(iter_extinction_probs(LF, 10**4))) == 10**4 + 1
+
     def test_survival_times_bn_near_one(self):
         # (1 - q_n) * B * n approaches 1 from below
         for law in (LF, POIS, TERNARY):
@@ -120,6 +127,15 @@ class TestPmfZn:
         with pytest.raises(SeriesBudgetError):
             pmf_Zn(LF, 10, 10**6)
 
+    def test_narrow_long_pass_is_refused_at_once(self, monkeypatch):
+        # 1e10 steps at K = 3 are 9e10 multiply-adds, under the cap, but
+        # at 4-6 us a step they would run for about half a day
+        steps = []
+        monkeypatch.setattr(series, "compose_step", lambda *args: steps.append(args))
+        with pytest.raises(SeriesBudgetError, match="10000000000 steps at degree 3 exceeds"):
+            pmf_Zn(TERNARY, 10**10, 3)
+        assert steps == []
+
     def test_budget_cap_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(series, "DEFAULT_COST_CAP", 1e4)
         with pytest.raises(SeriesBudgetError, match="exceeds cap"):
@@ -162,12 +178,19 @@ def _poisson_step_mp(g: np.ndarray) -> np.ndarray:
 
 def test_one_composition_loop_and_one_budget_check():
     # every exact quantity reads off series.iterates, so a second loop
-    # over compose_step, or a second budget rule, fails here; the
-    # comparison config prices each horizon's subtree pass by the same
-    # rule, but no row pass, before it builds any table
-    calls = {"compose_step": [], "check_budget": []}
+    # over compose_step, or a second budget rule, fails here: the budget
+    # prices each pass, the extinction sweep and the horizon question
+    # that a table and the comparison config ask first, and no other
+    # module reads its cap or its per-step cost
+    calls = {"compose_step": [], "check_budget": [], "check_horizon": []}
+    readers = set()
     for path in sorted(pathlib.Path(series.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) in {
+                "DEFAULT_COST_CAP", "STEP_COST"
+            }:
+                readers.add(path.name)
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
@@ -180,8 +203,12 @@ def test_one_composition_loop_and_one_budget_check():
                     calls[name].append((path.name, func.name))
     assert calls == {
         "compose_step": [("series.py", "iterates")],
-        "check_budget": [("harness.py", "__post_init__"), ("series.py", "iterates")],
+        "check_budget": [("series.py", "iter_extinction_probs"),
+                         ("series.py", "check_horizon"), ("series.py", "iterates")],
+        "check_horizon": [("harness.py", "__post_init__"), ("reduced.py", "_joint_rows"),
+                          ("reduced.py", "mrca_distance_cdf")],
     }
+    assert readers == {"series.py"}
 
 
 # degree 150 takes the Poisson step through eight blocks past its

@@ -131,3 +131,12 @@ def test_rule_bounds_and_message():
             errors.whole_number("k", bad, 1, 3)
     with pytest.raises(ValueError, match="^k must be a whole number at least 0, got -1$"):
         errors.whole_number("k", -1)
+
+
+def test_sweep_refuses_a_bad_n_when_called():
+    # the check may not wait for the first value: np.fromiter with a
+    # count of 0 never asks for one
+    with pytest.raises(ValueError, match="^n must be a whole number at least 0, got -1$"):
+        np.fromiter(iter_extinction_probs(LF, -1), float, 0)
+    with pytest.raises(ValueError, match="^n must be a whole number at least 0, got 2.5$"):
+        iter_extinction_probs(LF, 2.5)
